@@ -9,24 +9,21 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from . import model as model_mod
-from . import quadrature as quad_mod
-from . import selfenergy as se_mod
+from . import roots
 from .errors import DomainError, InputError, NumericError
 from .friedrichs import FriedrichsSolver
 from .model import ModelParams
 from .quadrature import QuadratureSpec
-from .selfenergy import SelfEnergyTables
+from .selfenergy import PointSelfEnergy, SelfEnergyTables, lambda2_proxy_value
 
 __all__ = [
     "BranchPoint",
     "DomainMap",
-    "Lambda2Proxy",
     "GammaResult",
     "BoundaryResult",
-    "lambda2_proxy",
     "kappa_from_rule",
     "dispersion_point",
     "one_boson_domain",
@@ -41,6 +38,11 @@ CAP_MARGIN = 1e-6
 
 @dataclass
 class BranchPoint:
+    """A solved branch point.  `iterations` counts the evaluations of the
+    scalar function being solved (a_p(xi; q) - xi for the dispersion,
+    e_p(xi) - xi for the ground branch), bracketing and the final residual
+    included."""
+
     q: np.ndarray
     xi: float | None
     iterations: int
@@ -55,12 +57,6 @@ class DomainMap:
     boundary: list            # [(direction, radius)]
     kappa: float | None
     points: list = field(default_factory=list)  # BranchPoints for members
-
-
-@dataclass
-class Lambda2Proxy:
-    value: float
-    margin: float
 
 
 @dataclass
@@ -79,15 +75,6 @@ class BoundaryResult:
     status: str               # converged | inconclusive
 
 
-def lambda2_proxy(params: ModelParams, p, delta_margin: float | None = None) -> Lambda2Proxy:
-    """Heuristic stand-in lambda2_0(p) - margin for the variational
-    two-boson edge; all caps kappa must stay below it."""
-    if delta_margin is None:
-        delta_margin = se_mod.default_proxy_margin(params)
-    value = model_mod.threshold(params, 2, p) - delta_margin
-    return Lambda2Proxy(value=value, margin=delta_margin)
-
-
 def kappa_from_rule(params: ModelParams, p, mode: str = "fraction",
                     value: float = 0.9,
                     delta_margin: float | None = None) -> float:
@@ -98,7 +85,7 @@ def kappa_from_rule(params: ModelParams, p, mode: str = "fraction",
     if mode != "fraction":
         raise InputError(f"unknown kappa rule {mode!r}")
     lam1_0 = model_mod.threshold(params, 1, p)
-    proxy = lambda2_proxy(params, p, delta_margin).value
+    proxy = lambda2_proxy_value(params, p, delta_margin)
     if proxy <= lam1_0:
         raise DomainError("two-boson proxy is not above the one-boson threshold")
     return lam1_0 + float(value) * (proxy - lam1_0)
@@ -113,35 +100,8 @@ def _axis_for(params: ModelParams, p):
     return ax
 
 
-class _PointSolver:
-    """Cached self-energy evaluation at one (p, q) pair: the node-pair
-    energies are xi-independent, so the monotone root solve in xi costs
-    one vector division per iterate."""
-
-    def __init__(self, params, p, q, quad):
-        self.params = params
-        pts, w = quad_mod.nodes(quad, params.d)
-        k = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
-        diff = k[None, :] - pts
-        self.num = params.coupling.evaluate(diff, pts) ** 2 * w
-        self.den0 = 0.5 * np.einsum("ij,ij->i", diff, diff) \
-            + float(params.eps(q)) + params.eps(pts)
-        self.e1 = 0.5 * float(k @ k) + float(params.eps(q))
-
-    def m(self, xi: float) -> float:
-        den = self.den0 - xi
-        if den.min() < se_mod.DENOM_MARGIN:
-            raise DomainError(
-                f"xi={xi} within {se_mod.DENOM_MARGIN:.1g} of the two-boson edge"
-            )
-        return -(self.params.alpha**2) * float((self.num / den).sum())
-
-    def g(self, xi: float) -> float:
-        return self.e1 + self.m(xi) - xi
-
-
 def _check_cap(params, p, kappa, delta_margin=None):
-    proxy = lambda2_proxy(params, p, delta_margin).value
+    proxy = lambda2_proxy_value(params, p, delta_margin)
     if kappa > proxy + 1e-12:
         raise DomainError(
             f"kappa={kappa} exceeds the two-boson proxy {proxy:.6g} at this p"
@@ -155,64 +115,43 @@ def dispersion_point(params: ModelParams, p, q, kappa: float,
 
     g(xi) = a_p(xi; q) - xi is strictly decreasing; q belongs to the
     one-boson domain iff g(kappa) < 0, in which case the unique root is
-    bracketed downward from the free energy and bisected.
+    bracketed downward from a_p(kappa; q) and found by Brent's method.
     """
     p = params._check_vec(p, "p")
     q = params._check_vec(q, "q")
     if check_cap:
         _check_cap(params, p, kappa)
-    ps = _PointSolver(params, p, q, quad)
+    ps = PointSelfEnergy(params, p, q, quad)
+    g = roots.Counted(ps.g)
 
-    g_cap = ps.g(kappa)
+    g_cap = g(kappa)
     if g_cap >= 0.0:
-        return BranchPoint(q=q, xi=None, iterations=0, residual=abs(g_cap),
+        return BranchPoint(q=q, xi=None, iterations=g.calls, residual=abs(g_cap),
                            status="none")
-    lo = min(ps.e1 + ps.m(kappa), kappa - 1.0)
-    evals = 2
-    for _ in range(200):
-        g_lo = ps.g(lo)
-        evals += 1
-        if g_lo >= 0.0:
-            break
-        lo = kappa - 2.0 * (kappa - lo)
-    else:
-        raise NumericError(f"failed to bracket the dispersion root below kappa={kappa}")
-    if g_lo == 0.0:
-        root = lo
-    else:
-        root, info = brentq(ps.g, lo, kappa, xtol=1e-14,
-                            rtol=4 * np.finfo(float).eps, full_output=True)
-        evals += info.iterations
-    resid = abs(ps.g(root))
+    _, lo = roots.expand(lambda xi: g(xi) >= 0.0, kappa, min(ps.a(kappa), kappa - 1.0))
+    root = roots.root(g, lo, kappa)
+    resid = abs(g(root))
     status = "converged" if resid <= tol * (1.0 + abs(root)) else "capped"
-    return BranchPoint(q=q, xi=float(root), iterations=evals,
+    return BranchPoint(q=q, xi=float(root), iterations=g.calls,
                        residual=resid, status=status)
 
 
 def _member(params, p, kappa, q, quad):
-    return _PointSolver(params, p, q, quad).g(kappa) < 0.0
+    return PointSelfEnergy(params, p, q, quad).g(kappa) < 0.0
 
 
 def _boundary_radius(params, p, kappa, direction, quad, tol, r_seed):
     """Bisect the one-boson membership indicator outward along a ray."""
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    if not _member(params, p, kappa, r_seed * direction, quad):
+
+    def inside(r):
+        return _member(params, p, kappa, r * direction, quad)
+
+    if not inside(r_seed):
         return None
-    r_in, r_out = r_seed, abs(r_seed) + 1.0
-    for _ in range(200):
-        if not _member(params, p, kappa, r_out * direction, quad):
-            break
-        r_in, r_out = r_out, 2.0 * r_out
-    else:
-        raise NumericError("membership did not terminate along the ray")
-    while r_out - r_in > tol:
-        mid = 0.5 * (r_in + r_out)
-        if _member(params, p, kappa, mid * direction, quad):
-            r_in = mid
-        else:
-            r_out = mid
-    return 0.5 * (r_in + r_out)
+    r_in, r_out = roots.expand(lambda r: not inside(r), 0.0, r_seed + 1.0, r_seed)
+    return roots.bisect(inside, r_in, r_out, tol)
 
 
 def one_boson_domain(params: ModelParams, p, kappa: float, probes,
@@ -238,10 +177,13 @@ def one_boson_domain(params: ModelParams, p, kappa: float, probes,
     t_seed = _free_minimizer(params, p, axis)
     for ray in rays:
         ray = np.asarray(ray, dtype=float)
-        seed = t_seed if float(ray @ axis) > 0 else max(1e-3, -t_seed)
+        unit = ray / np.linalg.norm(ray)
+        # seed at the point of the ray nearest the free minimizer; the
+        # cosine from the chord is exactly 1 for a ray along the axis
+        cos = 1.0 - 0.5 * float((unit - axis) @ (unit - axis))
         radius = _boundary_radius(params, p, kappa, ray, quad, boundary_tol,
-                                  max(abs(seed), 1e-3))
-        boundary.append((ray / np.linalg.norm(ray), radius))
+                                  max(t_seed * cos, 1e-3))
+        boundary.append((unit, radius))
     return DomainMap(grid=probes, membership=membership, boundary=boundary,
                      kappa=kappa, points=points)
 
@@ -289,21 +231,15 @@ def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
 
 
 def _inner_edge(params, p, kappa, axis, quad, t_seed):
-    """Inner membership boundary when q=0 is outside the domain."""
-    lo, hi = 0.0, t_seed
-    for _ in range(200):
-        if _member(params, p, kappa, lo * axis, quad):
-            return lo
-        if hi - lo < 1e-9:
-            break
-        lo = 0.5 * (lo + hi)
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if _member(params, p, kappa, mid * axis, quad):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    """Lower end of the on-axis search when q=0 is outside the domain: the
+    first member of 0, t_seed/2, 3 t_seed/4, ..., or t_seed once the
+    remaining step is below 1e-9."""
+    lo = 0.0
+    while not _member(params, p, kappa, lo * axis, quad):
+        if t_seed - lo < 1e-9:
+            return t_seed
+        lo = 0.5 * (lo + t_seed)
+    return lo
 
 
 class _GroundSolver:
@@ -326,21 +262,21 @@ class _GroundSolver:
         key = round(t, 15)
         ps = self._line_cache.get(key)
         if ps is None:
-            ps = _PointSolver(self.params, self.p, t * self.axis, self.quad)
+            ps = PointSelfEnergy(self.params, self.p, t * self.axis, self.quad)
             if len(self._line_cache) > 4096:
                 self._line_cache.clear()
             self._line_cache[key] = ps
-        return ps.e1 + ps.m(xi)
+        return ps.a(xi)
 
     def _a_bar(self, xi, a_out_min):
         span = 10.0 + float(np.linalg.norm(self.p))
         grid = np.linspace(-span, span, 81)
-        vals = np.array([self._a_line(xi, t) for t in grid])
-        i = int(np.argmin(vals))
-        res = minimize_scalar(lambda t: self._a_line(xi, t),
-                              bounds=(grid[max(i - 1, 0)], grid[min(i + 1, 80)]),
-                              method="bounded", options={"xatol": 1e-10})
-        return min(float(res.fun), a_out_min)
+
+        def line(t):
+            return self._a_line(xi, t)
+
+        a_min, _ = roots.line_min(line, grid, [line(t) for t in grid], 1e-10)
+        return min(a_min, a_out_min)
 
     def e_p(self, xi: float):
         t = self.tables
@@ -372,41 +308,27 @@ def ground_state(params: ModelParams, p, kappa: float, neumann_order: int,
         lam1 = lambda1(params, p, kappa, quad, tol, delta_margin=delta_margin)
     gs = _GroundSolver(params, p, quad, neumann_order, inner_tol=max(tol, 1e-12))
 
-    def f(xi):
+    def gap(xi):
         e = gs.e_p(xi)
         return math.inf if e is None else e - xi
 
+    f = roots.Counted(gap)
+
+    def above(xi):
+        return f(xi) > 0.0
+
     hi = lam1 - max(tol, 1e-9)
-    evals = 1
     f_hi = f(hi)
     if f_hi >= 0.0:
-        return BranchPoint(q=p, xi=None, iterations=evals,
+        return BranchPoint(q=p, xi=None, iterations=f.calls,
                            residual=f_hi if math.isfinite(f_hi) else math.inf,
                            status="none")
-    lo = min(gs.e0, hi) - 1.0
-    for _ in range(200):
-        f_lo = f(lo)
-        evals += 1
-        if f_lo > 0.0:
-            break
-        lo = hi - 2.0 * (hi - lo)
-    else:
-        raise NumericError("failed to bracket the ground-branch fixed point")
-    # plain bisection: f may be +inf where the inner eigenvalue is absent
-    while hi - lo > 1e-13 * (1.0 + abs(lo)):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        evals += 1
-        if f_mid > 0.0:
-            lo = mid
-        elif f_mid < 0.0:
-            hi = mid
-        else:
-            lo = hi = mid
-    root = 0.5 * (lo + hi)
+    _, lo = roots.expand(above, hi, min(gs.e0, hi) - 1.0)
+    # bisection, not Brent: f is +inf where the inner eigenvalue is absent
+    root = roots.bisect(above, lo, hi, 1e-13, 1e-13)
     resid = abs(f(root))
     status = "converged" if resid <= tol * (1.0 + abs(root)) else "capped"
-    return BranchPoint(q=p, xi=float(root), iterations=evals,
+    return BranchPoint(q=p, xi=float(root), iterations=f.calls,
                        residual=resid, status=status)
 
 
@@ -427,26 +349,18 @@ def g0_boundary(params: ModelParams, direction, quad: QuadratureSpec,
         bp = ground_state(params, p, kappa, neumann_order, quad, tol, lam1=lam1)
         return lam1, bp
 
-    _, bp0 = solve_at(0.0)
-    if bp0.status != "converged":
+    def converged(r):
+        return solve_at(r)[1].status == "converged"
+
+    if not converged(0.0):
         raise DomainError("no ground state at p=0; boundary scan undefined")
     r_in, r_out = 0.0, 1.0
-    for _ in range(60):
-        _, bp = solve_at(r_out)
-        if bp.status != "converged":
-            break
-        r_in, r_out = r_out, min(2.0 * r_out, r_out + 1.0)
+    while converged(r_out):
+        r_in, r_out = r_out, r_out + 1.0
         if r_in >= r_max:
             return BoundaryResult(direction=direction, r_star=None, ladder=[],
                                   status="inconclusive")
-    while r_out - r_in > r_tol:
-        mid = 0.5 * (r_in + r_out)
-        _, bp = solve_at(mid)
-        if bp.status == "converged":
-            r_in = mid
-        else:
-            r_out = mid
-    r_star = 0.5 * (r_in + r_out)
+    r_star = roots.bisect(converged, r_in, r_out, r_tol)
     ladder = []
     for dlt in deltas:
         lam1, bp = solve_at(r_star - dlt)

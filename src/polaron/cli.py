@@ -92,7 +92,7 @@ def cmd_thresholds(cfg: RunConfig, out_dir: Path, workers: int) -> int:
                "status": "converged"}
         for n in (1, 2, 3):
             row[f"lambda{n}_0"] = model.threshold(cfg.params, n, p, tol)
-        row["lambda2_proxy"] = branches.lambda2_proxy(cfg.params, p).value
+        row["lambda2_proxy"] = selfenergy.lambda2_proxy_value(cfg.params, p)
         return row
 
     rows = _map(one, cfg.run["p_values"], workers)
@@ -109,7 +109,7 @@ def cmd_ground_scan(cfg: RunConfig, out_dir: Path, workers: int) -> int:
     def one(pmag):
         p = cfg.vector(pmag)
         kappa = _kappa_at(cfg, p)
-        proxy = branches.lambda2_proxy(cfg.params, p).value
+        proxy = selfenergy.lambda2_proxy_value(cfg.params, p)
         lam1 = branches.lambda1(cfg.params, p, kappa, cfg.quad, tol)
         bp = branches.ground_state(cfg.params, p, kappa, order, cfg.quad,
                                    tol, lam1=lam1)
@@ -149,7 +149,7 @@ def cmd_dispersion_scan(cfg: RunConfig, out_dir: Path, workers: int) -> int:
     tol = cfg.run["tol"]
     p = cfg.vector(cfg.run["p"])
     kappa = _kappa_at(cfg, p)
-    proxy = branches.lambda2_proxy(cfg.params, p).value
+    proxy = selfenergy.lambda2_proxy_value(cfg.params, p)
 
     def one(qmag):
         bp = branches.dispersion_point(cfg.params, p, cfg.vector(qmag),
@@ -181,7 +181,7 @@ def cmd_domain_map(cfg: RunConfig, out_dir: Path, workers: int) -> int:
     order = cfg.run["neumann_order"]
     p_fixed = cfg.vector(cfg.run["p"])
     kappa = _kappa_at(cfg, p_fixed)
-    proxy = branches.lambda2_proxy(cfg.params, p_fixed).value
+    proxy = selfenergy.lambda2_proxy_value(cfg.params, p_fixed)
     rows = []
 
     def g0_row(pmag):
@@ -190,8 +190,9 @@ def cmd_domain_map(cfg: RunConfig, out_dir: Path, workers: int) -> int:
         bp = branches.ground_state(cfg.params, p, kp, order, cfg.quad, tol)
         return {"domain": "G0", "coordinate": float(pmag),
                 "member": bp.status == "converged", "alpha": cfg.params.alpha,
-                "kappa": kp, "lambda2_proxy": proxy, "status": bp.status,
-                "tol": tol}
+                "kappa": kp,
+                "lambda2_proxy": selfenergy.lambda2_proxy_value(cfg.params, p),
+                "status": bp.status, "tol": tol}
 
     rows.extend(_map(g0_row, cfg.run["p_values"], workers))
 
@@ -218,7 +219,7 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, workers: int) -> int:
     def one(kmag):
         p = cfg.vector(kmag)
         kappa = _kappa_at(cfg, p)
-        proxy = branches.lambda2_proxy(cfg.params, p).value
+        proxy = selfenergy.lambda2_proxy_value(cfg.params, p)
         res = branches.gamma_factor(cfg.params, p, q0, kappa, cfg.quad, tol)
         gs = branches.ground_state(cfg.params, p, kappa, order, cfg.quad, tol)
         return {
@@ -237,11 +238,9 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, workers: int) -> int:
 
 def cmd_alpha0(cfg: RunConfig, out_dir: Path, workers: int) -> int:
     p = cfg.vector(cfg.run["p"])
-    lam1_0 = model.threshold(cfg.params, 1, p)
-    proxy = branches.lambda2_proxy(cfg.params, p).value
     rows = []
     for frac in cfg.run["kappa_fractions"]:
-        kappa = lam1_0 + frac * (proxy - lam1_0)
+        kappa = branches.kappa_from_rule(cfg.params, p, "fraction", frac)
         rep = selfenergy.contraction_bounds(cfg.params, p, kappa)
         rows.append({
             "kappa_fraction": float(frac), "kappa": kappa,
@@ -261,7 +260,7 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: Path, workers: int) -> int:
     tol = cfg.run["tol"]
     p = cfg.vector(cfg.run["p"])
     kappa = _kappa_at(cfg, p)
-    proxy = branches.lambda2_proxy(cfg.params, p).value
+    proxy = selfenergy.lambda2_proxy_value(cfg.params, p)
     fraction = cfg.run["kappa"] if cfg.run["kappa_mode"] == "fraction" else 0.9
     comparison = oracle.compare_ground(
         cfg.params, p, cfg.measure, fraction, cfg.run["alpha_ladder"],

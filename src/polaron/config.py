@@ -66,7 +66,10 @@ def _epsilon_from(section) -> EpsilonSpec:
         )
     if kind == "tabulated":
         path = _get(section, "table-path", str, required=True)
-        table = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            table = np.loadtxt(path, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read the epsilon table {path!r}: {exc}") from exc
         return EpsilonSpec.tabulated(table[:, 0], table[:, 1])
     raise InputError(f"unknown epsilon kind {kind!r}")
 
@@ -118,29 +121,25 @@ def load_config(path) -> RunConfig:
         params.d,
     )
 
-    run = {}
-    if "run" in cp:
-        sec = cp["run"]
-        for key in sec:
-            run[key] = sec[key]
+    run = cp["run"] if "run" in cp else {}
     # typed views with defaults
     typed = {
-        "p_values": _floats(run.get("p-values", "0.0")),
-        "q_values": _floats(run["q-values"]) if "q-values" in run else None,
-        "p": float(run.get("p", "0.0")),
-        "kappa_mode": run.get("kappa-mode", "fraction"),
-        "kappa": float(run.get("kappa", "0.9")),
-        "alpha_ladder": _floats(run.get("alpha-ladder", "0.2 0.1 0.05")),
-        "tol": float(run.get("tol", "1e-10")),
-        "neumann_order": int(run.get("neumann-order", "1")),
-        "delta_ladder": _floats(run.get("delta-ladder", "0.1 0.03 0.01")),
-        "direction": run.get("direction", "x"),
-        "q_max": float(run.get("q-max", "2.0")),
-        "q_count": int(run.get("q-count", "21")),
-        "n_max": int(run.get("n-max", "2")),
-        "kappa_fractions": _floats(run.get("kappa-fractions", "0.5 0.7 0.9")),
-        "oracle_q": _floats(run["oracle-q"]) if "oracle-q" in run else [],
-        "seed": int(run.get("seed", "0")),
+        "p_values": _get(run, "p-values", _floats, [0.0]),
+        "q_values": _get(run, "q-values", _floats, None),
+        "p": _get(run, "p", float, 0.0),
+        "kappa_mode": _get(run, "kappa-mode", str, "fraction"),
+        "kappa": _get(run, "kappa", float, 0.9),
+        "alpha_ladder": _get(run, "alpha-ladder", _floats, [0.2, 0.1, 0.05]),
+        "tol": _get(run, "tol", float, 1e-10),
+        "neumann_order": _get(run, "neumann-order", int, 1),
+        "delta_ladder": _get(run, "delta-ladder", _floats, [0.1, 0.03, 0.01]),
+        "direction": _get(run, "direction", str, "x"),
+        "q_max": _get(run, "q-max", float, 2.0),
+        "q_count": _get(run, "q-count", int, 21),
+        "n_max": _get(run, "n-max", int, 2),
+        "kappa_fractions": _get(run, "kappa-fractions", _floats, [0.5, 0.7, 0.9]),
+        "oracle_q": _get(run, "oracle-q", _floats, []),
+        "seed": _get(run, "seed", int, 0),
     }
 
     raw = {name: dict(cp[name]) for name in cp.sections()}

@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import quadrature as quad_mod
+from . import roots
 from .errors import DomainError, NumericError, ResourceError
 from .quadrature import QuadratureSpec
 
@@ -78,14 +78,8 @@ class FriedrichsData:
         """(a_bar, t_bar): continuum edge min a and its on-axis argmin."""
         if self._edge is None:
             grid = np.linspace(-self.search_radius, self.search_radius, 513)
-            vals = self.a_line(grid)
-            i = int(np.argmin(vals))
-            lo = grid[max(i - 1, 0)]
-            hi = grid[min(i + 1, grid.size - 1)]
-            res = minimize_scalar(lambda t: float(self.a_line(t)[0]),
-                                  bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-12})
-            self._edge = (float(res.fun), float(res.x))
+            self._edge = roots.line_min(lambda t: float(self.a_line(t)[0]),
+                                        grid, self.a_line(grid), 1e-12)
         return self._edge
 
     @property
@@ -162,21 +156,16 @@ class FriedrichsSolver:
     def ground_eigenvalue(self, order: int = 1, tol: float = 1e-12):
         """Unique root of the determinant below the edge, or None when
         the determinant is still positive at the edge."""
+        def det(z):
+            return self.delta(z, order)
+
         z_edge = self.a_bar - self.margin
-        if self.delta(z_edge, order) >= 0.0:
+        if det(z_edge) >= 0.0:
             return None
-        lo = min(self.e0 - 1.0, z_edge - 1.0)
-        for _ in range(200):
-            if self.delta(lo, order) > 0.0:
-                break
-            lo = z_edge - 2.0 * (z_edge - lo)
-        else:
-            raise NumericError(
-                f"failed to bracket the determinant root below z={z_edge}"
-            )
-        root = brentq(lambda z: self.delta(z, order), lo, z_edge,
-                      xtol=1e-14, rtol=4 * np.finfo(float).eps)
-        resid = abs(self.delta(root, order))
+        _, lo = roots.expand(lambda z: det(z) > 0.0, z_edge,
+                             min(self.e0 - 1.0, z_edge - 1.0))
+        root = roots.root(det, lo, z_edge)
+        resid = abs(det(root))
         if resid > tol * (1.0 + abs(root)):
             raise NumericError(
                 f"determinant residual {resid:.3g} exceeds tolerance at z={root}"
@@ -289,16 +278,16 @@ def im_delta_edge(data: FriedrichsData, x: float,
         raise DomainError(f"x={x} is not above the continuum edge {a_bar}")
     if data.d not in _SPHERE_AREA:
         raise DomainError("im_delta_edge supports d in {1, 2, 3}")
+
+    def a_at(t):
+        return float(data.a_line(t)[0])
+
     r_lo = max(t_bar, 0.0)
-    r_hi = r_lo + 1.0
-    for _ in range(200):
-        if float(data.a_line(r_hi)[0]) > x:
-            break
-        r_hi = r_lo + 2.0 * (r_hi - r_lo)
-    else:
-        raise DomainError(f"level a(r)=x={x} not reached within the search range")
-    r = brentq(lambda t: float(data.a_line(t)[0]) - x, r_lo, r_hi,
-               xtol=1e-14, rtol=4 * np.finfo(float).eps)
+    try:
+        _, r_hi = roots.expand(lambda t: a_at(t) > x, r_lo, r_lo + 1.0)
+    except NumericError as exc:
+        raise DomainError(f"level a(r)=x={x} not reached within the search range") from exc
+    r = roots.root(lambda t: a_at(t) - x, r_lo, r_hi)
     step = 1e-7 * (1.0 + abs(r))
     aprime = float(data.a_line(r + step)[0] - data.a_line(max(r - step, 0.0))[0])
     aprime /= (r + step - max(r - step, 0.0))

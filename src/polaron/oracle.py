@@ -21,15 +21,14 @@ import scipy.linalg
 
 from . import branches as branches_mod
 from .errors import InputError, NumericError, ResourceError
-from .model import ModelParams, threshold as model_threshold
-from .selfenergy import default_proxy_margin as se_default_margin
+from .model import ModelParams
+from .selfenergy import clipped_proxy_margin
 from .quadrature import DiscreteMeasure, QuadratureSpec
 
 __all__ = [
     "TruncatedHamiltonian",
     "build",
     "low_spectrum",
-    "dump_matrix",
     "compare_ground",
     "compare_dispersion",
     "GroundComparison",
@@ -121,13 +120,6 @@ def low_spectrum(ham: TruncatedHamiltonian, k: int) -> np.ndarray:
     return np.sort(vals)
 
 
-def dump_matrix(ham: TruncatedHamiltonian, path) -> None:
-    """Binary dump: two int64 dims then row-major float64 entries."""
-    with open(path, "wb") as fh:
-        np.asarray(ham.matrix.shape, dtype=np.int64).tofile(fh)
-        np.ascontiguousarray(ham.matrix, dtype=np.float64).tofile(fh)
-
-
 @dataclass
 class GroundComparisonRow:
     alpha: float
@@ -158,11 +150,10 @@ def compare_ground(params: ModelParams, p, measure: DiscreteMeasure,
     the comparison window survives the larger rungs of the ladder."""
     p = params._check_vec(p, "p")
     quad = QuadratureSpec.discrete(measure)
-    free_gap = model_threshold(params, 2, p) - model_threshold(params, 1, p)
     rows = []
     for alpha in alphas:
         pa = replace(params, alpha=float(alpha))
-        margin = min(se_default_margin(pa), 0.5 * free_gap)
+        margin = clipped_proxy_margin(pa, p)
         kappa = branches_mod.kappa_from_rule(pa, p, "fraction", kappa_fraction,
                                              delta_margin=margin)
         ham = build(pa, p, measure, n_max=n_max)

@@ -6,7 +6,7 @@ bound the validity range of the perturbative elimination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "SelfEnergyPoint",
     "ContractionReport",
     "SelfEnergyTables",
+    "PointSelfEnergy",
     "m2",
     "a_eff",
     "b2_leading",
@@ -27,6 +28,7 @@ __all__ = [
     "contraction_bounds",
     "lambda2_proxy_value",
     "default_proxy_margin",
+    "clipped_proxy_margin",
 ]
 
 DENOM_MARGIN = 1e-6  # minimum allowed distance of xi to the two-boson edge
@@ -55,23 +57,37 @@ class ContractionReport:
     alpha0_Gamma: float
 
 
-def _e1(params: ModelParams, p, q):
-    diff = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
-    return 0.5 * np.sum(diff * diff, axis=-1) + params.eps(q)
+class PointSelfEnergy:
+    """Self-energy at one (p, q) pair on a rule's nodes.  The node-pair
+    energies do not depend on xi, so each evaluation in xi costs one
+    vector division."""
 
+    def __init__(self, params: ModelParams, p, q, quad: QuadratureSpec):
+        self.params = params
+        pts, w = quad_mod.nodes(quad, params.d)
+        k = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
+        diff = k[None, :] - pts
+        self.num = params.coupling.evaluate(diff, pts) ** 2 * w
+        self.den0 = 0.5 * np.einsum("ij,ij->i", diff, diff) \
+            + float(params.eps(q)) + params.eps(pts)
+        self.e1 = 0.5 * float(k @ k) + float(params.eps(q))
 
-def _m2_sum(params, k, eps_q, xi, points, weights):
-    """Self-energy sum for fixed k = p - q; returns (value, min denominator)."""
-    diff = k[None, :] - points
-    num = params.coupling.evaluate(diff, points) ** 2
-    den = 0.5 * np.sum(diff * diff, axis=-1) + eps_q + params.eps(points) - xi
-    dmin = float(den.min())
-    if dmin < DENOM_MARGIN:
-        raise DomainError(
-            f"two-boson denominator {dmin:.3g} below safety margin {DENOM_MARGIN:.1g}; "
-            "xi is too close to the two-boson edge"
-        )
-    return -(params.alpha**2) * float((num / den) @ weights), dmin
+    def m(self, xi: float) -> float:
+        """-alpha^2 sum_j w_j |c_j|^2 / (e2_j - xi)."""
+        den = self.den0 - xi
+        if den.min() < DENOM_MARGIN:
+            raise DomainError(
+                f"xi={xi} within {DENOM_MARGIN:.1g} of the two-boson edge"
+            )
+        return -(self.params.alpha**2) * float((self.num / den).sum())
+
+    def a(self, xi: float) -> float:
+        """Effective one-boson energy e1(q) + m(xi; q)."""
+        return self.e1 + self.m(xi)
+
+    def g(self, xi: float) -> float:
+        """a(xi) - xi, strictly decreasing; its root is the dispersion."""
+        return self.a(xi) - xi
 
 
 def m2(params: ModelParams, p, xi: float, q, quad: QuadratureSpec,
@@ -80,26 +96,22 @@ def m2(params: ModelParams, p, xi: float, q, quad: QuadratureSpec,
     -alpha^2 * Integral |c(p-q-q'; q')|^2 / (e2(q, q') - xi) dq'.
 
     Requires xi <= kappa (when a cap is supplied) and the two-boson
-    denominator to stay above the safety margin on every node.
+    denominator to stay above the safety margin on every node.  On a
+    continuum rule the value comes from the refined rule and quad_error is
+    its distance to the value on the given rule.
     """
     p = params._check_vec(p, "p")
     q = params._check_vec(q, "q")
     if kappa is not None and xi > kappa:
         raise DomainError(f"xi={xi} exceeds the cap kappa={kappa}")
-    k = p - q
-    eps_q = float(params.eps(q))
-    pts, w = quad_mod.nodes(quad, params.d)
-    value, _ = _m2_sum(params, k, eps_q, xi, pts, w)
-    if quad.is_discrete:
-        err = 0.0
-    else:
-        from dataclasses import replace
+    value = PointSelfEnergy(params, p, q, quad).m(xi)
+    err = 0.0
+    if not quad.is_discrete:
         fine = replace(quad, n_radial=2 * quad.n_radial,
                        angular_degree=2 * quad.angular_degree + 1)
-        pts2, w2 = quad_mod.nodes(fine, params.d)
-        value2, _ = _m2_sum(params, k, eps_q, xi, pts2, w2)
-        err = abs(value2 - value)
-        value = value2
+        fine_value = PointSelfEnergy(params, p, q, fine).m(xi)
+        err = abs(fine_value - value)
+        value = fine_value
     return SelfEnergyPoint(p=p, q=q, xi=float(xi), m=value, quad_error=err)
 
 
@@ -107,7 +119,7 @@ def a_eff(params: ModelParams, p, xi: float, q, quad: QuadratureSpec,
           kappa: float | None = None) -> float:
     """Effective one-boson energy e1(q) + m(xi; q); strictly decreasing in xi."""
     point = m2(params, p, xi, q, quad, kappa=kappa)
-    return float(_e1(params, p, np.asarray(q, dtype=float))) + point.m
+    return PointSelfEnergy(params, point.p, point.q, quad).e1 + point.m
 
 
 def _e2_scalar(params, p, q1, q2):
@@ -145,6 +157,13 @@ def default_proxy_margin(params: ModelParams) -> float:
     """Margin keeping the cap below the true two-boson edge: the edge
     shift is O(alpha^2), so 10 alpha^2 ||h||^2 with a 1e-3 floor."""
     return max(10.0 * params.alpha**2 * params.coupling.h_norm_sq(params.d), 1e-3)
+
+
+def clipped_proxy_margin(params: ModelParams, p) -> float:
+    """Default margin clipped to half the free gap lambda2_0 - lambda1_0, so
+    that the cap window stays open at the larger couplings of a ladder."""
+    free_gap = model_mod.threshold(params, 2, p) - model_mod.threshold(params, 1, p)
+    return min(default_proxy_margin(params), 0.5 * free_gap)
 
 
 def lambda2_proxy_value(params: ModelParams, p, margin: float | None = None) -> float:

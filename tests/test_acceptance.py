@@ -33,11 +33,6 @@ def make_params(d=3, alpha=0.1, eps=None, c0=0.5):
     )
 
 
-def clipped_margin(params, p):
-    free_gap = threshold(params, 2, p) - threshold(params, 1, p)
-    return min(se.default_proxy_margin(params), 0.5 * free_gap)
-
-
 QUAD = QuadratureSpec.continuum(24, 9, r_max=6.0)
 QUAD_FINE = QuadratureSpec.continuum(32, 11, r_max=6.0)
 
@@ -115,7 +110,7 @@ def test_criterion_03_ground_branch_inequality():
         shifts_at_zero = []
         for alpha in (0.05, 0.1, 0.2):
             params = make_params(alpha=alpha)
-            margin = clipped_margin(params, np.zeros(3))
+            margin = se.clipped_proxy_margin(params, np.zeros(3))
             for pmag in (0.0, 0.4, 0.8):
                 p = np.array([pmag, 0.0, 0.0])
                 kappa = br.kappa_from_rule(params, p, "fraction", 0.9,

@@ -33,9 +33,9 @@ class TestCapRules:
     def test_proxy_matches_threshold_minus_margin(self):
         params = make_params()
         p = np.array([0.4, 0.0, 0.0])
-        proxy = br.lambda2_proxy(params, p)
+        proxy = se.lambda2_proxy_value(params, p)
         margin = se.default_proxy_margin(params)
-        assert proxy.value == pytest.approx(
+        assert proxy == pytest.approx(
             threshold(params, 2, p) - margin, abs=1e-12
         )
 
@@ -44,7 +44,7 @@ class TestCapRules:
         p = np.zeros(3)
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
         lam1 = threshold(params, 1, p)
-        proxy = br.lambda2_proxy(params, p).value
+        proxy = se.lambda2_proxy_value(params, p)
         assert kappa == pytest.approx(lam1 + 0.9 * (proxy - lam1), abs=1e-12)
 
     def test_absolute_rule(self):
@@ -140,6 +140,28 @@ class TestDomain:
         radii = [r for _, r in dm.boundary]
         assert radii[0] == pytest.approx(radii[1], abs=1e-6)
 
+    @pytest.mark.parametrize("p, ray", [
+        ([0.61, -0.77, 0.13], [0.99, 0.07, -0.11]),
+        ([0.32, 0.53, -0.77], [0.39, 0.90, 0.17]),
+        ([0.32, 0.53, -0.77], [-0.77, 0.35, -0.53]),
+    ])
+    def test_boundary_on_off_axis_ray(self, p, ray):
+        # off-axis rays that cross the boundary, where the on-axis free
+        # minimizer t_seed lies outside the domain at t_seed * ray
+        params = make_params()
+        p = np.array(p)
+        kappa = br.kappa_from_rule(params, np.zeros(3), "fraction", 0.9)
+        dm = br.one_boson_domain(params, p, kappa, np.zeros((1, 3)), QUAD,
+                                 1e-10, rays=[np.array(ray)])
+        (unit, radius), = dm.boundary
+        assert radius is not None
+        inside = br.dispersion_point(params, p, 0.99 * radius * unit,
+                                     kappa, QUAD, 1e-10)
+        outside = br.dispersion_point(params, p, 1.01 * radius * unit,
+                                      kappa, QUAD, 1e-10)
+        assert inside.status != "none"
+        assert outside.status == "none"
+
 
 class TestLambda1:
     def test_matches_dense_scan(self):
@@ -202,6 +224,37 @@ class TestGround:
         for dlt, gap in res.ladder:
             assert gap == pytest.approx(math.sqrt(2.0) * dlt - 0.5 * dlt * dlt,
                                         abs=1e-7)
+
+
+class TestIterations:
+    def test_count_every_evaluation(self, monkeypatch):
+        # iterations = evaluations of the solved scalar function, with the
+        # bracketing and the final residual
+        calls = {"g": 0, "e_p": 0}
+        g, e_p = se.PointSelfEnergy.g, br._GroundSolver.e_p
+
+        def counted_g(self, xi):
+            calls["g"] += 1
+            return g(self, xi)
+
+        def counted_e_p(self, xi):
+            calls["e_p"] += 1
+            return e_p(self, xi)
+
+        monkeypatch.setattr(se.PointSelfEnergy, "g", counted_g)
+        monkeypatch.setattr(br._GroundSolver, "e_p", counted_e_p)
+        params = make_params(d=1)
+        p = np.array([0.3])
+        kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+        for q, status in ((0.2, "converged"), (3.0, "none")):
+            calls["g"] = 0
+            bp = br.dispersion_point(params, p, np.array([q]), kappa, QUAD, 1e-10)
+            assert bp.status == status
+            assert bp.iterations == calls["g"]
+        lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
+        bp = br.ground_state(params, p, kappa, 1, QUAD, 1e-10, lam1=lam1)
+        assert bp.status == "converged"
+        assert bp.iterations == calls["e_p"]
 
 
 class TestGamma:

@@ -1,8 +1,11 @@
+import csv
 import json
 
 import pytest
 
+from polaron import selfenergy
 from polaron.cli import main
+from polaron.config import load_config
 
 CONFIG = """
 [model]
@@ -95,6 +98,24 @@ class TestCommands:
             expect = 0.1 * (3.0 + hsq) / gap
             assert float(row["bound_Gamma"]) == pytest.approx(expect, rel=1e-12)
 
+    def test_domain_map_proxy_at_row_momentum(self, tmp_path):
+        # with a relativistic eps the two-boson proxy varies with p, so
+        # each G0 row must carry the proxy at its own p
+        path = tmp_path / "rel.ini"
+        path.write_text(CONFIG.replace(
+            "kind = constant\neps0 = 1.0",
+            "kind = relativistic\nmass = 1.0\nshift = 0.5"))
+        out = tmp_path / "o"
+        assert main(["domain-map", "--config", str(path), "--out", str(out)]) == 0
+        cfg = load_config(path)
+        with open(out / "domain-map.csv") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["domain"] == "G0"]
+        assert len(rows) == 2
+        for row in rows:
+            p = cfg.vector(float(row["coordinate"]))
+            assert float(row["lambda2_proxy"]) == \
+                selfenergy.lambda2_proxy_value(cfg.params, p)
+
     def test_tol_override(self, config_path, tmp_path):
         out = tmp_path / "o"
         assert run("thresholds", config_path, out, "--tol", "1e-6") == 0
@@ -123,6 +144,28 @@ class TestErrors:
     def test_bad_section(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[model]\ndimension = 1\nalpha = 0.1\nc0 = 0.5\n")
+        rc = main(["thresholds", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("old, new", [
+        ("\np = 0.0\n", "\np = abc\n"),
+        ("\nq-count = 7\n", "\nq-count = 7.5\n"),
+        ("\nalpha-ladder = 0.2 0.1\n", "\nalpha-ladder = 0.2 x\n"),
+    ], ids=["p", "q-count", "alpha-ladder"])
+    def test_bad_run_value(self, tmp_path, capsys, old, new):
+        path = tmp_path / "bad.ini"
+        assert old in CONFIG
+        path.write_text(CONFIG.replace(old, new))
+        rc = main(["thresholds", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+    def test_missing_table(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(CONFIG.replace(
+            "kind = constant\neps0 = 1.0",
+            f"kind = tabulated\ntable-path = {tmp_path / 'absent.csv'}"))
         rc = main(["thresholds", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InputError"

@@ -79,18 +79,6 @@ class TestBuild:
             oracle.build(params, np.zeros(1), grid_measure(3.0, 5, 1), 3)
 
 
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        params = make_params()
-        ham = oracle.build(params, np.zeros(1), grid_measure(2.0, 4, 1), 2)
-        path = tmp_path / "h.bin"
-        oracle.dump_matrix(ham, path)
-        raw = np.fromfile(path, dtype=np.float64, offset=16)
-        dims = np.fromfile(path, dtype=np.int64, count=2)
-        assert tuple(dims) == ham.matrix.shape
-        assert raw.reshape(ham.matrix.shape) == pytest.approx(ham.matrix)
-
-
 class TestComparisons:
     def test_ground_agreement_improves_with_alpha(self):
         params = make_params()
