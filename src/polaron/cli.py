@@ -15,7 +15,7 @@ import numpy as np
 
 from . import branches, model, oracle, selfenergy
 from .config import RunConfig, load_config
-from .errors import PolaronError
+from .errors import InputError, PolaronError
 from .quadrature import QuadratureSpec
 
 __all__ = ["main"]
@@ -226,7 +226,10 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, workers: int) -> int:
             "k": float(kmag), "gamma": res.gamma, "residual": res.residual,
             "xi0": gs.xi, "ground_status": gs.status,
             "alpha": cfg.params.alpha, "kappa": kappa,
-            "lambda2_proxy": proxy, "status": "converged", "tol": tol,
+            "lambda2_proxy": proxy,
+            # the second pair of the factorization check left the domain
+            "status": "converged" if res.residual is not None else "no-residual",
+            "tol": tol,
         }
 
     rows = _map(one, cfg.run["p_values"], workers)
@@ -257,13 +260,17 @@ def cmd_alpha0(cfg: RunConfig, out_dir: Path, workers: int) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig, out_dir: Path, workers: int) -> int:
+    if cfg.run["kappa_mode"] != "fraction":
+        raise InputError(
+            "oracle-check needs kappa-mode = fraction: the ground ladder sets "
+            "its cap at each alpha as a fraction of the gap to the two-boson "
+            "proxy")
     tol = cfg.run["tol"]
     p = cfg.vector(cfg.run["p"])
     kappa = _kappa_at(cfg, p)
     proxy = selfenergy.lambda2_proxy_value(cfg.params, p)
-    fraction = cfg.run["kappa"] if cfg.run["kappa_mode"] == "fraction" else 0.9
     comparison = oracle.compare_ground(
-        cfg.params, p, cfg.measure, fraction, cfg.run["alpha_ladder"],
+        cfg.params, p, cfg.measure, cfg.run["kappa"], cfg.run["alpha_ladder"],
         neumann_order=cfg.run["neumann_order"], n_max=cfg.run["n_max"],
         tol=tol,
     )

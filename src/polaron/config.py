@@ -40,6 +40,31 @@ class RunConfig:
         return v
 
 
+# every key that load_config reads, by section
+_SCHEMA = {
+    "model": ("dimension", "alpha", "c0"),
+    "epsilon": ("kind", "eps0", "mass", "shift", "table-path"),
+    "coupling": ("kind", "amplitude", "width", "p-width"),
+    "quadrature": ("rmax", "radial-nodes", "angular-degree"),
+    "grid": ("lambda", "points-per-axis"),
+    "run": ("p-values", "q-values", "p", "kappa-mode", "kappa", "alpha-ladder",
+            "tol", "neumann-order", "delta-ladder", "direction", "q-max",
+            "q-count", "n-max", "kappa-fractions", "oracle-q", "seed"),
+}
+
+
+def _check_schema(cp: configparser.ConfigParser) -> None:
+    for name in cp.sections():
+        if name not in _SCHEMA:
+            raise InputError(f"unknown config section [{name}]; allowed: "
+                             + ", ".join(_SCHEMA))
+        allowed = _SCHEMA[name]
+        for key in cp[name]:
+            if key not in allowed:
+                raise InputError(f"unknown config key {key!r} in [{name}]; "
+                                 "allowed: " + ", ".join(allowed))
+
+
 def _floats(text: str) -> list:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
@@ -90,6 +115,7 @@ def load_config(path) -> RunConfig:
         raise InputError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
     cp.read(path)
+    _check_schema(cp)
     for name in ("model", "epsilon", "coupling"):
         if name not in cp:
             raise InputError(f"config is missing the [{name}] section")

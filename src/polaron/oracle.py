@@ -1,6 +1,7 @@
 """Brute-force truth source: the fiber Hamiltonian truncated to at most
-N_max bosons on a discrete momentum lattice, its low spectrum, and
-matched-discretization comparisons against the perturbative branches.
+N_max bosons on a discrete momentum lattice, assembled as a sparse CSR
+matrix; its low spectrum by Lanczos; and matched-discretization
+comparisons against the perturbative branches.
 
 Basis and normalization: orthonormal occupancy states over the lattice
 modes.  Writing w for the cell weight, a one-boson mode carries amplitude
@@ -18,6 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from . import branches as branches_mod
 from .errors import InputError, NumericError, ResourceError
@@ -43,23 +46,28 @@ class TruncatedHamiltonian:
     p: np.ndarray
     measure: DiscreteMeasure
     n_max: int
-    sector_sizes: tuple
-    pair_index: tuple          # (kk, ll) arrays for the two-boson sector
-    matrix: np.ndarray
+    csr: scipy.sparse.csr_matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.csr.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense copy of the matrix, built on each access.  Of the solvers
+        only `low_spectrum`'s dense fallback reads it."""
+        return self.csr.toarray()
 
     def asymmetry(self) -> float:
-        m = self.matrix
-        scale = max(1.0, float(np.abs(m).max()))
-        return float(np.abs(m - m.T).max()) / scale
+        m = self.csr
+        scale = max(1.0, float(abs(m).max()))
+        return float(abs(m - m.T).max()) / scale
 
 
 def build(params: ModelParams, p, measure: DiscreteMeasure,
           n_max: int = 2) -> TruncatedHamiltonian:
-    """Assemble the truncated fiber Hamiltonian on the lattice measure."""
+    """Assemble the truncated fiber Hamiltonian on the lattice measure as
+    a sparse CSR matrix."""
     p = params._check_vec(p, "p")
     if n_max not in (1, 2):
         raise InputError("n_max must be 1 or 2")
@@ -76,48 +84,102 @@ def build(params: ModelParams, p, measure: DiscreteMeasure,
     if dim > _DIM_BUDGET:
         raise ResourceError(f"truncated basis of dimension {dim} exceeds the budget")
 
-    H = np.zeros((dim, dim))
+    # COO triplets; the two-boson block is diagonal and each pair couples
+    # to at most two one-boson modes.  Duplicates ({k,k} pairs) are summed
+    # on conversion.
+    modes = np.arange(1, 1 + n_pts)
+    vac = np.zeros(n_pts, dtype=int)
     e1 = 0.5 * np.sum((p[None, :] - q) ** 2, axis=-1) + params.eps(q)
-    H[0, 0] = 0.5 * float(p @ p)
-    H[np.arange(1, 1 + n_pts), np.arange(1, 1 + n_pts)] = e1
     c01 = alpha * sqw * params.coupling.evaluate(p[None, :] - q, q)
-    H[0, 1:1 + n_pts] = c01
-    H[1:1 + n_pts, 0] = c01
+    rows = [vac[:1], modes, vac, modes]
+    cols = [vac[:1], modes, modes, vac]
+    vals = [np.array([0.5 * float(p @ p)]), e1, c01, c01]
 
-    kk = ll = None
     if n_max == 2:
         kk, ll = np.triu_indices(n_pts)
-        off = 1 + n_pts
         qsum = q[kk] + q[ll]
         rest = p[None, :] - qsum
         e2 = (0.5 * np.sum(rest**2, axis=-1)
               + params.eps(q[kk]) + params.eps(q[ll]))
-        cols = off + np.arange(kk.size)
-        H[cols, cols] = e2
+        pairs = 1 + n_pts + np.arange(kk.size)
         amp_k = alpha * sqw * params.coupling.evaluate(rest, q[ll])
         amp_l = alpha * sqw * params.coupling.evaluate(rest, q[kk])
         diag_pair = kk == ll
         amp_k = np.where(diag_pair, amp_k * (math.sqrt(2.0) / 2.0), amp_k)
         amp_l = np.where(diag_pair, amp_l * (math.sqrt(2.0) / 2.0), amp_l)
-        np.add.at(H, (1 + kk, cols), amp_k)
-        np.add.at(H, (1 + ll, cols), amp_l)
-        H[off:, 1:off] = H[1:off, off:].T
+        rows += [pairs, 1 + kk, 1 + ll, pairs, pairs]
+        cols += [pairs, pairs, pairs, 1 + kk, 1 + ll]
+        vals += [e2, amp_k, amp_l, amp_k, amp_l]
 
-    return TruncatedHamiltonian(
-        p=p, measure=measure, n_max=n_max,
-        sector_sizes=(1, n_pts, n2), pair_index=(kk, ll), matrix=H,
-    )
+    coo = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim))
+    return TruncatedHamiltonian(p=p, measure=measure, n_max=n_max,
+                                csr=coo.tocsr())
 
 
 def low_spectrum(ham: TruncatedHamiltonian, k: int) -> np.ndarray:
-    """k lowest eigenvalues, ascending, via a dense symmetric eigensolver."""
-    if k < 1 or k > ham.dim:
-        raise InputError(f"need 1 <= k <= {ham.dim}")
+    """k lowest eigenvalues, ascending, by implicitly restarted Lanczos
+    (ARPACK) on the CSR matrix.  The start vector is fixed, so reruns are
+    bit-identical.
+
+    The lattice spectrum has tight clusters and repeated eigenvalues.
+    ARPACK stalls when the last requested eigenvalue falls inside a
+    cluster, and a single Krylov sequence can skip a copy of a repeated
+    eigenvalue; the result is checked against the inertia count.  After
+    a stall or a failed check the request is doubled.  Only where ARPACK
+    cannot run (at least dim - 1 eigenvalues) is the matrix densified for
+    a dense symmetric eigensolver."""
+    dim = ham.dim
+    if k < 1 or k > dim:
+        raise InputError(f"need 1 <= k <= {dim}")
+    m = k
+    while m < dim - 1:
+        try:
+            # with fewer than 64 Lanczos vectors ARPACK often stalls near
+            # a cluster; converging runs here need well under 100 restarts
+            vals = scipy.sparse.linalg.eigsh(
+                ham.csr, m, which="SA", v0=np.ones(dim),
+                ncv=min(dim, max(2 * m + 1, 64)), maxiter=100,
+                return_eigenvectors=False)
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            pass  # stalled: ask for more
+        except scipy.sparse.linalg.ArpackError as exc:
+            raise NumericError(f"Lanczos eigensolver failed: {exc}") from exc
+        else:
+            vals = np.sort(vals)[:k]
+            if _complete(ham, vals):
+                return vals
+        m *= 2
     try:
-        vals = scipy.linalg.eigvalsh(ham.matrix, subset_by_index=[0, k - 1])
+        return scipy.linalg.eigvalsh(ham.matrix, subset_by_index=[0, k - 1])
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericError(f"dense eigensolver failed: {exc}") from exc
-    return np.sort(vals)
+
+
+def _count_below(ham: TruncatedHamiltonian, sigma: float) -> int:
+    """Number of eigenvalues below sigma, by Sylvester's law of inertia:
+    the inertia of H - sigma is that of the diagonal two-boson block
+    D - sigma plus that of its Schur complement on the vacuum and
+    one-boson modes, a small dense matrix."""
+    n1 = 1 + ham.measure.points.shape[0]
+    h = ham.csr
+    shifted = h.diagonal()[n1:] - sigma
+    b = h[:n1, n1:]
+    schur = (h[:n1, :n1] - b.multiply(1.0 / shifted[None, :]) @ b.T).toarray()
+    schur[np.diag_indices(n1)] -= sigma
+    return (int(np.count_nonzero(shifted < 0.0))
+            + int(np.count_nonzero(np.linalg.eigvalsh(schur) < 0.0)))
+
+
+def _complete(ham: TruncatedHamiltonian, vals: np.ndarray) -> bool:
+    """Whether sorted eigenvalues vals are the lowest ones, repeats
+    included: just below each distinct value, the inertia count must
+    equal the number of values under it.  Values closer than sep count
+    as one repeated eigenvalue."""
+    sep = 1e-12 * max(1.0, float(np.abs(vals).max()))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(vals) > sep) + 1))
+    return all(_count_below(ham, vals[j] - sep) == j for j in starts)
 
 
 @dataclass
@@ -188,7 +250,9 @@ def compare_dispersion(params: ModelParams, p, measure: DiscreteMeasure,
                        tol: float = 1e-10) -> DispersionComparison:
     """Match the solved one-boson dispersion at a grid momentum against
     the nearest truncated-oracle eigenvalue inside the window
-    (lambda1 estimate, kappa)."""
+    (lambda1 estimate, kappa).  Only the eigenvalues below kappa are
+    computed: their number comes from the matrix inertia, and that many
+    are taken from the bottom of the spectrum by Lanczos."""
     p = params._check_vec(p, "p")
     q = params._check_vec(q, "q")
     dists = np.linalg.norm(measure.points - q[None, :], axis=-1)
@@ -200,7 +264,8 @@ def compare_dispersion(params: ModelParams, p, measure: DiscreteMeasure,
         raise InputError("q is outside the one-boson domain for this cap")
     lam1 = branches_mod.lambda1(params, p, kappa, quad, tol)
     ham = build(params, p, measure, n_max=n_max)
-    vals = scipy.linalg.eigvalsh(ham.matrix)
+    n_low = _count_below(ham, kappa)
+    vals = low_spectrum(ham, n_low) if n_low else np.empty(0)
     window = (lam1 - tol, kappa)
     inside = vals[(vals >= window[0]) & (vals <= window[1])]
     if inside.size == 0:

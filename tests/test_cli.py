@@ -1,9 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from polaron import selfenergy
+from polaron import branches, selfenergy
 from polaron.cli import main
 from polaron.config import load_config
 
@@ -116,6 +117,42 @@ class TestCommands:
             assert float(row["lambda2_proxy"]) == \
                 selfenergy.lambda2_proxy_value(cfg.params, p)
 
+    def test_gamma_without_residual(self, tmp_path):
+        # a relativistic eps makes eps(q) grow with |q|, so an absolute cap
+        # between xi_0(0) and xi_0.1(0.1) keeps the first pair of the
+        # factorization check in the domain and puts the second outside
+        rel = CONFIG.replace("kind = constant\neps0 = 1.0",
+                             "kind = relativistic\nmass = 1.0\nshift = 0.5")
+        path = tmp_path / "rel.ini"
+        path.write_text(rel)
+        cfg = load_config(path)
+        p, shift = cfg.vector(0.0), cfg.vector(0.1)
+        kappa = branches.kappa_from_rule(cfg.params, p, "fraction", 0.9)
+        xi = [branches.dispersion_point(cfg.params, pp, qq, kappa, cfg.quad,
+                                        1e-9).xi
+              for pp, qq in ((p, 0.0 * p), (p + shift, shift))]
+        assert xi[0] < xi[1]
+        path.write_text(rel.replace(
+            "p-values = 0.0 0.4",
+            f"p-values = 0.0\nkappa-mode = absolute\nkappa = {sum(xi) / 2!r}"))
+        out = tmp_path / "o"
+        assert main(["gamma", "--config", str(path), "--out", str(out)]) == 0
+        with open(out / "gamma.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["gamma"] != ""
+        assert row["residual"] == ""
+        assert row["status"] == "no-residual"
+
+    def test_gamma_with_residual_converged(self, config_path, tmp_path):
+        out = tmp_path / "o"
+        assert run("gamma", config_path, out) == 0
+        with open(out / "gamma.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            assert row["residual"] != ""
+            assert row["status"] == "converged"
+
     def test_tol_override(self, config_path, tmp_path):
         out = tmp_path / "o"
         assert run("thresholds", config_path, out, "--tol", "1e-6") == 0
@@ -130,6 +167,14 @@ class TestDeterminism:
             assert run(command, config_path, out1) == 0
             assert run(command, config_path, out2) == 0
             name = f"{command}.csv"
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+    def test_oracle_check_byte_identical(self, config_path, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run("oracle-check", config_path, out1) == 0
+        assert run("oracle-check", config_path, out2) == 0
+        for name in ("oracle-check.csv", "oracle-check.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -169,3 +214,41 @@ class TestErrors:
         rc = main(["thresholds", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+    def test_oracle_check_needs_fraction_cap(self, tmp_path, capsys):
+        path = tmp_path / "abs.ini"
+        path.write_text(CONFIG.replace(
+            "\np = 0.0\n", "\np = 0.0\nkappa-mode = absolute\nkappa = 1.5\n"))
+        rc = main(["oracle-check", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InputError"
+        assert "fraction" in record["message"]
+        assert "ground ladder" in record["message"]
+        assert not (tmp_path / "oracle-check.csv").exists()
+
+    @pytest.mark.parametrize("old, new, key, meant", [
+        ("\ntol = 1e-9\n", "\ntole = 1e-3\n", "tole", "tol"),
+        ("\np = 0.0\n", "\np-valu = 0.7\n", "p-valu", "p-values"),
+        ("\nwidth = 1.0\n", "\nwidht = 1.0\n", "widht", "width"),
+    ], ids=["tole", "p-valu", "widht"])
+    def test_misspelled_key(self, tmp_path, capsys, old, new, key, meant):
+        path = tmp_path / "bad.ini"
+        assert old in CONFIG
+        path.write_text(CONFIG.replace(old, new))
+        rc = main(["thresholds", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InputError"
+        assert repr(key) in record["message"]
+        allowed = record["message"].split("allowed: ")[1].split(", ")
+        assert meant in allowed
+
+    def test_unknown_section(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(CONFIG.replace("[grid]", "[gird]"))
+        rc = main(["thresholds", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InputError"
+        assert "[gird]" in record["message"]

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import scipy.sparse.linalg
+
 from polaron import CouplingSpec, EpsilonSpec, InputError, ModelParams, grid_measure
-from polaron import oracle
-from polaron.errors import ResourceError
+from polaron import branches, oracle
+from polaron.errors import NumericError, ResourceError
 
 
 def make_params(d=1, alpha=0.1, eps0=1.0, c0=0.5):
@@ -106,3 +108,93 @@ class TestComparisons:
         with pytest.raises(InputError):
             oracle.compare_dispersion(params, np.zeros(1), m, 1.6,
                                       np.array([0.123]))
+
+
+# p = 0 and p on an axis keep lattice symmetries whose repeated
+# eigenvalues a single Lanczos sequence can skip; the generic p has none
+SYMMETRY_CASES = [np.zeros(3), np.array([0.3, 0.0, 0.0]),
+                  np.array([0.1, 0.2, 0.05])]
+
+
+def lattice_4cubed_case():
+    """A 4^3 dispersion comparison: q is a lattice point nearest the
+    origin and p lies close enough to it for q to be a member."""
+    params = make_params(d=3)
+    m = grid_measure(3.0, 4, 3)
+    q = m.points[np.argmin(np.linalg.norm(m.points, axis=1))]
+    p = q + np.array([0.1, -0.05, 0.2])
+    kappa = branches.kappa_from_rule(params, p, "fraction", 0.9)
+    return params, p, m, kappa, q
+
+
+class TestSparse:
+    @pytest.mark.parametrize("p", SYMMETRY_CASES, ids=["zero", "axis", "generic"])
+    def test_low_spectrum_matches_dense(self, p):
+        params = make_params(d=3, alpha=0.1)
+        ham = oracle.build(params, p, grid_measure(2.0, 3, 3), n_max=2)
+        dense = np.linalg.eigvalsh(ham.matrix)
+        for k in range(1, 9):
+            assert np.abs(oracle.low_spectrum(ham, k) - dense[:k]).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_inertia_count_matches_dense(self, n_max):
+        params = make_params(d=2, alpha=0.3)
+        ham = oracle.build(params, np.zeros(2), grid_measure(3.0, 5, 2), n_max)
+        dense = np.linalg.eigvalsh(ham.matrix)
+        for sigma in (-1.0, 0.5, 1.2, 1.6, 2.5, 3.5):
+            assert oracle._count_below(ham, sigma) == np.count_nonzero(dense < sigma)
+
+    def test_arpack_error_is_numeric_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        ham = oracle.build(make_params(), np.zeros(1), grid_measure(3.0, 9, 1), 2)
+        with pytest.raises(NumericError):
+            oracle.low_spectrum(ham, 1)
+
+    def test_stalled_lanczos_retried_with_larger_request(self, monkeypatch):
+        real = scipy.sparse.linalg.eigsh
+        requests = []
+
+        def stall_once(a, k, **kwargs):
+            requests.append(k)
+            if len(requests) == 1:
+                raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
+            return real(a, k, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stall_once)
+        ham = oracle.build(make_params(), np.zeros(1), grid_measure(3.0, 9, 1), 2)
+        vals = oracle.low_spectrum(ham, 3)
+        assert requests == [3, 6]
+        dense = np.linalg.eigvalsh(ham.matrix)[:3]
+        assert np.abs(vals - dense).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", ["d1", "4cubed"])
+    def test_dispersion_window_matches_dense_recount(self, case):
+        if case == "d1":
+            params, p, m = make_params(), np.zeros(1), grid_measure(3.0, 15, 1)
+            kappa, q = 1.6, m.points[9]
+        else:
+            params, p, m, kappa, q = lattice_4cubed_case()
+        comp = oracle.compare_dispersion(params, p, m, kappa, q, tol=1e-9)
+        dense = np.linalg.eigvalsh(oracle.build(params, p, m).matrix)
+        lo, hi = comp.window
+        inside = dense[(dense >= lo) & (dense <= hi)]
+        assert comp.window_count == inside.size > 0
+        nearest = inside[np.argmin(np.abs(inside - comp.solver_xi))]
+        assert comp.nearest_eigenvalue == pytest.approx(nearest, abs=1e-12)
+
+    def test_solvers_never_densify(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense matrix requested")
+
+        monkeypatch.setattr(oracle.TruncatedHamiltonian, "matrix", property(refuse))
+        params = make_params()
+        m = grid_measure(3.0, 15, 1)
+        comp = oracle.compare_ground(params, np.zeros(1), m, 0.9,
+                                     alphas=(0.2, 0.1), tol=1e-10)
+        assert len(comp.rows) == 2
+        assert oracle.compare_dispersion(params, np.zeros(1), m, 1.6,
+                                         m.points[9], tol=1e-9).matched
+        assert oracle.compare_dispersion(*lattice_4cubed_case(), tol=1e-9).matched
