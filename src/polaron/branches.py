@@ -17,7 +17,7 @@ from .errors import DomainError, InputError, NumericError
 from .friedrichs import FriedrichsSolver
 from .model import ModelParams
 from .quadrature import QuadratureSpec
-from .selfenergy import PointSelfEnergy, SelfEnergyTables, lambda2_proxy_value
+from .selfenergy import SelfEnergyTables, lambda2_proxy_value
 
 __all__ = [
     "BranchPoint",
@@ -121,23 +121,29 @@ def dispersion_point(params: ModelParams, p, q, kappa: float,
     q = params._check_vec(q, "q")
     if check_cap:
         _check_cap(params, p, kappa)
-    ps = PointSelfEnergy(params, p, q, quad)
-    g = roots.Counted(ps.g)
+    # each evaluation of a is one of g(xi) = a(xi) - xi
+    a = roots.Counted(_a_at(params, p, q, quad))
 
-    g_cap = g(kappa)
-    if g_cap >= 0.0:
-        return BranchPoint(q=q, xi=None, iterations=g.calls, residual=abs(g_cap),
-                           status="none")
-    _, lo = roots.expand(lambda xi: g(xi) >= 0.0, kappa, min(ps.a(kappa), kappa - 1.0))
-    root = roots.root(g, lo, kappa)
-    resid = abs(g(root))
+    a_cap = a(kappa)
+    if a_cap >= kappa:
+        return BranchPoint(q=q, xi=None, iterations=a.calls,
+                           residual=abs(a_cap - kappa), status="none")
+    _, lo = roots.expand(lambda xi: a(xi) >= xi, kappa, min(a_cap, kappa - 1.0))
+    root = roots.root(lambda xi: a(xi) - xi, lo, kappa)
+    resid = abs(a(root) - root)
     status = "converged" if resid <= tol * (1.0 + abs(root)) else "capped"
-    return BranchPoint(q=q, xi=float(root), iterations=g.calls,
+    return BranchPoint(q=q, xi=float(root), iterations=a.calls,
                        residual=resid, status=status)
 
 
+def _a_at(params, p, q, quad):
+    """xi -> a_p(xi; q), from a one-row table on the unrotated rule."""
+    row = SelfEnergyTables(params, p, quad, np.atleast_2d(q))
+    return lambda xi: float(row.a_values(xi)[0])
+
+
 def _member(params, p, kappa, q, quad):
-    return PointSelfEnergy(params, p, q, quad).g(kappa) < 0.0
+    return _a_at(params, p, q, quad)(kappa) < kappa
 
 
 def _boundary_radius(params, p, kappa, direction, quad, tol, r_seed):
@@ -253,29 +259,19 @@ class _GroundSolver:
         self.inner_tol = inner_tol
         self.tables = SelfEnergyTables(params, p, quad)
         self.axis = _axis_for(params, p)
-        self.quad = quad
         self.e0 = 0.5 * float(self.p @ self.p)
-        # scalar on-axis a(xi; t) evaluator for the edge refinement
-        self._line_cache = {}
+        span = 10.0 + float(np.linalg.norm(self.p))
+        self.grid = np.linspace(-span, span, 81)
+        self.line = self._line(self.grid)
 
-    def _a_line(self, xi, t):
-        key = round(t, 15)
-        ps = self._line_cache.get(key)
-        if ps is None:
-            ps = PointSelfEnergy(self.params, self.p, t * self.axis, self.quad)
-            if len(self._line_cache) > 4096:
-                self._line_cache.clear()
-            self._line_cache[key] = ps
-        return ps.a(xi)
+    def _line(self, t):
+        """Table at the on-axis points t * axis, on the nodes of the tables."""
+        return SelfEnergyTables(self.params, self.p, self.tables.ns,
+                                np.outer(t, self.axis))
 
     def _a_bar(self, xi, a_out_min):
-        span = 10.0 + float(np.linalg.norm(self.p))
-        grid = np.linspace(-span, span, 81)
-
-        def line(t):
-            return self._a_line(xi, t)
-
-        a_min, _ = roots.line_min(line, grid, [line(t) for t in grid], 1e-10)
+        a_min, _ = roots.line_min(lambda t: float(self._line([t]).a_values(xi)[0]),
+                                  self.grid, self.line.a_values(xi), 1e-10)
         return min(a_min, a_out_min)
 
     def e_p(self, xi: float):

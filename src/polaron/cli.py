@@ -8,7 +8,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +48,6 @@ def _write_outputs(out_dir: Path, command: str, columns, rows, record):
     return csv_path, json_path
 
 
-def _map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _kappa_at(cfg: RunConfig, p_vec):
     return branches.kappa_from_rule(
         cfg.params, p_vec, cfg.run["kappa_mode"], cfg.run["kappa"]
@@ -71,7 +63,7 @@ def _base_record(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(cfg: RunConfig, out_dir: Path, workers: int) -> int:
+def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
     report = model.validate_model(cfg.params, seed=cfg.run["seed"])
     rows = [
         {"check": c.name, "passed": bool(c.passed), "detail": c.detail}
@@ -83,7 +75,7 @@ def cmd_validate(cfg: RunConfig, out_dir: Path, workers: int) -> int:
     return 0 if report.all_passed else 1
 
 
-def cmd_thresholds(cfg: RunConfig, out_dir: Path, workers: int) -> int:
+def cmd_thresholds(cfg: RunConfig, out_dir: Path) -> int:
     tol = cfg.run["tol"]
 
     def one(pmag):
@@ -95,14 +87,14 @@ def cmd_thresholds(cfg: RunConfig, out_dir: Path, workers: int) -> int:
         row["lambda2_proxy"] = selfenergy.lambda2_proxy_value(cfg.params, p)
         return row
 
-    rows = _map(one, cfg.run["p_values"], workers)
+    rows = [one(x) for x in cfg.run["p_values"]]
     cols = ["p", "lambda1_0", "lambda2_0", "lambda3_0", "lambda2_proxy",
             "alpha", "tol", "status"]
     _write_outputs(out_dir, "thresholds", cols, rows, _base_record(cfg))
     return 0
 
 
-def cmd_ground_scan(cfg: RunConfig, out_dir: Path, workers: int) -> int:
+def cmd_ground_scan(cfg: RunConfig, out_dir: Path) -> int:
     tol = cfg.run["tol"]
     order = cfg.run["neumann_order"]
 
@@ -119,7 +111,7 @@ def cmd_ground_scan(cfg: RunConfig, out_dir: Path, workers: int) -> int:
             "residual": bp.residual, "status": bp.status, "tol": tol,
         }
 
-    rows = _map(one, cfg.run["p_values"], workers)
+    rows = [one(x) for x in cfg.run["p_values"]]
     record = _base_record(cfg)
     boundary = branches.g0_boundary(
         cfg.params, cfg.direction(), cfg.quad, tol,
@@ -145,7 +137,7 @@ def _q_grid(cfg: RunConfig):
     return list(np.linspace(-qm, qm, n))
 
 
-def cmd_dispersion_scan(cfg: RunConfig, out_dir: Path, workers: int) -> int:
+def cmd_dispersion_scan(cfg: RunConfig, out_dir: Path) -> int:
     tol = cfg.run["tol"]
     p = cfg.vector(cfg.run["p"])
     kappa = _kappa_at(cfg, p)
@@ -161,7 +153,7 @@ def cmd_dispersion_scan(cfg: RunConfig, out_dir: Path, workers: int) -> int:
             "lambda2_proxy": proxy, "tol": tol,
         }
 
-    rows = _map(one, _q_grid(cfg), workers)
+    rows = [one(x) for x in _q_grid(cfg)]
     record = _base_record(cfg)
     dmap = branches.one_boson_domain(
         cfg.params, p, kappa, np.zeros((1, cfg.params.d)), cfg.quad, tol,
@@ -176,13 +168,12 @@ def cmd_dispersion_scan(cfg: RunConfig, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_domain_map(cfg: RunConfig, out_dir: Path, workers: int) -> int:
+def cmd_domain_map(cfg: RunConfig, out_dir: Path) -> int:
     tol = cfg.run["tol"]
     order = cfg.run["neumann_order"]
     p_fixed = cfg.vector(cfg.run["p"])
     kappa = _kappa_at(cfg, p_fixed)
     proxy = selfenergy.lambda2_proxy_value(cfg.params, p_fixed)
-    rows = []
 
     def g0_row(pmag):
         p = cfg.vector(pmag)
@@ -194,8 +185,6 @@ def cmd_domain_map(cfg: RunConfig, out_dir: Path, workers: int) -> int:
                 "lambda2_proxy": selfenergy.lambda2_proxy_value(cfg.params, p),
                 "status": bp.status, "tol": tol}
 
-    rows.extend(_map(g0_row, cfg.run["p_values"], workers))
-
     def g1_row(qmag):
         bp = branches.dispersion_point(cfg.params, p_fixed, cfg.vector(qmag),
                                        kappa, cfg.quad, tol)
@@ -204,14 +193,15 @@ def cmd_domain_map(cfg: RunConfig, out_dir: Path, workers: int) -> int:
                 "kappa": kappa, "lambda2_proxy": proxy, "status": bp.status,
                 "tol": tol}
 
-    rows.extend(_map(g1_row, _q_grid(cfg), workers))
+    rows = [g0_row(x) for x in cfg.run["p_values"]]
+    rows += [g1_row(x) for x in _q_grid(cfg)]
     cols = ["domain", "coordinate", "member", "alpha", "kappa",
             "lambda2_proxy", "status", "tol"]
     _write_outputs(out_dir, "domain-map", cols, rows, _base_record(cfg))
     return 0
 
 
-def cmd_gamma(cfg: RunConfig, out_dir: Path, workers: int) -> int:
+def cmd_gamma(cfg: RunConfig, out_dir: Path) -> int:
     tol = cfg.run["tol"]
     order = cfg.run["neumann_order"]
     q0 = np.zeros(cfg.params.d)
@@ -232,14 +222,14 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path, workers: int) -> int:
             "tol": tol,
         }
 
-    rows = _map(one, cfg.run["p_values"], workers)
+    rows = [one(x) for x in cfg.run["p_values"]]
     cols = ["k", "gamma", "residual", "xi0", "ground_status", "alpha",
             "kappa", "lambda2_proxy", "status", "tol"]
     _write_outputs(out_dir, "gamma", cols, rows, _base_record(cfg))
     return 0
 
 
-def cmd_alpha0(cfg: RunConfig, out_dir: Path, workers: int) -> int:
+def cmd_alpha0(cfg: RunConfig, out_dir: Path) -> int:
     p = cfg.vector(cfg.run["p"])
     rows = []
     for frac in cfg.run["kappa_fractions"]:
@@ -259,7 +249,7 @@ def cmd_alpha0(cfg: RunConfig, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_oracle_check(cfg: RunConfig, out_dir: Path, workers: int) -> int:
+def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.run["kappa_mode"] != "fraction":
         raise InputError(
             "oracle-check needs kappa-mode = fraction: the ground ladder sets "
@@ -338,8 +328,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name, help=_HELP[name])
         sp.add_argument("--config", required=True, help="path to the run config")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="worker threads for scan points")
         sp.add_argument("--tol", type=float, default=None,
                         help="override the [run] tolerance")
         sp.set_defaults(fn=fn)
@@ -349,7 +337,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.tol is not None:
             cfg.run["tol"] = args.tol
-        return args.fn(cfg, Path(args.out), max(args.workers, 1))
+        return args.fn(cfg, Path(args.out))
     except PolaronError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)

@@ -113,8 +113,12 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise InputError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
-    cp.read(path)
+    # no interpolation: a '%' in a value, as in a file name, is literal
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read(path)
+    except configparser.Error as exc:
+        raise InputError(f"cannot parse the config {path}: {exc}") from exc
     _check_schema(cp)
     for name in ("model", "epsilon", "coupling"):
         if name not in cp:

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 EDGE_MARGIN = 1e-9     # default stand-off from the continuum edge
+_EDGE_RADIUS = 30.0    # half-width of the on-axis edge search grid
+_EDGE_POINTS = 513     # points of that grid
 _KERNEL_BUDGET = 4e7   # max entries of the full-grid kernel matrix
 
 
@@ -54,7 +56,6 @@ class FriedrichsData:
     dker: object = None
     h: object = None
     axis: np.ndarray = None
-    search_radius: float = 30.0
     _edge: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -77,7 +78,7 @@ class FriedrichsData:
     def edge(self):
         """(a_bar, t_bar): continuum edge min a and its on-axis argmin."""
         if self._edge is None:
-            grid = np.linspace(-self.search_radius, self.search_radius, 513)
+            grid = np.linspace(-_EDGE_RADIUS, _EDGE_RADIUS, _EDGE_POINTS)
             self._edge = roots.line_min(lambda t: float(self.a_line(t)[0]),
                                         grid, self.a_line(grid), 1e-12)
         return self._edge

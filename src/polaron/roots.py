@@ -53,7 +53,14 @@ def bisect(holds, a: float, b: float, xtol: float, rtol: float = 0.0) -> float:
 
 def root(f, a: float, b: float) -> float:
     """Brent's root of f on a sign-changing bracket [a, b]."""
-    return brentq(f, a, b, xtol=XTOL, rtol=RTOL)
+    # brentq's wrapper of f refers to itself, so it lives until the cyclic
+    # collector runs; it gets a holder emptied on return, so that it does
+    # not keep f alive, nor what f refers to, such as a kernel matrix
+    held = [f]
+    try:
+        return brentq(lambda x: held[0](x), a, b, xtol=XTOL, rtol=RTOL)
+    finally:
+        held.clear()
 
 
 def line_min(f, grid, values, xatol: float):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,6 @@ __all__ = [
     "SelfEnergyPoint",
     "ContractionReport",
     "SelfEnergyTables",
-    "PointSelfEnergy",
     "m2",
     "a_eff",
     "b2_leading",
@@ -57,37 +57,23 @@ class ContractionReport:
     alpha0_Gamma: float
 
 
-class PointSelfEnergy:
-    """Self-energy at one (p, q) pair on a rule's nodes.  The node-pair
-    energies do not depend on xi, so each evaluation in xi costs one
-    vector division."""
-
-    def __init__(self, params: ModelParams, p, q, quad: QuadratureSpec):
-        self.params = params
-        pts, w = quad_mod.nodes(quad, params.d)
-        k = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
-        diff = k[None, :] - pts
-        self.num = params.coupling.evaluate(diff, pts) ** 2 * w
-        self.den0 = 0.5 * np.einsum("ij,ij->i", diff, diff) \
-            + float(params.eps(q)) + params.eps(pts)
-        self.e1 = 0.5 * float(k @ k) + float(params.eps(q))
-
-    def m(self, xi: float) -> float:
-        """-alpha^2 sum_j w_j |c_j|^2 / (e2_j - xi)."""
-        den = self.den0 - xi
-        if den.min() < DENOM_MARGIN:
-            raise DomainError(
-                f"xi={xi} within {DENOM_MARGIN:.1g} of the two-boson edge"
-            )
-        return -(self.params.alpha**2) * float((self.num / den).sum())
-
-    def a(self, xi: float) -> float:
-        """Effective one-boson energy e1(q) + m(xi; q)."""
-        return self.e1 + self.m(xi)
-
-    def g(self, xi: float) -> float:
-        """a(xi) - xi, strictly decreasing; its root is the dispersion."""
-        return self.a(xi) - xi
+def _m2_row(params, p, xi, q, quad, kappa):
+    """m2's point and the one-row table its value was read from."""
+    p = params._check_vec(p, "p")
+    q = params._check_vec(q, "q")
+    if kappa is not None and xi > kappa:
+        raise DomainError(f"xi={xi} exceeds the cap kappa={kappa}")
+    row = SelfEnergyTables(params, p, quad, q[None, :])
+    value = float(row.m_values(xi)[0])
+    err = 0.0
+    if not quad.is_discrete:
+        fine = replace(quad, n_radial=2 * quad.n_radial,
+                       angular_degree=2 * quad.angular_degree + 1)
+        row = SelfEnergyTables(params, p, fine, q[None, :])
+        fine_value = float(row.m_values(xi)[0])
+        err = abs(fine_value - value)
+        value = fine_value
+    return SelfEnergyPoint(p=p, q=q, xi=float(xi), m=value, quad_error=err), row
 
 
 def m2(params: ModelParams, p, xi: float, q, quad: QuadratureSpec,
@@ -100,26 +86,14 @@ def m2(params: ModelParams, p, xi: float, q, quad: QuadratureSpec,
     continuum rule the value comes from the refined rule and quad_error is
     its distance to the value on the given rule.
     """
-    p = params._check_vec(p, "p")
-    q = params._check_vec(q, "q")
-    if kappa is not None and xi > kappa:
-        raise DomainError(f"xi={xi} exceeds the cap kappa={kappa}")
-    value = PointSelfEnergy(params, p, q, quad).m(xi)
-    err = 0.0
-    if not quad.is_discrete:
-        fine = replace(quad, n_radial=2 * quad.n_radial,
-                       angular_degree=2 * quad.angular_degree + 1)
-        fine_value = PointSelfEnergy(params, p, q, fine).m(xi)
-        err = abs(fine_value - value)
-        value = fine_value
-    return SelfEnergyPoint(p=p, q=q, xi=float(xi), m=value, quad_error=err)
+    return _m2_row(params, p, xi, q, quad, kappa)[0]
 
 
 def a_eff(params: ModelParams, p, xi: float, q, quad: QuadratureSpec,
           kappa: float | None = None) -> float:
     """Effective one-boson energy e1(q) + m(xi; q); strictly decreasing in xi."""
-    point = m2(params, p, xi, q, quad, kappa=kappa)
-    return PointSelfEnergy(params, point.p, point.q, quad).e1 + point.m
+    point, row = _m2_row(params, p, xi, q, quad, kappa)
+    return float(row.e1_out[0]) + point.m
 
 
 def _e2_scalar(params, p, q1, q2):
@@ -205,76 +179,100 @@ def contraction_bounds(params: ModelParams, p, kappa: float,
 
 
 class SelfEnergyTables:
-    """Cached pairwise arrays for evaluating the effective energy and the
-    leading kernel on a fixed quadrature node system.
+    """Self-energy, effective energy and leading kernel at a set of
+    evaluation points, from cached pairwise arrays on a node system.
 
-    The two-boson energies and coupling products between evaluation nodes
+    The two-boson energies and coupling products between evaluation points
     and integration nodes do not depend on xi, so sweeping xi (dispersion
     and ground-branch solves) costs one elementwise division per sweep
-    point.  For d=3 continuum rules the evaluation set is reduced to the
-    azimuthal half-plane of the symmetry axis.
+    point.  Without `points` the evaluation set is the rule's own; for d=3
+    continuum rules it is reduced to the azimuthal half-plane of the p
+    axis.  Given points, shape (N, d), are evaluated on the unrotated
+    rule; a pointwise evaluation is a one-row table.  `quad` may also be
+    the node system `ns` of another table, whose nodes are then shared.
     """
 
-    def __init__(self, params: ModelParams, p, quad: QuadratureSpec, axis=None):
+    def __init__(self, params: ModelParams, p,
+                 quad: QuadratureSpec | quad_mod.NodeSystem, points=None):
         self.params = params
         self.p = params._check_vec(p, "p")
-        self.quad = quad
-        if axis is None and params.d == 3 and not quad.is_discrete:
+        if isinstance(quad, quad_mod.NodeSystem):
+            self.ns = quad
+        elif points is None and params.d == 3 and not quad.is_discrete:
             pmag = float(np.linalg.norm(self.p))
             axis = self.p / pmag if pmag > 0 else np.array([0.0, 0.0, 1.0])
-        self.ns = quad_mod.node_system(quad, params.d, axis=axis)
+            self.ns = quad_mod.node_system(quad, 3, axis=axis)
+        else:
+            self.ns = quad_mod.node_system(quad, params.d)
+        self.points = self.ns.out_points if points is None \
+            else np.asarray(points, dtype=float)
 
-        out = self.ns.out_points
         full = self.ns.full_points
-        k = self.p[None, :] - out                      # (No, d)
-        eps_out = params.eps(out)
+        eps_out = params.eps(self.points)
         eps_full = params.eps(full)
-        n_out, n_full = out.shape[0], full.shape[0]
-        self.e2 = np.empty((n_out, n_full))
-        self.num_m = np.empty((n_out, n_full))
-        self.num_d = np.empty((n_out, n_full))
-        # chunked over evaluation nodes to bound the (No, Nf, d) temporary
-        chunk = max(1, int(2_000_000 / max(n_full, 1)))
-        for lo in range(0, n_out, chunk):
-            hi = min(lo + chunk, n_out)
-            diff = k[lo:hi, None, :] - full[None, :, :]
+        shape = (self.points.shape[0], full.shape[0])
+        self.e2 = np.empty(shape)
+        # |c|^2 w, summed per row, so that a one-row table at q equals,
+        # bit for bit, the row of q in a larger table on the same nodes
+        self.num_m = np.empty(shape)
+        for rows, diff in self._pairs():
             c_right = params.coupling.evaluate(diff, full[None, :, :])
-            c_left = params.coupling.evaluate(diff, out[lo:hi, None, :])
-            self.e2[lo:hi] = (
+            self.e2[rows] = (
                 0.5 * np.einsum("ijk,ijk->ij", diff, diff)
-                + eps_out[lo:hi, None]
+                + eps_out[rows, None]
                 + eps_full[None, :]
             )
-            self.num_m[lo:hi] = c_right * c_right
-            self.num_d[lo:hi] = c_right * c_left
+            self.num_m[rows] = c_right * c_right * self.ns.full_weights
+        k = self.p[None, :] - self.points
         self.e1_out = 0.5 * np.einsum("ij,ij->i", k, k) + eps_out
-        self.v_out = params.coupling.evaluate(self.p[None, :] - out, out)
+        self._min_e2 = float(self.e2.min())
 
-    @property
-    def out_weights(self):
-        return self.ns.out_weights
+    def _pairs(self):
+        """(row slice, p - q - q') over chunks of evaluation points q, which
+        bound the (rows, Nf, d) temporary."""
+        full = self.ns.full_points
+        k = self.p[None, :] - self.points
+        chunk = max(1, int(2_000_000 / max(full.shape[0], 1)))
+        for lo in range(0, k.shape[0], chunk):
+            rows = slice(lo, lo + chunk)
+            yield rows, k[rows, None, :] - full[None, :, :]
+
+    @cached_property
+    def num_d(self) -> np.ndarray:
+        """Kernel numerators c(p-q-q'; q') c(p-q-q'; q), built on first use."""
+        coupling = self.params.coupling
+        full = self.ns.full_points
+        num_d = np.empty_like(self.e2)
+        for rows, diff in self._pairs():
+            num_d[rows] = coupling.evaluate(diff, full[None, :, :]) \
+                * coupling.evaluate(diff, self.points[rows, None, :])
+        return num_d
+
+    @cached_property
+    def v_out(self) -> np.ndarray:
+        """Channel function c(p - q; q) at the evaluation points."""
+        return self.params.coupling.evaluate(self.p[None, :] - self.points,
+                                             self.points)
 
     def min_e2(self) -> float:
-        return float(self.e2.min())
+        return self._min_e2
 
     def _check_xi(self, xi):
-        if self.min_e2() - xi < DENOM_MARGIN:
+        if self._min_e2 - xi < DENOM_MARGIN:
             raise DomainError(
                 f"xi={xi} within {DENOM_MARGIN:.1g} of the two-boson edge "
-                f"{self.min_e2():.6g} on this grid"
+                f"{self._min_e2:.6g} on this grid"
             )
 
     def m_values(self, xi: float) -> np.ndarray:
-        """Self-energy at every evaluation node."""
+        """Self-energy at every evaluation point."""
         self._check_xi(xi)
-        return -(self.params.alpha**2) * (
-            (self.num_m / (self.e2 - xi)) @ self.ns.full_weights
-        )
+        return -(self.params.alpha**2) * (self.num_m / (self.e2 - xi)).sum(axis=1)
 
     def a_values(self, xi: float) -> np.ndarray:
         return self.e1_out + self.m_values(xi)
 
     def d_matrix(self, xi: float) -> np.ndarray:
-        """Leading kernel between evaluation nodes and integration nodes."""
+        """Leading kernel between evaluation points and integration nodes."""
         self._check_xi(xi)
         return -self.num_d / (self.e2 - xi)

@@ -13,6 +13,7 @@ from polaron import (
     threshold,
 )
 from polaron import branches as br
+from polaron import quadrature
 from polaron import selfenergy as se
 
 
@@ -229,32 +230,54 @@ class TestGround:
 class TestIterations:
     def test_count_every_evaluation(self, monkeypatch):
         # iterations = evaluations of the solved scalar function, with the
-        # bracketing and the final residual
-        calls = {"g": 0, "e_p": 0}
-        g, e_p = se.PointSelfEnergy.g, br._GroundSolver.e_p
+        # bracketing and the final residual; in a dispersion solve each is
+        # one a_values call on the point's one-row table
+        calls = {"a": 0, "e_p": 0}
+        a_values, e_p = se.SelfEnergyTables.a_values, br._GroundSolver.e_p
 
-        def counted_g(self, xi):
-            calls["g"] += 1
-            return g(self, xi)
+        def counted_a(self, xi):
+            calls["a"] += 1
+            return a_values(self, xi)
 
         def counted_e_p(self, xi):
             calls["e_p"] += 1
             return e_p(self, xi)
 
-        monkeypatch.setattr(se.PointSelfEnergy, "g", counted_g)
+        monkeypatch.setattr(se.SelfEnergyTables, "a_values", counted_a)
         monkeypatch.setattr(br._GroundSolver, "e_p", counted_e_p)
         params = make_params(d=1)
         p = np.array([0.3])
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
         for q, status in ((0.2, "converged"), (3.0, "none")):
-            calls["g"] = 0
+            calls["a"] = 0
             bp = br.dispersion_point(params, p, np.array([q]), kappa, QUAD, 1e-10)
             assert bp.status == status
-            assert bp.iterations == calls["g"]
+            assert bp.iterations == calls["a"]
         lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
         bp = br.ground_state(params, p, kappa, 1, QUAD, 1e-10, lam1=lam1)
         assert bp.status == "converged"
         assert bp.iterations == calls["e_p"]
+
+    @pytest.mark.parametrize("d, p", [(1, [0.3]), (3, [0.3, 0.2, 0.0])])
+    def test_ground_state_builds_nodes_once(self, monkeypatch, d, p):
+        # the tables and the edge line share one node system, so the outer
+        # loop never rebuilds it
+        params = make_params(d=d)
+        p = np.array(p)
+        kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+        lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
+        builds = []
+        node_system = quadrature.node_system
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return node_system(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "node_system", counted)
+        bp = br.ground_state(params, p, kappa, 1, QUAD, 1e-10, lam1=lam1)
+        assert bp.status == "converged"
+        assert bp.iterations > 10
+        assert len(builds) <= 2
 
 
 class TestGamma:

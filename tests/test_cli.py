@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,13 +71,29 @@ class TestCommands:
         assert record["command"] == "thresholds"
         assert len(record["points"]) == 2
 
-    def test_ground_scan_with_workers(self, config_path, tmp_path):
+    def test_ground_scan(self, config_path, tmp_path):
         out = tmp_path / "o"
-        assert run("ground-scan", config_path, out, "--workers", "2") == 0
+        assert run("ground-scan", config_path, out) == 0
         record = json.loads((out / "ground-scan.json").read_text())
         assert record["g0_boundary"]["status"] == "converged"
         rows = record["points"]
         assert all(r["status"] == "converged" for r in rows)
+
+    def test_readme_example_config(self, tmp_path):
+        # the fenced ini block of README.md must load and run as shown
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "readme.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg = load_config(path)
+        assert cfg.params.d == 3
+        assert cfg.raw["epsilon"]["kind"] == "relativistic"
+        assert cfg.raw["coupling"]["width"] == "1.0"
+        assert cfg.run["kappa_mode"] == "fraction"
+        assert cfg.run["p_values"] == [0.0, 0.4, 0.8]
+        out = tmp_path / "o"
+        assert main(["thresholds", "--config", str(path), "--out", str(out)]) == 0
+        with open(out / "thresholds.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 3
 
     def test_dispersion_scan(self, config_path, tmp_path):
         out = tmp_path / "o"
@@ -205,6 +222,31 @@ class TestErrors:
         rc = main(["thresholds", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("text", [
+        CONFIG.replace("\nalpha = 0.1\n", "\nalpha = 0.1\nalpha = 0.2\n"),
+        CONFIG.replace("[model]\n", "", 1),
+    ], ids=["duplicate-key", "no-section-header"])
+    def test_unparsable_config(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        rc = main(["thresholds", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InputError"
+        assert "cannot parse" in record["message"]
+
+    def test_percent_in_value_is_literal(self, tmp_path, capsys):
+        # with interpolation on, configparser itself rejects the '%'
+        path = tmp_path / "bad.ini"
+        table = tmp_path / "eps%b.csv"
+        path.write_text(CONFIG.replace(
+            "kind = constant\neps0 = 1.0", f"kind = tabulated\ntable-path = {table}"))
+        rc = main(["thresholds", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InputError"
+        assert repr(str(table)) in record["message"]
 
     def test_missing_table(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -45,6 +47,26 @@ class TestBisect:
 class TestRoot:
     def test_fixed_tolerance(self):
         assert roots.root(math.cos, 0.0, 3.0) == pytest.approx(0.5 * math.pi, abs=1e-14)
+
+    def test_releases_f_on_return(self):
+        # without the cyclic collector, nothing may keep f (and what it
+        # refers to) alive once root returns
+        class Payload:
+            pass
+
+        payload = Payload()
+        alive = weakref.ref(payload)
+
+        def f(x, payload=payload):
+            return x - 0.5
+
+        gc.disable()
+        try:
+            assert roots.root(f, 0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+            del f, payload
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestLineMin:

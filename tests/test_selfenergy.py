@@ -177,6 +177,27 @@ class TestTables:
         expect = -params.alpha**2 * m.weight * float((num / (e2 - xi)).sum())
         assert tab.m_values(xi)[i] == pytest.approx(expect, rel=1e-13)
 
+    def test_one_row_tables_are_rows_of_the_table(self):
+        # the pointwise path and the tabled path on one lattice rule
+        params = make_params()
+        p = np.array([0.4, -0.2, 0.1])
+        quad = QuadratureSpec.discrete(grid_measure(3.0, 5, 3))
+        tab = se.SelfEnergyTables(params, p, quad)
+        xi = 0.35
+        m_all, a_all, d_all = tab.m_values(xi), tab.a_values(xi), tab.d_matrix(xi)
+        for i in (0, 31, 62, 124):
+            q = tab.ns.out_points[i]
+            row = se.SelfEnergyTables(params, p, quad, q[None, :])
+            assert row.m_values(xi)[0] == pytest.approx(m_all[i], rel=1e-15, abs=0)
+            assert row.a_values(xi)[0] == pytest.approx(a_all[i], rel=1e-15, abs=0)
+            np.testing.assert_allclose(row.d_matrix(xi)[0], d_all[i], rtol=1e-15, atol=0)
+            assert row.v_out[0] == pytest.approx(tab.v_out[i], rel=1e-15, abs=0)
+            point = se.m2(params, p, xi, q, quad)
+            assert point.m == pytest.approx(m_all[i], rel=1e-15, abs=0)
+            assert point.quad_error == 0.0
+            assert se.a_eff(params, p, xi, q, quad) == pytest.approx(
+                a_all[i], rel=1e-15, abs=0)
+
     def test_d_matrix_is_d2_leading(self):
         params = make_params()
         p = np.zeros(3)
