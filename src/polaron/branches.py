@@ -40,8 +40,8 @@ CAP_MARGIN = 1e-6
 class BranchPoint:
     """A solved branch point.  `iterations` counts the evaluations of the
     scalar function being solved (a_p(xi; q) - xi for the dispersion,
-    e_p(xi) - xi for the ground branch), bracketing and the final residual
-    included."""
+    F(xi) = Delta_xi(xi) for the ground branch), bracketing and the final
+    residual included."""
 
     q: np.ndarray
     xi: float | None
@@ -249,41 +249,42 @@ def _inner_edge(params, p, kappa, axis, quad, t_seed):
 
 
 class _GroundSolver:
-    """Evaluate e_p(xi) (the Friedrichs eigenvalue of the reduced operator
-    at trial energy xi) with the pairwise tables cached across xi."""
+    """F(xi) = Delta_xi(xi): the Friedrichs determinant of the reduced
+    operator at trial energy xi, evaluated at z = xi, with the pairwise
+    tables cached across xi."""
 
-    def __init__(self, params, p, quad, neumann_order, inner_tol):
+    def __init__(self, params, p, quad, neumann_order):
         self.params = params
         self.p = np.asarray(p, dtype=float)
         self.order = neumann_order
-        self.inner_tol = inner_tol
         self.tables = SelfEnergyTables(params, p, quad)
         self.axis = _axis_for(params, p)
         self.e0 = 0.5 * float(self.p @ self.p)
-        span = 10.0 + float(np.linalg.norm(self.p))
-        self.grid = np.linspace(-span, span, 81)
-        self.line = self._line(self.grid)
 
     def _line(self, t):
         """Table at the on-axis points t * axis, on the nodes of the tables."""
         return SelfEnergyTables(self.params, self.p, self.tables.ns,
                                 np.outer(t, self.axis))
 
-    def _a_bar(self, xi, a_out_min):
+    def edge(self, xi):
+        """Continuum edge at trial energy xi: the least a over the
+        evaluation set and the refined on-axis line."""
+        span = 10.0 + float(np.linalg.norm(self.p))
+        grid = np.linspace(-span, span, 81)
         a_min, _ = roots.line_min(lambda t: float(self._line([t]).a_values(xi)[0]),
-                                  self.grid, self.line.a_values(xi), 1e-10)
-        return min(a_min, a_out_min)
+                                  grid, self._line(grid).a_values(xi), 1e-10)
+        return min(a_min, float(self.tables.a_values(xi).min()))
 
-    def e_p(self, xi: float):
+    def __call__(self, xi: float) -> float:
         t = self.tables
         a_out = t.a_values(xi)
         dmat = t.d_matrix(xi) if self.order >= 1 else None
-        a_bar = self._a_bar(xi, float(a_out.min()))
         solver = FriedrichsSolver(
             self.e0, self.params.alpha, t.v_out, a_out, dmat,
-            t.ns.out_weights, t.ns.full_weights, t.ns.out_index, a_bar,
+            t.ns.out_weights, t.ns.full_weights, t.ns.out_index,
+            float(a_out.min()),
         )
-        return solver.ground_eigenvalue(self.order, self.inner_tol)
+        return solver.delta(xi, self.order)
 
 
 def ground_state(params: ModelParams, p, kappa: float, neumann_order: int,
@@ -293,35 +294,32 @@ def ground_state(params: ModelParams, p, kappa: float, neumann_order: int,
     """Polaron ground branch: solve e_p(xi) = xi for xi below lambda1(p).
 
     e_p(xi) is the discrete Friedrichs eigenvalue of the reduced operator
-    at trial energy xi and decreases in xi, so f(xi) = e_p(xi) - xi is
-    strictly decreasing; a missing eigenvalue counts as f > 0.  Status is
-    'none' when f is still nonnegative at lambda1 (p outside the ground
-    domain).
+    at trial energy xi: the unique root below the continuum edge of the
+    determinant Delta_xi(z).  So xi0 is the root of F(xi) = Delta_xi(xi),
+    found by Brent's method; F decreases in xi.  The edge is searched once,
+    at hi = lambda1 - max(tol, 1e-9): a(xi; q) - xi grows as xi falls, so
+    every xi below hi is below its edge too.  Status is 'none' when hi is
+    not below the edge or F(hi) >= 0 (p outside the ground domain).
+    `iterations` counts the evaluations of F.  The residual |F(xi0)|
+    bounds |e_p(xi0) - xi0| from above, since |dDelta/dz| >= 1.
     """
     p = params._check_vec(p, "p")
     _check_cap(params, p, kappa, delta_margin)
     if lam1 is None:
         lam1 = lambda1(params, p, kappa, quad, tol, delta_margin=delta_margin)
-    gs = _GroundSolver(params, p, quad, neumann_order, inner_tol=max(tol, 1e-12))
-
-    def gap(xi):
-        e = gs.e_p(xi)
-        return math.inf if e is None else e - xi
-
-    f = roots.Counted(gap)
-
-    def above(xi):
-        return f(xi) > 0.0
+    gs = _GroundSolver(params, p, quad, neumann_order)
+    f = roots.Counted(gs)
 
     hi = lam1 - max(tol, 1e-9)
+    if hi >= gs.edge(hi):
+        return BranchPoint(q=p, xi=None, iterations=0, residual=math.inf,
+                           status="none")
     f_hi = f(hi)
     if f_hi >= 0.0:
-        return BranchPoint(q=p, xi=None, iterations=f.calls,
-                           residual=f_hi if math.isfinite(f_hi) else math.inf,
+        return BranchPoint(q=p, xi=None, iterations=f.calls, residual=f_hi,
                            status="none")
-    _, lo = roots.expand(above, hi, min(gs.e0, hi) - 1.0)
-    # bisection, not Brent: f is +inf where the inner eigenvalue is absent
-    root = roots.bisect(above, lo, hi, 1e-13, 1e-13)
+    _, lo = roots.expand(lambda xi: f(xi) > 0.0, hi, min(gs.e0, hi) - 1.0)
+    root = roots.root(f, lo, hi)
     resid = abs(f(root))
     status = "converged" if resid <= tol * (1.0 + abs(root)) else "capped"
     return BranchPoint(q=p, xi=float(root), iterations=f.calls,

@@ -205,7 +205,8 @@ def compare_ground(params: ModelParams, p, measure: DiscreteMeasure,
                    n_max: int = 2, tol: float = 1e-10) -> GroundComparison:
     """Ground energy of the truncated oracle vs the perturbative ground
     branch evaluated with the oracle's own lattice sums, over an alpha
-    ladder.  Agreement is exact through second order in alpha.
+    ladder.  At Neumann order n the gap is O(alpha^(2n+4)): the truncated
+    series drops terms of order alpha^(2n+2) inside an alpha^2 prefactor.
 
     The cap is set per alpha as a fraction of the gap to the two-boson
     proxy.  The proxy margin is clipped to half the free threshold gap so

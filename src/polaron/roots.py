@@ -39,10 +39,10 @@ def expand(is_out, anchor: float, x: float, inside=None):
     raise NumericError(f"no bracket found in {_MAX_STEPS} doublings away from {anchor}")
 
 
-def bisect(holds, a: float, b: float, xtol: float, rtol: float = 0.0) -> float:
+def bisect(holds, a: float, b: float, xtol: float) -> float:
     """Bisect [a, b], where holds(a) is true and holds(b) false, until the
-    width is at most xtol + rtol * |a|; returns the midpoint."""
-    while abs(b - a) > xtol + rtol * abs(a):
+    width is at most xtol; returns the midpoint."""
+    while abs(b - a) > xtol:
         mid = 0.5 * (a + b)
         if holds(mid):
             a = mid

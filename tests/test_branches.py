@@ -15,6 +15,7 @@ from polaron import (
 from polaron import branches as br
 from polaron import quadrature
 from polaron import selfenergy as se
+from polaron.friedrichs import FriedrichsSolver
 
 
 def make_params(d=3, alpha=0.1, eps0=1.0, c0=0.5):
@@ -227,24 +228,56 @@ class TestGround:
                                         abs=1e-7)
 
 
+# (d, p) pairs of the ground-branch property tests
+GROUND_CASES = [(1, [0.0]), (1, [0.6]), (3, [0.0, 0.0, 0.0]), (3, [0.3, 0.2, 0.0])]
+
+
+class TestGroundProperties:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("d, p", GROUND_CASES)
+    def test_determinant_strictly_decreasing(self, d, p, order):
+        # the none rule reads F(lambda1 - tol) >= 0 as "no root below", which
+        # needs F(xi) = Delta_xi(xi) to decrease on the whole search range
+        params = make_params(d=d)
+        p = np.array(p)
+        kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+        lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
+        f = br._GroundSolver(params, p, QUAD, order)
+        values = [f(xi) for xi in np.linspace(lam1 - 1.0, lam1 - 1e-10, 41)]
+        assert all(b < a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("d, p", GROUND_CASES)
+    def test_converged_below_lambda1_below_cap(self, d, p):
+        params = make_params(d=d)
+        p = np.array(p)
+        kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+        lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
+        assert lam1 <= kappa
+        for order in (0, 1, 2):
+            bp = br.ground_state(params, p, kappa, order, QUAD, 1e-10, lam1=lam1)
+            assert bp.status == "converged"
+            assert bp.xi < lam1
+
+
 class TestIterations:
     def test_count_every_evaluation(self, monkeypatch):
         # iterations = evaluations of the solved scalar function, with the
         # bracketing and the final residual; in a dispersion solve each is
-        # one a_values call on the point's one-row table
-        calls = {"a": 0, "e_p": 0}
-        a_values, e_p = se.SelfEnergyTables.a_values, br._GroundSolver.e_p
+        # one a_values call on the point's one-row table, in a ground solve
+        # one determinant F(xi) = Delta_xi(xi)
+        calls = {"a": 0, "delta": 0}
+        a_values, delta = se.SelfEnergyTables.a_values, FriedrichsSolver.delta
 
         def counted_a(self, xi):
             calls["a"] += 1
             return a_values(self, xi)
 
-        def counted_e_p(self, xi):
-            calls["e_p"] += 1
-            return e_p(self, xi)
+        def counted_delta(self, z, order=1):
+            calls["delta"] += 1
+            return delta(self, z, order)
 
         monkeypatch.setattr(se.SelfEnergyTables, "a_values", counted_a)
-        monkeypatch.setattr(br._GroundSolver, "e_p", counted_e_p)
+        monkeypatch.setattr(FriedrichsSolver, "delta", counted_delta)
         params = make_params(d=1)
         p = np.array([0.3])
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
@@ -256,7 +289,7 @@ class TestIterations:
         lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
         bp = br.ground_state(params, p, kappa, 1, QUAD, 1e-10, lam1=lam1)
         assert bp.status == "converged"
-        assert bp.iterations == calls["e_p"]
+        assert bp.iterations == calls["delta"]
 
     @pytest.mark.parametrize("d, p", [(1, [0.3]), (3, [0.3, 0.2, 0.0])])
     def test_ground_state_builds_nodes_once(self, monkeypatch, d, p):

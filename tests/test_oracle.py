@@ -92,6 +92,20 @@ class TestComparisons:
         # fourth-order envelope: halving alpha shrinks the gap by >= 8x
         assert diffs[0] / diffs[1] >= 8.0
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("p", [[0.0, 0.0, 0.0], [0.0, 0.0, 0.4]])
+    def test_neumann_order_law(self, order, p):
+        # the order-n Neumann sum drops terms of order alpha^(2n+2) inside
+        # an alpha^2 prefactor, so the matched solver-oracle gap is
+        # O(alpha^(2n+4)): halving alpha shrinks it by about 2^(2n+4)
+        params = make_params(d=3)
+        m = grid_measure(3.0, 5, 3)
+        comp = oracle.compare_ground(params, np.array(p), m, 0.9,
+                                     alphas=(0.1, 0.05), neumann_order=order,
+                                     tol=1e-10)
+        diffs = [r.diff for r in comp.rows]
+        assert diffs[0] / diffs[1] >= 2.0 ** (2 * order + 4) / 1.5
+
     def test_dispersion_match(self):
         params = make_params()
         m = grid_measure(3.0, 15, 1)
