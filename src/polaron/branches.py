@@ -16,7 +16,7 @@ from . import roots
 from .errors import DomainError, InputError, NumericError
 from .friedrichs import FriedrichsSolver
 from .model import ModelParams
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, axis_of
 from .selfenergy import SelfEnergyTables, lambda2_proxy_value
 
 __all__ = [
@@ -89,15 +89,6 @@ def kappa_from_rule(params: ModelParams, p, mode: str = "fraction",
     if proxy <= lam1_0:
         raise DomainError("two-boson proxy is not above the one-boson threshold")
     return lam1_0 + float(value) * (proxy - lam1_0)
-
-
-def _axis_for(params: ModelParams, p):
-    pmag = float(np.linalg.norm(p))
-    if pmag > 0:
-        return np.asarray(p, dtype=float) / pmag
-    ax = np.zeros(params.d)
-    ax[-1] = 1.0
-    return ax
 
 
 def _check_cap(params, p, kappa, delta_margin=None):
@@ -176,10 +167,10 @@ def one_boson_domain(params: ModelParams, p, kappa: float, probes,
         membership[i] = bp.status != "none"
         if membership[i]:
             points.append(bp)
+    axis = axis_of(p)
     if rays is None:
-        rays = [_axis_for(params, p), -_axis_for(params, p)]
+        rays = [axis, -axis]
     boundary = []
-    axis = _axis_for(params, p)
     t_seed = _free_minimizer(params, p, axis)
     for ray in rays:
         ray = np.asarray(ray, dtype=float)
@@ -212,7 +203,7 @@ def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
     xi_p(q) over on-axis q (radial models reduce to a scalar search)."""
     p = params._check_vec(p, "p")
     _check_cap(params, p, kappa, delta_margin)
-    axis = _axis_for(params, p)
+    axis = axis_of(p)
     t0 = _free_minimizer(params, p, axis)
     if not _member(params, p, kappa, t0 * axis, quad):
         raise DomainError(
@@ -248,45 +239,6 @@ def _inner_edge(params, p, kappa, axis, quad, t_seed):
     return lo
 
 
-class _GroundSolver:
-    """F(xi) = Delta_xi(xi): the Friedrichs determinant of the reduced
-    operator at trial energy xi, evaluated at z = xi, with the pairwise
-    tables cached across xi."""
-
-    def __init__(self, params, p, quad, neumann_order):
-        self.params = params
-        self.p = np.asarray(p, dtype=float)
-        self.order = neumann_order
-        self.tables = SelfEnergyTables(params, p, quad)
-        self.axis = _axis_for(params, p)
-        self.e0 = 0.5 * float(self.p @ self.p)
-
-    def _line(self, t):
-        """Table at the on-axis points t * axis, on the nodes of the tables."""
-        return SelfEnergyTables(self.params, self.p, self.tables.ns,
-                                np.outer(t, self.axis))
-
-    def edge(self, xi):
-        """Continuum edge at trial energy xi: the least a over the
-        evaluation set and the refined on-axis line."""
-        span = 10.0 + float(np.linalg.norm(self.p))
-        grid = np.linspace(-span, span, 81)
-        a_min, _ = roots.line_min(lambda t: float(self._line([t]).a_values(xi)[0]),
-                                  grid, self._line(grid).a_values(xi), 1e-10)
-        return min(a_min, float(self.tables.a_values(xi).min()))
-
-    def __call__(self, xi: float) -> float:
-        t = self.tables
-        a_out = t.a_values(xi)
-        dmat = t.d_matrix(xi) if self.order >= 1 else None
-        solver = FriedrichsSolver(
-            self.e0, self.params.alpha, t.v_out, a_out, dmat,
-            t.ns.out_weights, t.ns.full_weights, t.ns.out_index,
-            float(a_out.min()),
-        )
-        return solver.delta(xi, self.order)
-
-
 def ground_state(params: ModelParams, p, kappa: float, neumann_order: int,
                  quad: QuadratureSpec, tol: float = 1e-10,
                  lam1: float | None = None,
@@ -307,18 +259,22 @@ def ground_state(params: ModelParams, p, kappa: float, neumann_order: int,
     _check_cap(params, p, kappa, delta_margin)
     if lam1 is None:
         lam1 = lambda1(params, p, kappa, quad, tol, delta_margin=delta_margin)
-    gs = _GroundSolver(params, p, quad, neumann_order)
-    f = roots.Counted(gs)
+    tables = SelfEnergyTables(params, p, quad)
+    e0 = 0.5 * float(p @ p)
 
+    def operator(xi):
+        return FriedrichsSolver.from_tables(tables, xi, e0, neumann_order)
+
+    f = roots.Counted(lambda xi: operator(xi).delta(xi, neumann_order))
     hi = lam1 - max(tol, 1e-9)
-    if hi >= gs.edge(hi):
+    if hi >= operator(hi).edge()[0]:
         return BranchPoint(q=p, xi=None, iterations=0, residual=math.inf,
                            status="none")
     f_hi = f(hi)
     if f_hi >= 0.0:
         return BranchPoint(q=p, xi=None, iterations=f.calls, residual=f_hi,
                            status="none")
-    _, lo = roots.expand(lambda xi: f(xi) > 0.0, hi, min(gs.e0, hi) - 1.0)
+    _, lo = roots.expand(lambda xi: f(xi) > 0.0, hi, min(e0, hi) - 1.0)
     root = roots.root(f, lo, hi)
     resid = abs(f(root))
     status = "converged" if resid <= tol * (1.0 + abs(root)) else "capped"

@@ -267,7 +267,7 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
     rows = [
         {"kind": "ground", "alpha": r.alpha, "q": cfg.run["p"],
          "oracle": r.oracle_e0, "solver": r.solver_xi0, "diff": r.diff,
-         "diff_over_alpha4": r.diff_over_alpha4, "kappa": r.kappa,
+         "diff_scaled": r.diff_scaled, "kappa": r.kappa,
          "lambda2_proxy": proxy, "status": "converged", "tol": tol}
         for r in comparison.rows
     ]
@@ -284,12 +284,12 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
             "kind": "dispersion", "alpha": cfg.params.alpha,
             "q": float(np.linalg.norm(q_snap)),
             "oracle": comp.nearest_eigenvalue, "solver": comp.solver_xi,
-            "diff": comp.gap, "diff_over_alpha4": None, "kappa": kappa,
+            "diff": comp.gap, "diff_scaled": None, "kappa": kappa,
             "lambda2_proxy": proxy,
             "status": "matched" if comp.matched else "mismatch", "tol": tol,
         })
     cols = ["kind", "alpha", "q", "oracle", "solver", "diff",
-            "diff_over_alpha4", "kappa", "lambda2_proxy", "status", "tol"]
+            "diff_scaled", "kappa", "lambda2_proxy", "status", "tol"]
     _write_outputs(out_dir, "oracle-check", cols, rows, _base_record(cfg))
     return 0
 

@@ -189,7 +189,7 @@ class GroundComparisonRow:
     oracle_e0: float
     solver_xi0: float
     diff: float
-    diff_over_alpha4: float
+    diff_scaled: float        # diff / alpha^(2n+4) at Neumann order n
 
 
 @dataclass
@@ -226,10 +226,10 @@ def compare_ground(params: ModelParams, p, measure: DiscreteMeasure,
         if bp.status != "converged":
             raise NumericError(f"solver ground branch missing at alpha={alpha}")
         diff = abs(e0 - bp.xi)
-        ratio = diff / alpha**4 if alpha > 0 else math.nan
+        ratio = diff / alpha ** (2 * neumann_order + 4) if alpha > 0 else math.nan
         rows.append(GroundComparisonRow(
             alpha=float(alpha), kappa=kappa, oracle_e0=e0, solver_xi0=bp.xi,
-            diff=diff, diff_over_alpha4=ratio,
+            diff=diff, diff_scaled=ratio,
         ))
     return GroundComparison(p=p, n_max=n_max,
                             neumann_order=neumann_order, rows=rows)

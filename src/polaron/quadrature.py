@@ -20,6 +20,7 @@ __all__ = [
     "DiscreteMeasure",
     "QuadratureSpec",
     "NodeSystem",
+    "axis_of",
     "grid_measure",
     "nodes",
     "node_system",
@@ -130,9 +131,17 @@ class NodeSystem:
     out_weights: np.ndarray   # (No,)
     out_index: np.ndarray     # (Nf,) -> [0, No)
 
-    @property
-    def reduced(self) -> bool:
-        return self.out_points.shape[0] != self.full_points.shape[0]
+
+def axis_of(p) -> np.ndarray:
+    """Unit vector along the momentum p, or the last coordinate axis at
+    p = 0: the axis of symmetry of the problem at p."""
+    p = np.asarray(p, dtype=float)
+    pmag = float(np.linalg.norm(p))
+    if pmag > 0:
+        return p / pmag
+    ax = np.zeros(p.shape[0])
+    ax[-1] = 1.0
+    return ax
 
 
 def _orthonormal_frame(axis: np.ndarray):

@@ -41,7 +41,6 @@ class SelfEnergyPoint:
     xi: float
     m: float
     quad_error: float
-    order: int = 2
 
 
 @dataclass
@@ -198,12 +197,9 @@ class SelfEnergyTables:
         self.p = params._check_vec(p, "p")
         if isinstance(quad, quad_mod.NodeSystem):
             self.ns = quad
-        elif points is None and params.d == 3 and not quad.is_discrete:
-            pmag = float(np.linalg.norm(self.p))
-            axis = self.p / pmag if pmag > 0 else np.array([0.0, 0.0, 1.0])
-            self.ns = quad_mod.node_system(quad, 3, axis=axis)
         else:
-            self.ns = quad_mod.node_system(quad, params.d)
+            axis = quad_mod.axis_of(self.p) if points is None else None
+            self.ns = quad_mod.node_system(quad, params.d, axis=axis)
         self.points = self.ns.out_points if points is None \
             else np.asarray(points, dtype=float)
 

@@ -17,10 +17,10 @@ from polaron import (
     threshold,
 )
 from polaron import branches as br
-from polaron import friedrichs as fr
 from polaron import oracle
 from polaron import selfenergy as se
 from polaron.cli import main as cli_main
+from polaron.friedrichs import FriedrichsSolver
 
 
 def make_params(d=3, alpha=0.1, eps=None, c0=0.5):
@@ -141,8 +141,8 @@ def test_criterion_04_single_mode_closed_form():
 
         for alpha in (0.1, 0.5):
             params = make_params(d=1, alpha=alpha)
-            data = fr.FriedrichsData(e0=0.0, v=v, a=a, alpha=alpha, d=1)
-            root = fr.ground_eigenvalue(data, 0, quad, tol=1e-12)
+            solver = FriedrichsSolver.from_functions(0.0, alpha, v, a, quad, 1)
+            root = solver.ground_eigenvalue(0, tol=1e-12)
             expect = 0.5 * (1.0 - math.sqrt(1.0 + 8.0 * half_width * alpha**2))
             assert root == pytest.approx(expect, abs=1e-12)
             ham = oracle.build(params, np.zeros(1), m, n_max=1)
@@ -263,11 +263,9 @@ def test_criterion_10_neumann_norm_ratio():
                   + params.eps(P)[:, None] + params.eps(Q)[None, :])
             return -num / (e2 - xi)
 
-        data = fr.FriedrichsData(
-            e0=0.0, v=v, a=a, alpha=params.alpha, d=3, dker=dker,
-            h=params.coupling.envelope,
-        )
-        norms = [fr.neumann_kernel(data, xi, n, QUAD).norm_sample
+        solver = FriedrichsSolver.from_functions(0.0, params.alpha, v, a,
+                                                 QUAD, 3, dker=dker)
+        norms = [solver.neumann_kernel(xi, n, h=params.coupling.envelope).norm_sample
                  for n in (1, 2, 3)]
         r21 = norms[1] / norms[0]
         r32 = norms[2] / norms[1]

@@ -242,7 +242,12 @@ class TestGroundProperties:
         p = np.array(p)
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
         lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
-        f = br._GroundSolver(params, p, QUAD, order)
+        tables = se.SelfEnergyTables(params, p, QUAD)
+        e0 = 0.5 * float(p @ p)
+
+        def f(xi):
+            return FriedrichsSolver.from_tables(tables, xi, e0, order).delta(xi, order)
+
         values = [f(xi) for xi in np.linspace(lam1 - 1.0, lam1 - 1e-10, 41)]
         assert all(b < a for a, b in zip(values, values[1:]))
 

@@ -105,6 +105,8 @@ class TestComparisons:
                                      tol=1e-10)
         diffs = [r.diff for r in comp.rows]
         assert diffs[0] / diffs[1] >= 2.0 ** (2 * order + 4) / 1.5
+        scaled = [r.diff_scaled for r in comp.rows]
+        assert max(scaled) / min(scaled) < 1.5
 
     def test_dispersion_match(self):
         params = make_params()

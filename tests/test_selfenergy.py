@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad as scipy_quad
 
 from polaron import CouplingSpec, DomainError, EpsilonSpec, ModelParams, QuadratureSpec
@@ -87,6 +89,22 @@ class TestM2Properties:
         a_lo = se.a_eff(params, p, 0.1, q, QUAD)
         a_hi = se.a_eff(params, p, 0.8, q, QUAD)
         assert a_hi < a_lo
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([1, 3]),
+           q=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+           alpha=st.floats(0.01, 0.3), gap=st.floats(0.0, 3.0),
+           h=st.floats(0.01, 0.5))
+    def test_g_strictly_decreasing_and_concave(self, d, q, alpha, gap, h):
+        # g(xi) = a(xi; q) - xi; the monotone root solves and bracketing
+        # read its sign and rely on one root below the two-boson edge
+        params = make_params(d=d, alpha=alpha)
+        p = np.array([0.4, 0.0, 0.0])[:d]
+        row = se.SelfEnergyTables(params, p, QUAD, np.array(q[:d])[None, :])
+        top = row.min_e2() - se.DENOM_MARGIN - gap
+        g = [float(row.a_values(xi)[0]) - xi for xi in (top - 2 * h, top - h, top)]
+        assert g[0] > g[1] > g[2]
+        assert g[0] - 2.0 * g[1] + g[2] < 0.0
 
     def test_covariance_in_p_minus_q(self):
         # m depends on (p - q, xi - eps(q)) only
