@@ -39,9 +39,9 @@ CAP_MARGIN = 1e-6
 @dataclass
 class BranchPoint:
     """A solved branch point.  `iterations` counts the evaluations of the
-    scalar function being solved (a_p(xi; q) - xi for the dispersion,
-    F(xi) = Delta_xi(xi) for the ground branch), bracketing and the final
-    residual included."""
+    scalar function being solved: g(xi) = a_p(xi; q) - xi and its slope at
+    each Newton iterate from kappa for the dispersion, F(xi) = Delta_xi(xi)
+    with bracketing and final residual for the ground branch."""
 
     q: np.ndarray
     xi: float | None
@@ -104,59 +104,56 @@ def dispersion_point(params: ModelParams, p, q, kappa: float,
                      check_cap: bool = True) -> BranchPoint:
     """Solve a_p(xi; q) = xi below the cap.
 
-    g(xi) = a_p(xi; q) - xi is strictly decreasing; q belongs to the
-    one-boson domain iff g(kappa) < 0, in which case the unique root is
-    bracketed downward from a_p(kappa; q) and found by Brent's method.
+    g(xi) = a_p(xi; q) - xi is strictly decreasing and concave; q belongs
+    to the one-boson domain iff g(kappa) < 0, in which case monotone Newton
+    from kappa falls onto the unique root.  Each evaluation of g and of
+    g'(xi) = m'(xi) - 1 is one row sum over the point's one-row table.
     """
     p = params._check_vec(p, "p")
     q = params._check_vec(q, "q")
     if check_cap:
         _check_cap(params, p, kappa)
-    # each evaluation of a is one of g(xi) = a(xi) - xi
-    a = roots.Counted(_a_at(params, p, q, quad))
+    row = SelfEnergyTables(params, p, quad, q[None, :])
 
-    a_cap = a(kappa)
-    if a_cap >= kappa:
-        return BranchPoint(q=q, xi=None, iterations=a.calls,
-                           residual=abs(a_cap - kappa), status="none")
-    _, lo = roots.expand(lambda xi: a(xi) >= xi, kappa, min(a_cap, kappa - 1.0))
-    root = roots.root(lambda xi: a(xi) - xi, lo, kappa)
-    resid = abs(a(root) - root)
+    @roots.Counted
+    def g(xi):
+        m, slope = row.m_slopes(xi)
+        return float(row.e1_out[0] + m[0]) - xi, float(slope[0]) - 1.0
+
+    root, g_root = roots.monotone_newton(g, kappa, tol)
+    resid = abs(g_root)
+    if root == kappa and g_root >= 0.0:
+        return BranchPoint(q=q, xi=None, iterations=g.calls, residual=resid,
+                           status="none")
     status = "converged" if resid <= tol * (1.0 + abs(root)) else "capped"
-    return BranchPoint(q=q, xi=float(root), iterations=a.calls,
+    return BranchPoint(q=q, xi=float(root), iterations=g.calls,
                        residual=resid, status=status)
 
 
-def _a_at(params, p, q, quad):
-    """xi -> a_p(xi; q), from a one-row table on the unrotated rule."""
-    row = SelfEnergyTables(params, p, quad, np.atleast_2d(q))
-    return lambda xi: float(row.a_values(xi)[0])
+def _cap_gap(params, p, kappa, quad, unit):
+    """r -> a_p(kappa; r u) - kappa along the unit ray u, by one-row tables:
+    smooth, and negative exactly inside the one-boson domain."""
+    def gap(r):
+        row = SelfEnergyTables(params, p, quad, (r * unit)[None, :])
+        return float(row.a_values(kappa)[0]) - kappa
+    return gap
 
 
-def _member(params, p, kappa, q, quad):
-    return _a_at(params, p, q, quad)(kappa) < kappa
-
-
-def _boundary_radius(params, p, kappa, direction, quad, tol, r_seed):
-    """Bisect the one-boson membership indicator outward along a ray."""
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-
-    def inside(r):
-        return _member(params, p, kappa, r * direction, quad)
-
-    if not inside(r_seed):
+def _boundary_radius(gap, r_seed):
+    """Brent's root of gap outward from r_seed along its ray, or None when
+    r_seed is outside the domain."""
+    if not gap(r_seed) < 0.0:
         return None
-    r_in, r_out = roots.expand(lambda r: not inside(r), 0.0, r_seed + 1.0, r_seed)
-    return roots.bisect(inside, r_in, r_out, tol)
+    r_in, r_out = roots.expand(lambda r: gap(r) >= 0.0, 0.0, r_seed + 1.0, r_seed)
+    return roots.root(gap, r_in, r_out)
 
 
 def one_boson_domain(params: ModelParams, p, kappa: float, probes,
                      quad: QuadratureSpec, tol: float = 1e-10,
-                     rays=None, boundary_tol: float = 1e-9) -> DomainMap:
+                     rays=None) -> DomainMap:
     """Membership map of the one-boson domain over the probe momenta,
-    with solved branch points for members and bisection-refined boundary
-    radii along the requested rays."""
+    with solved branch points for members and boundary radii along the
+    requested rays, each a Brent root of a_p(kappa; r u) - kappa."""
     p = params._check_vec(p, "p")
     _check_cap(params, p, kappa)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
@@ -178,7 +175,7 @@ def one_boson_domain(params: ModelParams, p, kappa: float, probes,
         # seed at the point of the ray nearest the free minimizer; the
         # cosine from the chord is exactly 1 for a ray along the axis
         cos = 1.0 - 0.5 * float((unit - axis) @ (unit - axis))
-        radius = _boundary_radius(params, p, kappa, ray, quad, boundary_tol,
+        radius = _boundary_radius(_cap_gap(params, p, kappa, quad, unit),
                                   max(t_seed * cos, 1e-3))
         boundary.append((unit, radius))
     return DomainMap(grid=probes, membership=membership, boundary=boundary,
@@ -205,14 +202,16 @@ def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
     _check_cap(params, p, kappa, delta_margin)
     axis = axis_of(p)
     t0 = _free_minimizer(params, p, axis)
-    if not _member(params, p, kappa, t0 * axis, quad):
+    gap = _cap_gap(params, p, kappa, quad, axis)
+    if not gap(t0) < 0.0:
         raise DomainError(
             "one-boson domain is empty along the axis; raise kappa"
         )
-    hi = _boundary_radius(params, p, kappa, axis, quad, 1e-9, max(abs(t0), 1e-3))
-    lo = -_boundary_radius(params, p, kappa, -axis, quad, 1e-9, 1e-3) \
-        if _member(params, p, kappa, -1e-3 * axis, quad) else _inner_edge(
-            params, p, kappa, axis, quad, t0)
+    hi = _boundary_radius(gap, max(abs(t0), 1e-3))
+    if gap(-1e-3) < 0.0:
+        lo = -_boundary_radius(lambda r: gap(-r), 1e-3)
+    else:  # the domain stops short of q = 0: search from its inner edge
+        lo = 0.0 if gap(0.0) < 0.0 else roots.root(gap, 0.0, t0)
 
     def xi_at(t):
         bp = dispersion_point(params, p, t * axis, kappa, quad, tol,
@@ -225,18 +224,6 @@ def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
     if not res.success:
         raise NumericError(f"lambda1 minimization failed: {res.message}")
     return float(res.fun)
-
-
-def _inner_edge(params, p, kappa, axis, quad, t_seed):
-    """Lower end of the on-axis search when q=0 is outside the domain: the
-    first member of 0, t_seed/2, 3 t_seed/4, ..., or t_seed once the
-    remaining step is below 1e-9."""
-    lo = 0.0
-    while not _member(params, p, kappa, lo * axis, quad):
-        if t_seed - lo < 1e-9:
-            return t_seed
-        lo = 0.5 * (lo + t_seed)
-    return lo
 
 
 def ground_state(params: ModelParams, p, kappa: float, neumann_order: int,

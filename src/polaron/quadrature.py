@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -157,7 +158,9 @@ def node_system(spec: QuadratureSpec, d: int, axis=None) -> NodeSystem:
     """Build the node system for dimension d.
 
     axis (d=3 continuum only): unit direction of axial symmetry; enables
-    the azimuthal reduction of the evaluation set.
+    the azimuthal reduction of the evaluation set.  Continuum systems are
+    shared from one bounded cache (keyed by the rule, d and the d=3 axis)
+    and their arrays are read-only.
     """
     if spec.is_discrete:
         m = spec.measure
@@ -169,7 +172,21 @@ def node_system(spec: QuadratureSpec, d: int, axis=None) -> NodeSystem:
 
     if d not in (1, 2, 3):
         raise InputError("continuum quadrature supports d in {1, 2, 3}")
+    axis = tuple(float(x) for x in axis) if d == 3 and axis is not None else None
+    return _continuum_system(spec.n_radial, spec.angular_degree,
+                             float(spec.r_max), d, axis)
 
+
+@lru_cache(maxsize=16)
+def _continuum_system(n_radial, angular_degree, r_max, d, axis) -> NodeSystem:
+    ns = _build_continuum(QuadratureSpec.continuum(n_radial, angular_degree, r_max),
+                          d, axis)
+    for arr in vars(ns).values():
+        arr.flags.writeable = False
+    return ns
+
+
+def _build_continuum(spec, d, axis):
     r, wr = _radial_rule(spec)
 
     if d == 1:

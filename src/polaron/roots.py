@@ -1,6 +1,6 @@
 """One-dimensional searches shared by the branch and Friedrichs solvers:
-outward bracketing, bisection of a predicate, Brent's root at the
-package's fixed tolerances, and a grid-then-refine line minimum."""
+outward bracketing, predicate bisection, Brent's root at the package's
+fixed tolerances, monotone Newton and a grid-then-refine line minimum."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .errors import NumericError
 
-__all__ = ["Counted", "expand", "bisect", "root", "line_min"]
+__all__ = ["Counted", "expand", "bisect", "root", "monotone_newton", "line_min"]
 
 XTOL = 1e-14
 RTOL = 4 * np.finfo(float).eps
@@ -61,6 +61,23 @@ def root(f, a: float, b: float) -> float:
         return brentq(lambda x: held[0](x), a, b, xtol=XTOL, rtol=RTOL)
     finally:
         held.clear()
+
+
+def monotone_newton(fg, x: float, tol: float):
+    """Newton's root of a decreasing concave f from an x with f(x) < 0: the
+    iterates fall onto the root without crossing it (Ortega & Rheinboldt
+    1970).  fg(x) = (f(x), f'(x)).  Stops when |f| <= tol (1 + |x|) or x no
+    longer decreases; returns the last x and f(x)."""
+    f, df = fg(x)
+    for _ in range(_MAX_STEPS):
+        if abs(f) <= tol * (1.0 + abs(x)):
+            break
+        step = x - f / df
+        if not step < x:
+            break
+        x = step
+        f, df = fg(x)
+    return x, f
 
 
 def line_min(f, grid, values, xatol: float):

@@ -265,6 +265,15 @@ class SelfEnergyTables:
         self._check_xi(xi)
         return -(self.params.alpha**2) * (self.num_m / (self.e2 - xi)).sum(axis=1)
 
+    def m_slopes(self, xi: float):
+        """Self-energy at every evaluation point, equal to m_values(xi) bit
+        for bit, and its xi-derivative -alpha^2 sum w|c|^2 / (e2 - xi)^2."""
+        self._check_xi(xi)
+        den = self.e2 - xi
+        terms = self.num_m / den
+        scale = -(self.params.alpha**2)
+        return scale * terms.sum(axis=1), scale * (terms / den).sum(axis=1)
+
     def a_values(self, xi: float) -> np.ndarray:
         return self.e1_out + self.m_values(xi)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from polaron import (
@@ -18,17 +20,31 @@ from polaron import selfenergy as se
 from polaron.friedrichs import FriedrichsSolver
 
 
-def make_params(d=3, alpha=0.1, eps0=1.0, c0=0.5):
+def make_params(d=3, alpha=0.1, eps0=1.0, c0=0.5, eps=None):
     return ModelParams(
         d=d,
         alpha=alpha,
-        eps=EpsilonSpec.constant(eps0),
+        eps=EpsilonSpec.constant(eps0) if eps is None else eps,
         coupling=CouplingSpec(amplitude=1.0, width=1.0),
         c0=c0,
     )
 
 
 QUAD = QuadratureSpec.continuum(24, 9, r_max=6.0)
+
+
+def direct_a(params, p, q, xi):
+    """a_p(xi; q) by a direct weighted sum over the rule's full nodes."""
+    pts, w = quadrature.nodes(QUAD, params.d)
+    k = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
+    diff = k[None, :] - pts
+    eps_q = float(params.eps(np.asarray(q, dtype=float)))
+    den = 0.5 * np.einsum("ij,ij->i", diff, diff) + eps_q + params.eps(pts) - xi
+    num = params.coupling.evaluate(diff, pts) ** 2
+    return 0.5 * float(k @ k) + eps_q - params.alpha**2 * float(np.dot(num / den, w))
+
+
+coords = st.floats(-0.8, 0.8)
 
 
 class TestCapRules:
@@ -116,6 +132,79 @@ class TestDispersion:
                 assert a.xi == pytest.approx(b.xi, abs=1e-9)
 
 
+class TestDispersionProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([1, 3]), p=st.lists(coords, min_size=3, max_size=3),
+           k=st.lists(coords, min_size=3, max_size=3),
+           alpha=st.floats(0.0, 0.12), fraction=st.floats(0.3, 0.95),
+           relativistic=st.booleans())
+    def test_newton_iterates_fall_onto_the_root(self, d, p, k, alpha, fraction,
+                                                relativistic):
+        # g = a - xi is decreasing and concave, so from kappa every Newton
+        # iterate falls and stays on the g <= 0 side of the root, up to the
+        # rounding of one evaluation of g
+        eps = EpsilonSpec.relativistic(1.0, 0.5) if relativistic else None
+        params = make_params(d=d, alpha=alpha, eps=eps)
+        p = np.array(p[:d])
+        q = p - np.array(k[:d])
+        kappa = br.kappa_from_rule(params, p, "fraction", fraction)
+        seen = []
+        m_slopes = se.SelfEnergyTables.m_slopes
+
+        def recorded(self, xi):
+            m, slope = m_slopes(self, xi)
+            seen.append((xi, float(self.e1_out[0] + m[0]) - xi))
+            return m, slope
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(se.SelfEnergyTables, "m_slopes", recorded)
+            bp = br.dispersion_point(params, p, q, kappa, QUAD, 1e-10)
+        assume(bp.status != "none")
+        assert bp.status == "converged"
+        assert len(seen) == bp.iterations
+        assert seen[0][0] == kappa and seen[-1][0] == bp.xi
+        xs = [xi for xi, _ in seen]
+        assert all(b < a for a, b in zip(xs, xs[1:]))
+        for xi, g in seen:
+            assert g <= 4 * np.finfo(float).eps * (1.0 + abs(xi))
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.lists(coords, min_size=3, max_size=3),
+           k=st.lists(coords, min_size=3, max_size=3),
+           turns=st.integers(0, QUAD.angular_degree), flip=st.booleans(),
+           invert=st.booleans())
+    def test_node_symmetries_d3(self, p, k, turns, flip, invert):
+        # turns by 2 pi / n_phi about z, the half turn about x and the
+        # inversion map the d=3 rule's nodes onto themselves
+        params = make_params()
+        kappa = br.kappa_from_rule(params, np.zeros(3), "fraction", 0.9)
+        p = np.array(p)
+        q = p - np.array(k)
+        angle = 2.0 * math.pi * turns / (QUAD.angular_degree + 1)
+        rot = Rotation.from_euler("z", angle).as_matrix()
+        if flip:
+            rot = rot @ np.diag([1.0, -1.0, -1.0])
+        if invert:
+            rot = -rot
+        a = br.dispersion_point(params, p, q, kappa, QUAD, 1e-10)
+        b = br.dispersion_point(params, rot @ p, rot @ q, kappa, QUAD, 1e-10)
+        assert a.status == b.status
+        if a.xi is not None:
+            assert b.xi == pytest.approx(a.xi, rel=1e-12, abs=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=coords, k=st.floats(-1.5, 1.5), alpha=st.floats(0.0, 0.2))
+    def test_parity_d1(self, p, k, alpha):
+        params = make_params(d=1, alpha=alpha)
+        kappa = br.kappa_from_rule(params, np.zeros(1), "fraction", 0.9)
+        p, q = np.array([p]), np.array([p - k])
+        a = br.dispersion_point(params, p, q, kappa, QUAD, 1e-10)
+        b = br.dispersion_point(params, -p, -q, kappa, QUAD, 1e-10)
+        assert a.status == b.status
+        if a.xi is not None:
+            assert b.xi == pytest.approx(a.xi, rel=1e-12, abs=0)
+
+
 class TestDomain:
     def test_membership_and_boundary(self):
         params = make_params()
@@ -164,6 +253,22 @@ class TestDomain:
         assert inside.status != "none"
         assert outside.status == "none"
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_cap_gap_changes_sign_at_the_radius(self, seed):
+        # seeded off-axis rays: a(kappa; r u) - kappa, summed directly over
+        # the rule's nodes, changes sign across the returned radius
+        rng = np.random.default_rng(seed)
+        params = make_params(eps=EpsilonSpec.relativistic(1.0, 0.5))
+        p = 0.5 * rng.uniform() * rng.normal(size=3)
+        kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+        rays = [rng.normal(size=3) for _ in range(3)]
+        dm = br.one_boson_domain(params, p, kappa, np.zeros((1, 3)), QUAD,
+                                 1e-10, rays=rays)
+        for unit, r in dm.boundary:
+            assert r is not None
+            assert direct_a(params, p, (r - 1e-7) * unit, kappa) - kappa < 0.0
+            assert direct_a(params, p, (r + 1e-7) * unit, kappa) - kappa > 0.0
+
 
 class TestLambda1:
     def test_matches_dense_scan(self):
@@ -181,6 +286,31 @@ class TestLambda1:
                 best = min(best, bp.xi)
         assert lam1 <= best + 1e-10
         assert lam1 == pytest.approx(best, abs=1e-3)
+
+    @pytest.mark.parametrize("alpha, eps, pmag", [
+        (0.0, None, 1.4),                                  # criterion 9's setup
+        (0.1, EpsilonSpec.relativistic(1.0, 0.5), 2.0),
+    ])
+    def test_inner_edge_when_zero_is_outside(self, alpha, eps, pmag):
+        # q = 0 outside the domain: the on-axis search starts at the inner
+        # edge, and lambda1 is the minimum of a fine scan of solves
+        params = make_params(alpha=alpha, eps=eps)
+        p = np.array([pmag, 0.0, 0.0])
+        kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+        assert br.dispersion_point(params, p, np.zeros(3), kappa, QUAD,
+                                   1e-10).status == "none"
+        lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
+
+        def xi(t):
+            bp = br.dispersion_point(params, p, np.array([t, 0.0, 0.0]),
+                                     kappa, QUAD, 1e-10)
+            return math.inf if bp.xi is None else bp.xi
+
+        coarse = np.linspace(0.0, 2.0 * pmag, 161)
+        i = int(np.argmin([xi(t) for t in coarse]))
+        best = min(xi(t) for t in np.linspace(coarse[i - 1], coarse[i + 1], 401))
+        assert lam1 <= best + 1e-12
+        assert lam1 == pytest.approx(best, abs=1e-8)
 
     def test_free_limit_equals_threshold(self):
         params = make_params(alpha=0.0)
@@ -266,31 +396,32 @@ class TestGroundProperties:
 
 class TestIterations:
     def test_count_every_evaluation(self, monkeypatch):
-        # iterations = evaluations of the solved scalar function, with the
-        # bracketing and the final residual; in a dispersion solve each is
-        # one a_values call on the point's one-row table, in a ground solve
-        # one determinant F(xi) = Delta_xi(xi)
-        calls = {"a": 0, "delta": 0}
-        a_values, delta = se.SelfEnergyTables.a_values, FriedrichsSolver.delta
+        # iterations = evaluations of the solved scalar function; in a
+        # dispersion solve each is one Newton row evaluation of g and g'
+        # (an m_slopes call on the point's one-row table), the membership
+        # test at kappa included; in a ground solve one determinant
+        # F(xi) = Delta_xi(xi), with the bracketing and the final residual
+        calls = {"g": 0, "delta": 0}
+        m_slopes, delta = se.SelfEnergyTables.m_slopes, FriedrichsSolver.delta
 
-        def counted_a(self, xi):
-            calls["a"] += 1
-            return a_values(self, xi)
+        def counted_g(self, xi):
+            calls["g"] += 1
+            return m_slopes(self, xi)
 
         def counted_delta(self, z, order=1):
             calls["delta"] += 1
             return delta(self, z, order)
 
-        monkeypatch.setattr(se.SelfEnergyTables, "a_values", counted_a)
+        monkeypatch.setattr(se.SelfEnergyTables, "m_slopes", counted_g)
         monkeypatch.setattr(FriedrichsSolver, "delta", counted_delta)
         params = make_params(d=1)
         p = np.array([0.3])
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
         for q, status in ((0.2, "converged"), (3.0, "none")):
-            calls["a"] = 0
+            calls["g"] = 0
             bp = br.dispersion_point(params, p, np.array([q]), kappa, QUAD, 1e-10)
             assert bp.status == status
-            assert bp.iterations == calls["a"]
+            assert bp.iterations == calls["g"]
         lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
         bp = br.ground_state(params, p, kappa, 1, QUAD, 1e-10, lam1=lam1)
         assert bp.status == "converged"

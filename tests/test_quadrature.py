@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polaron import InputError, QuadratureSpec, grid_measure, integrate
+from polaron import quadrature
 from polaron.errors import ResourceError
 from polaron.quadrature import node_system
 
@@ -96,6 +97,52 @@ class TestNodeSystem:
             ns = node_system(QuadratureSpec.continuum(16, 9), d)
             assert np.all(ns.full_weights > 0)
             assert np.all(ns.out_weights > 0)
+
+
+class TestNodeCache:
+    SPEC = QuadratureSpec.continuum(24, 9, r_max=6.0)
+
+    @staticmethod
+    def fields(ns):
+        return (ns.full_points, ns.full_weights, ns.out_points,
+                ns.out_weights, ns.out_index)
+
+    @pytest.mark.parametrize("d, axis", [(1, None), (2, None), (3, None),
+                                         (3, (0.6, 0.0, 0.8))])
+    def test_repeated_call_is_cached_and_exact(self, d, axis):
+        ns = node_system(self.SPEC, d, axis=axis)
+        # an equal rule built anew hits the same entry
+        again = node_system(QuadratureSpec.continuum(24, 9, r_max=6.0), d,
+                            axis=None if axis is None else np.array(axis))
+        assert again is ns
+        fresh = quadrature._build_continuum(self.SPEC, d, axis)
+        for cached, built in zip(self.fields(ns), self.fields(fresh)):
+            assert cached.dtype == built.dtype
+            assert np.array_equal(cached, built)
+            assert cached.tobytes() == built.tobytes()
+
+    @pytest.mark.parametrize("d, axis", [(1, None), (3, None), (3, (0.0, 0.0, 1.0))])
+    def test_cached_arrays_are_read_only(self, d, axis):
+        ns = node_system(self.SPEC, d, axis=axis)
+        for arr in self.fields(ns):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_cache_stays_at_its_bound(self):
+        bound = quadrature._continuum_system.cache_info().maxsize
+        rng = np.random.default_rng(5)
+        for _ in range(bound + 5):
+            axis = rng.normal(size=3)
+            node_system(self.SPEC, 3, axis=axis / np.linalg.norm(axis))
+        assert quadrature._continuum_system.cache_info().currsize == bound
+
+    def test_lattice_rules_reuse_the_measure(self):
+        # lattice rules bypass the cache: their points are the measure's
+        before = quadrature._continuum_system.cache_info()
+        m = grid_measure(2.0, 3, 3)
+        ns = node_system(QuadratureSpec.discrete(m), 3)
+        assert ns.full_points is m.points
+        assert quadrature._continuum_system.cache_info() == before
 
 
 class TestDiscreteSpec:
