@@ -168,7 +168,7 @@ def one_boson_domain(params: ModelParams, p, kappa: float, probes,
     if rays is None:
         rays = [axis, -axis]
     boundary = []
-    t_seed = _free_minimizer(params, p, axis)
+    t_seed = model_mod.collinear_minimizer(params, 1, float(np.linalg.norm(p)))
     for ray in rays:
         ray = np.asarray(ray, dtype=float)
         unit = ray / np.linalg.norm(ray)
@@ -182,18 +182,6 @@ def one_boson_domain(params: ModelParams, p, kappa: float, probes,
                      kappa=kappa, points=points)
 
 
-def _free_minimizer(params, p, axis):
-    """On-axis minimizer of the free one-boson energy."""
-    pmag = float(np.asarray(p, dtype=float) @ axis)
-
-    def f(t):
-        return 0.5 * (pmag - t) ** 2 + float(params.eps.radial(abs(t)))
-
-    res = minimize_scalar(f, bounds=(-abs(pmag) - 5.0, abs(pmag) + 5.0),
-                          method="bounded", options={"xatol": 1e-10})
-    return float(res.x)
-
-
 def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
             tol: float = 1e-10, delta_margin: float | None = None) -> float:
     """Bottom of the one-boson dispersion manifold: minimize the solved
@@ -201,13 +189,13 @@ def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
     p = params._check_vec(p, "p")
     _check_cap(params, p, kappa, delta_margin)
     axis = axis_of(p)
-    t0 = _free_minimizer(params, p, axis)
+    t0 = model_mod.collinear_minimizer(params, 1, float(np.linalg.norm(p)))
     gap = _cap_gap(params, p, kappa, quad, axis)
     if not gap(t0) < 0.0:
         raise DomainError(
             "one-boson domain is empty along the axis; raise kappa"
         )
-    hi = _boundary_radius(gap, max(abs(t0), 1e-3))
+    hi = _boundary_radius(gap, max(t0, 1e-3))
     if gap(-1e-3) < 0.0:
         lo = -_boundary_radius(lambda r: gap(-r), 1e-3)
     else:  # the domain stops short of q = 0: search from its inner edge

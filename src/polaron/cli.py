@@ -83,7 +83,7 @@ def cmd_thresholds(cfg: RunConfig, out_dir: Path) -> int:
         row = {"p": float(pmag), "alpha": cfg.params.alpha, "tol": tol,
                "status": "converged"}
         for n in (1, 2, 3):
-            row[f"lambda{n}_0"] = model.threshold(cfg.params, n, p, tol)
+            row[f"lambda{n}_0"] = model.threshold(cfg.params, n, p)
         row["lambda2_proxy"] = selfenergy.lambda2_proxy_value(cfg.params, p)
         return row
 

@@ -14,15 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize_scalar
 
-from .errors import InputError, NumericError
+from . import roots
+from .errors import InputError
 
 __all__ = [
     "EpsilonSpec",
     "CouplingSpec",
     "ModelParams",
     "free_energy",
+    "collinear_minimizer",
     "threshold",
     "validate_model",
     "ValidationReport",
@@ -82,7 +83,8 @@ class EpsilonSpec:
         if interp is None:
             interp = PchipInterpolator(self.knots, self.values, extrapolate=True)
             self._interp_cache = interp
-            self._end_slope = float(interp.derivative()(self.knots[-1]))
+            self._slope = interp.derivative()
+            self._end_slope = float(self._slope(self.knots[-1]))
         return interp
 
     def radial(self, r):
@@ -102,6 +104,18 @@ class EpsilonSpec:
                 out,
             )
         return out
+
+    def radial_slope(self, r: float) -> float:
+        """d epsilon / d|q| at a scalar r >= 0, one-sided where radial has
+        a kink (r = 0 with zero mass, the ends of a table)."""
+        if self.kind == "constant":
+            return 0.0
+        if self.kind == "relativistic":
+            return r / math.hypot(r, self.mass) if r > 0 else float(self.mass == 0)
+        self._interp()
+        if r < self.knots[0]:
+            return 0.0
+        return self._end_slope if r > self.knots[-1] else float(self._slope(r))
 
     def __call__(self, q):
         """epsilon evaluated on momentum vectors of shape (..., d)."""
@@ -205,12 +219,29 @@ def free_energy(params: ModelParams, n: int, p, qs=()) -> float:
     return kinetic + float(sum(params.eps(q) for q in qs))
 
 
-def threshold(params: ModelParams, n: int, p, tol: float = 1e-12) -> float:
+def collinear_minimizer(params: ModelParams, n: int, pmag: float) -> float:
+    """The t in [0, pmag/n] minimizing f(t) = (pmag - n t)^2 / 2 + n eps(t),
+    the energy of n equal boson momenta of length t along p.  f'(t) =
+    n (eps'(t) - pmag + n t) increases for a convex eps, so t is an end of
+    the interval or Brent's root of f'."""
+    top = pmag / n
+
+    def slope(t):
+        return params.eps.radial_slope(t) - (pmag - n * t)
+
+    if slope(0.0) >= 0.0:
+        return 0.0
+    if slope(top) <= 0.0:
+        return top
+    return roots.root(slope, 0.0, top)
+
+
+def threshold(params: ModelParams, n: int, p) -> float:
     """Bottom of the particle + n-boson continuum branch.
 
     By convexity of the kinetic term and of the radial dispersion the
     minimizer is n equal momenta collinear with p, so the search reduces
-    to one scalar magnitude.  n=0 returns p^2/2.
+    to one scalar magnitude (`collinear_minimizer`).  n=0 returns p^2/2.
     """
     p = params._check_vec(p, "p")
     if n < 0:
@@ -218,20 +249,8 @@ def threshold(params: ModelParams, n: int, p, tol: float = 1e-12) -> float:
     pmag = float(np.linalg.norm(p))
     if n == 0:
         return 0.5 * pmag * pmag
-    if pmag == 0.0:
-        return n * float(params.eps.radial(0.0))
-
-    def objective(t):
-        return 0.5 * (pmag - n * t) ** 2 + n * float(params.eps.radial(abs(t)))
-
-    xatol = min(1e-10, math.sqrt(max(tol, 1e-300)))
-    res = minimize_scalar(
-        objective, bounds=(0.0, pmag / n), method="bounded",
-        options={"xatol": xatol, "maxiter": 500},
-    )
-    if not res.success:
-        raise NumericError(f"threshold minimization failed for n={n}, p={p}: {res.message}")
-    return float(res.fun)
+    t = collinear_minimizer(params, n, pmag)
+    return 0.5 * (pmag - n * t) ** 2 + n * float(params.eps.radial(t))
 
 
 # ---------------------------------------------------------------------------

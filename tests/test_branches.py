@@ -15,6 +15,7 @@ from polaron import (
     threshold,
 )
 from polaron import branches as br
+from polaron import model
 from polaron import quadrature
 from polaron import selfenergy as se
 from polaron.friedrichs import FriedrichsSolver
@@ -318,6 +319,27 @@ class TestLambda1:
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
         lam1 = br.lambda1(params, p, kappa, QUAD, 1e-12)
         assert lam1 == pytest.approx(threshold(params, 1, p), abs=1e-10)
+
+
+class TestFreeSeed:
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("eps", [EpsilonSpec.constant(1.0),
+                                     EpsilonSpec.relativistic(1.0, 0.5),
+                                     EpsilonSpec.relativistic(0.3, 0.0)])
+    def test_collinear_minimizer_is_the_wide_argmin(self, d, eps):
+        # the seeds of lambda1 and the domain rays: the n = 1 collinear
+        # minimizer on [0, |p|] is the argmin of the on-axis free energy
+        # over the wide interval [-P - 5, P + 5], P = p . axis
+        params = make_params(d=d, eps=eps)
+        rng = np.random.default_rng(d)
+        for pmag in (0.0, 0.15, 0.6, 1.2, 3.0):
+            v = rng.normal(size=d)
+            p = pmag * v / np.linalg.norm(v)
+            big_p = float(p @ quadrature.axis_of(p))
+            t = np.linspace(-big_p - 5.0, big_p + 5.0, 200001)
+            f = 0.5 * (big_p - t) ** 2 + eps.radial(np.abs(t))
+            t_min = model.collinear_minimizer(params, 1, float(np.linalg.norm(p)))
+            assert abs(t_min - t[int(np.argmin(f))]) <= t[1] - t[0]
 
 
 class TestGround:

@@ -16,6 +16,7 @@ from polaron import (
     threshold,
     validate_model,
 )
+from polaron.model import collinear_minimizer
 
 
 def make_params(d=3, alpha=0.1, eps=None, coupling=None, c0=0.5):
@@ -54,6 +55,36 @@ class TestEpsilon:
             EpsilonSpec.tabulated([0.0, 1.0], [1.0])
         with pytest.raises(InputError):
             EpsilonSpec.tabulated([0.0, 0.0], [1.0, 1.0])
+
+
+class TestRadialSlope:
+    def test_against_central_difference(self):
+        knots = np.linspace(0.5, 3.0, 12)
+        tab = EpsilonSpec.tabulated(knots, np.sqrt(knots * knots + 1.0))
+        # below the first knot, between knots and beyond the last knot
+        cases = [
+            (EpsilonSpec.constant(1.5), (0.3, 1.7, 4.0)),
+            (EpsilonSpec.relativistic(0.7, 0.2), (0.3, 1.7, 4.0)),
+            (EpsilonSpec.relativistic(0.0, 0.2), (0.3, 1.7)),
+            (tab, (0.2, 0.45, 0.61, 1.13, 2.0, 2.9, 3.4, 6.0)),
+        ]
+        h = 1e-6
+        for eps, rs in cases:
+            for r in rs:
+                diff = float(eps.radial(r + h) - eps.radial(r - h)) / (2.0 * h)
+                assert eps.radial_slope(r) == pytest.approx(diff, abs=1e-8)
+
+    def test_flat_and_end_values(self):
+        knots = np.linspace(0.5, 3.0, 12)
+        values = np.sqrt(knots * knots + 1.0)
+        tab = EpsilonSpec.tabulated(knots, values)
+        assert tab.radial_slope(0.0) == 0.0
+        assert tab.radial_slope(10.0) == tab.radial_slope(3.0)
+        assert tab.radial_slope(10.0) == pytest.approx(3.0 / math.sqrt(10.0), rel=0.05)
+        assert EpsilonSpec.constant(2.0).radial_slope(1.0) == 0.0
+        # at r = 0 the one-sided slope: 0 with a mass, 1 for eps = r + shift
+        assert EpsilonSpec.relativistic(0.7, 0.0).radial_slope(0.0) == 0.0
+        assert EpsilonSpec.relativistic(0.0, 0.0).radial_slope(0.0) == 1.0
 
 
 class TestCoupling:
@@ -137,6 +168,50 @@ class TestThreshold:
         lams = [threshold(params, n, p) for n in (1, 2, 3)]
         assert lams[1] - lams[0] >= params.c0 - 1e-8
         assert lams[2] - lams[1] >= params.c0 - 1e-8
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["constant", "relativistic", "tabulated"]),
+        st.floats(min_value=0.2, max_value=3.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=1, max_value=3),
+        st.floats(min_value=0.0, max_value=4.0),
+    )
+    def test_equals_dense_scan_minimum(self, kind, mass, shift, n, pmag):
+        if kind == "constant":
+            eps = EpsilonSpec.constant(mass)
+        elif kind == "relativistic":
+            eps = EpsilonSpec.relativistic(mass, shift)
+        else:
+            # convex table; |p|/n runs past its last knot at 3
+            knots = np.linspace(0.0, 3.0, 25)
+            eps = EpsilonSpec.tabulated(knots, np.sqrt(knots * knots + mass**2) + shift)
+        params = make_params(eps=eps)
+        p = np.array([0.0, pmag, 0.0])
+        t = np.linspace(0.0, pmag / n, 200001)
+        scan = float(np.min(0.5 * (pmag - n * t) ** 2 + n * eps.radial(t)))
+        lam = threshold(params, n, p)
+        assert lam == pytest.approx(scan, abs=1e-9)
+        assert lam <= scan + 1e-14
+
+    def test_constant_takes_the_far_end(self):
+        for eps0 in (1.0, 0.7, 2.3):
+            params = make_params(eps=EpsilonSpec.constant(eps0))
+            for n in (1, 2, 3):
+                for pmag in (0.3, 1.2, 3.7):
+                    assert collinear_minimizer(params, n, pmag) == pmag / n
+                    assert threshold(params, n, np.array([pmag, 0.0, 0.0])) == n * eps0
+
+    def test_steep_table_takes_zero(self):
+        # slope 2 at |q| = 0 exceeds |p| = 1.5: no boson momentum pays
+        eps = EpsilonSpec.tabulated([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 5.0, 7.0])
+        params = make_params(eps=eps)
+        pmag = 1.5
+        for n in (1, 2, 3):
+            assert collinear_minimizer(params, n, pmag) == 0.0
+            lam = threshold(params, n, np.array([pmag, 0.0, 0.0]))
+            assert lam == 0.5 * pmag**2 + n * float(eps.radial(0.0))
 
 
 class TestValidate:
