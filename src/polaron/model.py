@@ -152,14 +152,17 @@ class CouplingSpec:
         if self.kind == "p-modulated" and (self.p_width is None or self.p_width <= 0):
             raise InputError("p-modulated coupling needs a positive p_width")
 
+    def from_sq(self, p_sq, q_sq):
+        """c(p; q) from broadcastable arrays of squared norms |p|^2, |q|^2."""
+        g = self.amplitude * np.exp(-np.asarray(q_sq, dtype=float) / (2.0 * self.width**2))
+        if self.kind == "p-modulated":
+            g = g * np.exp(-np.asarray(p_sq, dtype=float) / (2.0 * self.p_width**2))
+        return g
+
     def evaluate(self, p, q):
         """c(p; q) for broadcastable arrays of vectors (..., d)."""
-        q = np.asarray(q, dtype=float)
-        g = self.amplitude * np.exp(-np.sum(q * q, axis=-1) / (2.0 * self.width**2))
-        if self.kind == "p-modulated":
-            p = np.asarray(p, dtype=float)
-            g = g * np.exp(-np.sum(p * p, axis=-1) / (2.0 * self.p_width**2))
-        return g
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        return self.from_sq(np.sum(p * p, axis=-1), np.sum(q * q, axis=-1))
 
     def envelope(self, r):
         """Radial envelope h(|q|) dominating |c| and its derivatives."""

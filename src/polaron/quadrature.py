@@ -10,7 +10,7 @@ are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -131,6 +131,10 @@ class NodeSystem:
     out_points: np.ndarray    # (No, d)
     out_weights: np.ndarray   # (No,)
     out_index: np.ndarray     # (Nf,) -> [0, No)
+    full_sq: np.ndarray = field(init=False)  # (Nf,) |q'|^2, set on build
+
+    def __post_init__(self):
+        self.full_sq = np.sum(self.full_points * self.full_points, axis=-1)
 
 
 def axis_of(p) -> np.ndarray:

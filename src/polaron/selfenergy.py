@@ -181,10 +181,14 @@ class SelfEnergyTables:
     """Self-energy, effective energy and leading kernel at a set of
     evaluation points, from cached pairwise arrays on a node system.
 
-    The two-boson energies and coupling products between evaluation points
-    and integration nodes do not depend on xi, so sweeping xi (dispersion
-    and ground-branch solves) costs one elementwise division per sweep
-    point.  Without `points` the evaluation set is the rule's own; for d=3
+    The two-boson energies e2 and the numerators w|c|^2 do not depend on
+    xi, so sweeping xi (dispersion and ground-branch solves) costs one
+    elementwise division per sweep point.  They are built from squared
+    norms, |p - q - q'|^2 = |k|^2 - 2 k.q' + |q'|^2 with k = p - q and
+    |q'|^2 from the node system; each entry comes from its own q and q'
+    alone, so a one-row table at q equals its row of a larger table on
+    the same nodes bit for bit.  num_m is (Nf,) for a separable coupling.
+    Without `points` the evaluation set is the rule's own; for d=3
     continuum rules it is reduced to the azimuthal half-plane of the p
     axis.  Given points, shape (N, d), are evaluated on the unrotated
     rule; a pointwise evaluation is a one-row table.  `quad` may also be
@@ -203,46 +207,35 @@ class SelfEnergyTables:
         self.points = self.ns.out_points if points is None \
             else np.asarray(points, dtype=float)
 
-        full = self.ns.full_points
+        self._k = self.p[None, :] - self.points
+        self._k_sq = np.einsum("ij,ij->i", self._k, self._k)
         eps_out = params.eps(self.points)
-        eps_full = params.eps(full)
-        shape = (self.points.shape[0], full.shape[0])
-        self.e2 = np.empty(shape)
-        # |c|^2 w, summed per row, so that a one-row table at q equals,
-        # bit for bit, the row of q in a larger table on the same nodes
-        self.num_m = np.empty(shape)
-        for rows, diff in self._pairs():
-            c_right = params.coupling.evaluate(diff, full[None, :, :])
-            self.e2[rows] = (
-                0.5 * np.einsum("ijk,ijk->ij", diff, diff)
-                + eps_out[rows, None]
-                + eps_full[None, :]
-            )
-            self.num_m[rows] = c_right * c_right * self.ns.full_weights
-        k = self.p[None, :] - self.points
-        self.e1_out = 0.5 * np.einsum("ij,ij->i", k, k) + eps_out
+        self.e1_out = 0.5 * self._k_sq + eps_out
+        s = self._sq_dist()
+        c = params.coupling.from_sq(s, self.ns.full_sq)
+        self.num_m = c * c * self.ns.full_weights
+        s *= 0.5
+        s += eps_out[:, None]
+        s += params.eps.radial(np.sqrt(self.ns.full_sq))
+        self.e2 = s
         self._min_e2 = float(self.e2.min())
 
-    def _pairs(self):
-        """(row slice, p - q - q') over chunks of evaluation points q, which
-        bound the (rows, Nf, d) temporary."""
-        full = self.ns.full_points
-        k = self.p[None, :] - self.points
-        chunk = max(1, int(2_000_000 / max(full.shape[0], 1)))
-        for lo in range(0, k.shape[0], chunk):
-            rows = slice(lo, lo + chunk)
-            yield rows, k[rows, None, :] - full[None, :, :]
+    def _sq_dist(self) -> np.ndarray:
+        """|p - q - q'|^2 over all pairs; unoptimized einsum is NumPy's own
+        loop, not BLAS, and makes no (rows, Nf) temporary."""
+        s = np.einsum("ij,nj->in", self._k, self.ns.full_points)
+        s *= -2.0
+        s += self._k_sq[:, None]
+        s += self.ns.full_sq
+        return s
 
     @cached_property
     def num_d(self) -> np.ndarray:
         """Kernel numerators c(p-q-q'; q') c(p-q-q'; q), built on first use."""
-        coupling = self.params.coupling
-        full = self.ns.full_points
-        num_d = np.empty_like(self.e2)
-        for rows, diff in self._pairs():
-            num_d[rows] = coupling.evaluate(diff, full[None, :, :]) \
-                * coupling.evaluate(diff, self.points[rows, None, :])
-        return num_d
+        c, s = self.params.coupling, self._sq_dist()
+        q_sq = np.sum(self.points * self.points, axis=-1)
+        return np.multiply(c.from_sq(s, self.ns.full_sq),
+                           c.from_sq(s, q_sq[:, None]), out=s)
 
     @cached_property
     def v_out(self) -> np.ndarray:

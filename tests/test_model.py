@@ -104,6 +104,25 @@ class TestCoupling:
         q = rng.normal(size=(50, 3))
         assert np.all(np.abs(c.evaluate(p, q)) <= c.envelope(np.linalg.norm(q, axis=-1)) + 1e-15)
 
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["separable", "p-modulated"]),
+           d=st.integers(1, 3),
+           p=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+           q=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+           amplitude=st.floats(-2.0, 2.0), width=st.floats(0.2, 3.0),
+           p_width=st.floats(0.2, 3.0))
+    def test_evaluate_is_from_sq_of_the_norms(self, kind, d, p, q, amplitude,
+                                              width, p_width):
+        c = CouplingSpec(kind=kind, amplitude=amplitude, width=width,
+                         p_width=p_width)
+        p, q = np.array(p[:d]), np.array(q[:d])
+        p_sq, q_sq = float(p @ p), float(q @ q)
+        value = c.evaluate(p, q)
+        assert value == c.from_sq(np.sum(p * p), np.sum(q * q))
+        chi = math.exp(-p_sq / (2 * p_width**2)) if kind == "p-modulated" else 1.0
+        expect = amplitude * math.exp(-q_sq / (2 * width**2)) * chi
+        assert value == pytest.approx(expect, rel=1e-14, abs=1e-300)
+
     def test_invalid(self):
         with pytest.raises(InputError):
             CouplingSpec(kind="other")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polaron import InputError, QuadratureSpec, grid_measure, integrate
+from polaron import EpsilonSpec, InputError, QuadratureSpec, grid_measure, integrate
 from polaron import quadrature
 from polaron.errors import ResourceError
 from polaron.quadrature import node_system
@@ -105,7 +105,7 @@ class TestNodeCache:
     @staticmethod
     def fields(ns):
         return (ns.full_points, ns.full_weights, ns.out_points,
-                ns.out_weights, ns.out_index)
+                ns.out_weights, ns.out_index, ns.full_sq)
 
     @pytest.mark.parametrize("d, axis", [(1, None), (2, None), (3, None),
                                          (3, (0.6, 0.0, 0.8))])
@@ -127,6 +127,15 @@ class TestNodeCache:
         for arr in self.fields(ns):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
+
+    @pytest.mark.parametrize("d, axis", [(1, None), (3, (0.6, 0.0, 0.8))])
+    def test_squared_norms_give_the_node_dispersion(self, d, axis):
+        # sqrt(full_sq) is the |q'| that EpsilonSpec takes from np.linalg.norm
+        ns = node_system(self.SPEC, d, axis=axis)
+        assert np.array_equal(np.sqrt(ns.full_sq),
+                              np.linalg.norm(ns.full_points, axis=-1))
+        eps = EpsilonSpec.relativistic(1.0, 0.0)
+        assert np.array_equal(eps.radial(np.sqrt(ns.full_sq)), eps(ns.full_points))
 
     def test_cache_stays_at_its_bound(self):
         bound = quadrature._continuum_system.cache_info().maxsize

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.integrate import dblquad, quad as scipy_quad
 
 from polaron import CouplingSpec, DomainError, EpsilonSpec, ModelParams, QuadratureSpec
 from polaron import selfenergy as se
-from polaron.quadrature import grid_measure
+from polaron.quadrature import grid_measure, node_system
 
 
 def make_params(d=3, alpha=0.1, eps0=1.0, c0=0.5, width=1.0, amplitude=1.0):
@@ -256,3 +257,89 @@ class TestContraction:
         params = make_params()
         with pytest.raises(DomainError):
             se.contraction_bounds(params, np.zeros(3), 5.0)
+
+
+def make_modulated():
+    return ModelParams(
+        d=3,
+        alpha=0.1,
+        eps=EpsilonSpec.relativistic(1.0, 0.0),
+        coupling=CouplingSpec(kind="p-modulated", amplitude=0.9, width=1.1,
+                              p_width=1.3),
+        c0=0.5,
+    )
+
+
+class TestSquaredNorms:
+    RULES = [QuadratureSpec.discrete(grid_measure(3.0, 5, 3)),
+             QuadratureSpec.continuum(24, 9, r_max=6.0)]
+
+    @pytest.mark.parametrize("quad", RULES, ids=["lattice-5^3", "rule-24x9"])
+    def test_p_modulated_rows_kernel_and_direct_sum(self, quad):
+        params = make_modulated()
+        p = np.array([0.4, -0.2, 0.3])
+        xi = 0.6
+        tab = se.SelfEnergyTables(params, p, quad)
+        m_all, a_all, d_all = tab.m_values(xi), tab.a_values(xi), tab.d_matrix(xi)
+        S, w = tab.ns.full_points, tab.ns.full_weights
+        c = params.coupling.evaluate
+        rows = (0, 31, 62, tab.points.shape[0] - 1)
+        for i in rows:
+            # a one-row table on the same nodes is the row, bit for bit
+            q = tab.points[i]
+            row = se.SelfEnergyTables(params, p, tab.ns, q[None, :])
+            assert row.m_values(xi)[0] == m_all[i]
+            assert row.a_values(xi)[0] == a_all[i]
+            assert np.array_equal(row.d_matrix(xi)[0], d_all[i])
+            assert row.v_out[0] == tab.v_out[i]
+            # m from a direct node sum of c(p - q - q'; q')^2
+            diff = (p - q)[None, :] - S
+            e2 = 0.5 * np.sum(diff * diff, axis=-1) + params.eps(q) + params.eps(S)
+            direct = -params.alpha**2 * float(np.sum(c(diff, S) ** 2 * w / (e2 - xi)))
+            assert m_all[i] == pytest.approx(direct, rel=1e-13)
+            for j in (0, 7, S.shape[0] // 2, S.shape[0] - 1):
+                assert d_all[i, j] == pytest.approx(
+                    se.d2_leading(params, p, xi, q, S[j]), rel=1e-12)
+
+    def test_cancellation_when_p_minus_q_is_a_node(self):
+        # k = p - q equal to a node q' makes |k|^2 - 2 k.q' + |q'|^2 cancel
+        params = make_modulated()
+        quad = QuadratureSpec.continuum(24, 9, r_max=6.0)
+        nodes = node_system(quad, 3).full_points
+        q = np.array([0.25, -0.5, 0.125])
+        hits = 0
+        for n in range(0, nodes.shape[0], 37):
+            p = q + nodes[n]
+            if not np.array_equal(p - q, nodes[n]):
+                continue
+            hits += 1
+            row = se.SelfEnergyTables(params, p, quad, q[None, :])
+            diff = (p - q)[None, :] - nodes
+            direct = (0.5 * np.sum(diff * diff, axis=-1) + float(params.eps(q))
+                      + params.eps(nodes))
+            assert direct[n] == float(params.eps(q)) + float(params.eps(nodes[n]))
+            tol = 1e-14 * (1.0 + np.abs(row.e2[0]))
+            assert abs(row.e2[0, n] - direct[n]) <= tol[n]
+            assert np.all(np.abs(row.e2[0] - direct) <= tol)
+        assert hits >= 20
+
+    def test_bounded_memory_of_a_full_table(self):
+        # ROADMAP aim 3: the build keeps few (rows, Nf) arrays alive at once
+        params = replace(make_params(), eps=EpsilonSpec.relativistic(1.0, 0.0))
+        quad = QuadratureSpec.continuum(48, 15, r_max=6.0)
+        p = np.array([0.0, 0.3, 0.4])
+        se.SelfEnergyTables(params, p, quad)  # node system into the cache
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tab = se.SelfEnergyTables(params, p, quad)
+            build_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            tab.num_d
+            num_d_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert tab.e2.shape == (384, 6144)
+        assert build_peak <= 5 * tab.e2.nbytes
+        assert num_d_peak <= 2 * tab.e2.nbytes
