@@ -301,6 +301,22 @@ class TestSquaredNorms:
                 assert d_all[i, j] == pytest.approx(
                     se.d2_leading(params, p, xi, q, S[j]), rel=1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 3), n_rows=st.integers(2, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_do_not_depend_on_the_row_count(self, d, n_rows, seed):
+        # k.q' must not be a BLAS product, whose rounding may follow the shape
+        params = replace(make_modulated(), d=d)
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(-1.0, 1.0, d)
+        points = rng.uniform(-2.0, 2.0, (n_rows, d))
+        tab = se.SelfEnergyTables(params, p, QUAD, points)
+        for i in (0, n_rows - 1):
+            row = se.SelfEnergyTables(params, p, QUAD, points[i:i + 1])
+            assert np.array_equal(row.e2[0], tab.e2[i])
+            assert np.array_equal(row.num_m[0], tab.num_m[i])
+            assert np.array_equal(row.num_d[0], tab.num_d[i])
+
     def test_cancellation_when_p_minus_q_is_a_node(self):
         # k = p - q equal to a node q' makes |k|^2 - 2 k.q' + |q'|^2 cancel
         params = make_modulated()
