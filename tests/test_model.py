@@ -116,9 +116,11 @@ class TestCoupling:
         c = CouplingSpec(kind=kind, amplitude=amplitude, width=width,
                          p_width=p_width)
         p, q = np.array(p[:d]), np.array(q[:d])
-        p_sq, q_sq = float(p @ p), float(q @ q)
+        # the same squared norms as evaluate(): exp(-x) turns a one-ulp
+        # difference in x (p @ p against sum(p * p)) into |x| ulps of c
+        p_sq, q_sq = float(np.sum(p * p)), float(np.sum(q * q))
         value = c.evaluate(p, q)
-        assert value == c.from_sq(np.sum(p * p), np.sum(q * q))
+        assert value == c.from_sq(p_sq, q_sq)
         chi = math.exp(-p_sq / (2 * p_width**2)) if kind == "p-modulated" else 1.0
         expect = amplitude * math.exp(-q_sq / (2 * width**2)) * chi
         assert value == pytest.approx(expect, rel=1e-14, abs=1e-300)
