@@ -5,6 +5,7 @@ existence domain, the boundary merge, and the dispersion factorization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 CAP_MARGIN = 1e-6
+BOUNDARY_R_MAX = 8.0   # g0_boundary's scan gives up past this |p|
 
 
 @dataclass
@@ -139,15 +141,6 @@ def _cap_gap(params, p, kappa, quad, unit):
     return gap
 
 
-def _boundary_radius(gap, r_seed):
-    """Brent's root of gap outward from r_seed along its ray, or None when
-    r_seed is outside the domain."""
-    if not gap(r_seed) < 0.0:
-        return None
-    r_in, r_out = roots.expand(lambda r: gap(r) >= 0.0, 0.0, r_seed + 1.0, r_seed)
-    return roots.root(gap, r_in, r_out)
-
-
 def one_boson_domain(params: ModelParams, p, kappa: float, probes,
                      quad: QuadratureSpec, tol: float = 1e-10,
                      rays=None) -> DomainMap:
@@ -175,8 +168,9 @@ def one_boson_domain(params: ModelParams, p, kappa: float, probes,
         # seed at the point of the ray nearest the free minimizer; the
         # cosine from the chord is exactly 1 for a ray along the axis
         cos = 1.0 - 0.5 * float((unit - axis) @ (unit - axis))
-        radius = _boundary_radius(_cap_gap(params, p, kappa, quad, unit),
-                                  max(t_seed * cos, 1e-3))
+        seed = max(t_seed * cos, 1e-3)
+        gap = _cap_gap(params, p, kappa, quad, unit)
+        radius = roots.root_beyond(gap, seed, seed + 1.0) if gap(seed) < 0.0 else None
         boundary.append((unit, radius))
     return DomainMap(grid=probes, membership=membership, boundary=boundary,
                      kappa=kappa, points=points)
@@ -185,7 +179,8 @@ def one_boson_domain(params: ModelParams, p, kappa: float, probes,
 def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
             tol: float = 1e-10, delta_margin: float | None = None) -> float:
     """Bottom of the one-boson dispersion manifold: minimize the solved
-    xi_p(q) over on-axis q (radial models reduce to a scalar search)."""
+    xi_p(q) over on-axis q (radial models reduce to a scalar search),
+    between the domain's edges found outward from the free minimizer."""
     p = params._check_vec(p, "p")
     _check_cap(params, p, kappa, delta_margin)
     axis = axis_of(p)
@@ -195,11 +190,8 @@ def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
         raise DomainError(
             "one-boson domain is empty along the axis; raise kappa"
         )
-    hi = _boundary_radius(gap, max(t0, 1e-3))
-    if gap(-1e-3) < 0.0:
-        lo = -_boundary_radius(lambda r: gap(-r), 1e-3)
-    else:  # the domain stops short of q = 0: search from its inner edge
-        lo = 0.0 if gap(0.0) < 0.0 else roots.root(gap, 0.0, t0)
+    hi = roots.root_beyond(gap, t0, t0 + 1.0)
+    lo = roots.root_beyond(gap, t0, t0 - 1.0)
 
     def xi_at(t):
         bp = dispersion_point(params, p, t * axis, kappa, quad, tol,
@@ -212,6 +204,22 @@ def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
     if not res.success:
         raise NumericError(f"lambda1 minimization failed: {res.message}")
     return float(res.fun)
+
+
+def _ground_determinant(params, p, neumann_order, quad, tol, lam1):
+    """(F, hi) at p: F(xi) = Delta_xi(xi), counted, read from the tables at
+    p, and hi = lam1 - max(tol, 1e-9), the top of its search range.  F is
+    None when hi is not below the continuum edge of the operator at hi."""
+    tables = SelfEnergyTables(params, p, quad)
+    e0 = 0.5 * float(p @ p)
+
+    def operator(xi):
+        return FriedrichsSolver.from_tables(tables, xi, e0, neumann_order)
+
+    hi = lam1 - max(tol, 1e-9)
+    if hi >= operator(hi).edge()[0]:
+        return None, hi
+    return roots.Counted(lambda xi: operator(xi).delta(xi, neumann_order)), hi
 
 
 def ground_state(params: ModelParams, p, kappa: float, neumann_order: int,
@@ -234,23 +242,15 @@ def ground_state(params: ModelParams, p, kappa: float, neumann_order: int,
     _check_cap(params, p, kappa, delta_margin)
     if lam1 is None:
         lam1 = lambda1(params, p, kappa, quad, tol, delta_margin=delta_margin)
-    tables = SelfEnergyTables(params, p, quad)
-    e0 = 0.5 * float(p @ p)
-
-    def operator(xi):
-        return FriedrichsSolver.from_tables(tables, xi, e0, neumann_order)
-
-    f = roots.Counted(lambda xi: operator(xi).delta(xi, neumann_order))
-    hi = lam1 - max(tol, 1e-9)
-    if hi >= operator(hi).edge()[0]:
+    f, hi = _ground_determinant(params, p, neumann_order, quad, tol, lam1)
+    if f is None:
         return BranchPoint(q=p, xi=None, iterations=0, residual=math.inf,
                            status="none")
     f_hi = f(hi)
     if f_hi >= 0.0:
         return BranchPoint(q=p, xi=None, iterations=f.calls, residual=f_hi,
                            status="none")
-    _, lo = roots.expand(lambda xi: f(xi) > 0.0, hi, min(e0, hi) - 1.0)
-    root = roots.root(f, lo, hi)
+    root = roots.root_beyond(f, hi, min(0.5 * float(p @ p), hi) - 1.0)
     resid = abs(f(root))
     status = "converged" if resid <= tol * (1.0 + abs(root)) else "capped"
     return BranchPoint(q=p, xi=float(root), iterations=f.calls,
@@ -260,35 +260,42 @@ def ground_state(params: ModelParams, p, kappa: float, neumann_order: int,
 def g0_boundary(params: ModelParams, direction, quad: QuadratureSpec,
                 tol: float = 1e-10, deltas=(0.1, 0.03, 0.01),
                 kappa_mode: str = "fraction", kappa_value: float = 0.9,
-                neumann_order: int = 1, r_tol: float = 1e-10,
-                r_max: float = 8.0) -> BoundaryResult:
+                neumann_order: int = 1) -> BoundaryResult:
     """Boundary of the ground-branch existence domain along a ray, plus
-    the gap ladder lambda1 - xi0 at distances delta inside the boundary."""
+    the gap ladder lambda1 - xi0 at distances delta inside the boundary.
+
+    The ground state exists at p = r u where F_r(hi) < 0, with F and hi of
+    `ground_state` (+inf when hi is not below the edge).  r steps by 1 from
+    0 up to BOUNDARY_R_MAX; r* is Brent's root of F_r(hi) inside the first
+    failing step, which need not be the first exit from the existence set
+    when that set is not an interval along the ray."""
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
 
-    def solve_at(r):
+    def setup(r):
         p = r * direction
         kappa = kappa_from_rule(params, p, kappa_mode, kappa_value)
-        lam1 = lambda1(params, p, kappa, quad, tol)
-        bp = ground_state(params, p, kappa, neumann_order, quad, tol, lam1=lam1)
-        return lam1, bp
+        return p, kappa, lambda1(params, p, kappa, quad, tol)
 
-    def converged(r):
-        return solve_at(r)[1].status == "converged"
+    @functools.cache
+    def f_top(r):
+        p, _, lam1 = setup(r)
+        f, hi = _ground_determinant(params, p, neumann_order, quad, tol, lam1)
+        return math.inf if f is None else f(hi)
 
-    if not converged(0.0):
+    if not f_top(0.0) < 0.0:
         raise DomainError("no ground state at p=0; boundary scan undefined")
     r_in, r_out = 0.0, 1.0
-    while converged(r_out):
+    while f_top(r_out) < 0.0:
         r_in, r_out = r_out, r_out + 1.0
-        if r_in >= r_max:
+        if r_in >= BOUNDARY_R_MAX:
             return BoundaryResult(direction=direction, r_star=None, ladder=[],
                                   status="inconclusive")
-    r_star = roots.bisect(converged, r_in, r_out, r_tol)
+    r_star = roots.root(f_top, r_in, r_out)
     ladder = []
     for dlt in deltas:
-        lam1, bp = solve_at(r_star - dlt)
+        p, kappa, lam1 = setup(r_star - dlt)
+        bp = ground_state(params, p, kappa, neumann_order, quad, tol, lam1=lam1)
         if bp.status != "converged":
             raise NumericError(f"ground state lost at delta={dlt} inside the boundary")
         ladder.append((float(dlt), float(lam1 - bp.xi)))

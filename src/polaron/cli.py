@@ -116,7 +116,7 @@ def cmd_ground_scan(cfg: RunConfig, out_dir: Path) -> int:
     boundary = branches.g0_boundary(
         cfg.params, cfg.direction(), cfg.quad, tol,
         deltas=cfg.run["delta_ladder"], kappa_mode=cfg.run["kappa_mode"],
-        kappa_value=cfg.run["kappa"], neumann_order=order, r_tol=1e-8,
+        kappa_value=cfg.run["kappa"], neumann_order=order,
     )
     record["g0_boundary"] = {
         "r_star": boundary.r_star,

@@ -170,9 +170,7 @@ class FriedrichsSolver:
         z_edge = self.edge()[0] - EDGE_MARGIN
         if det(z_edge) >= 0.0:
             return None
-        _, lo = roots.expand(lambda z: det(z) > 0.0, z_edge,
-                             min(self.e0 - 1.0, z_edge - 1.0))
-        root = roots.root(det, lo, z_edge)
+        root = roots.root_beyond(det, z_edge, min(self.e0 - 1.0, z_edge - 1.0))
         resid = abs(det(root))
         if resid > tol * (1.0 + abs(root)):
             raise NumericError(
@@ -242,10 +240,9 @@ class FriedrichsSolver:
 
         r_lo = max(t_bar, 0.0)
         try:
-            _, r_hi = roots.expand(lambda t: a_at(t) > x, r_lo, r_lo + 1.0)
+            r = roots.root_beyond(lambda t: a_at(t) - x, r_lo, r_lo + 1.0)
         except NumericError as exc:
             raise DomainError(f"level a(r)=x={x} not reached within the search range") from exc
-        r = roots.root(lambda t: a_at(t) - x, r_lo, r_hi)
         step = 1e-7 * (1.0 + abs(r))
         aprime = a_at(r + step) - a_at(max(r - step, 0.0))
         aprime /= (r + step - max(r - step, 0.0))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,6 +48,12 @@ class DiscreteMeasure:
 
     def total_weight(self) -> float:
         return self.weight * self.points.shape[0]
+
+    @cached_property
+    def node_system(self) -> NodeSystem:
+        """The lattice as a node system, built on first use."""
+        w = np.full(self.points.shape[0], self.weight)
+        return NodeSystem(self.points, w, self.points, w, np.arange(w.shape[0]))
 
 
 def grid_measure(half_width: float, points_per_axis: int, d: int) -> DiscreteMeasure:
@@ -123,7 +129,8 @@ class NodeSystem:
     For a d=3 continuum rule with an axis, evaluation points collapse to
     the (r, cos theta) half-plane grid: out_index maps every full node to
     its reduced representative, and out_weights carry the summed azimuthal
-    weight.  In every other case the two sets coincide.
+    weight.  In every other case the two sets coincide.  The arrays, those
+    passed in among them, are made read-only, so that a system can be shared.
     """
 
     full_points: np.ndarray   # (Nf, d)
@@ -135,6 +142,8 @@ class NodeSystem:
 
     def __post_init__(self):
         self.full_sq = np.sum(self.full_points * self.full_points, axis=-1)
+        for arr in vars(self).values():
+            arr.flags.writeable = False
 
 
 def axis_of(p) -> np.ndarray:
@@ -163,16 +172,14 @@ def node_system(spec: QuadratureSpec, d: int, axis=None) -> NodeSystem:
 
     axis (d=3 continuum only): unit direction of axial symmetry; enables
     the azimuthal reduction of the evaluation set.  Continuum systems are
-    shared from one bounded cache (keyed by the rule, d and the d=3 axis)
-    and their arrays are read-only.
+    shared from one bounded cache (keyed by the rule, d and the d=3 axis),
+    a lattice's is built once per measure, and their arrays are read-only.
     """
     if spec.is_discrete:
         m = spec.measure
         if m.d != d:
             raise InputError(f"measure dimension {m.d} != requested dimension {d}")
-        w = np.full(m.points.shape[0], m.weight)
-        idx = np.arange(m.points.shape[0])
-        return NodeSystem(m.points, w, m.points, w, idx)
+        return m.node_system
 
     if d not in (1, 2, 3):
         raise InputError("continuum quadrature supports d in {1, 2, 3}")
@@ -183,11 +190,8 @@ def node_system(spec: QuadratureSpec, d: int, axis=None) -> NodeSystem:
 
 @lru_cache(maxsize=16)
 def _continuum_system(n_radial, angular_degree, r_max, d, axis) -> NodeSystem:
-    ns = _build_continuum(QuadratureSpec.continuum(n_radial, angular_degree, r_max),
-                          d, axis)
-    for arr in vars(ns).values():
-        arr.flags.writeable = False
-    return ns
+    return _build_continuum(QuadratureSpec.continuum(n_radial, angular_degree, r_max),
+                            d, axis)
 
 
 def _build_continuum(spec, d, axis):

@@ -1,6 +1,7 @@
 """One-dimensional searches shared by the branch and Friedrichs solvers:
-outward bracketing, predicate bisection, Brent's root at the package's
-fixed tolerances, monotone Newton and a grid-then-refine line minimum."""
+Brent's root at the package's fixed tolerances, on a given bracket or
+outward from a point by doubling steps, monotone Newton and a
+grid-then-refine line minimum."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .errors import NumericError
 
-__all__ = ["Counted", "expand", "bisect", "root", "monotone_newton", "line_min"]
+__all__ = ["Counted", "root", "root_beyond", "monotone_newton", "line_min"]
 
 XTOL = 1e-14
 RTOL = 4 * np.finfo(float).eps
@@ -28,29 +29,6 @@ class Counted:
         return self.f(x)
 
 
-def expand(is_out, anchor: float, x: float, inside=None):
-    """Step x away from anchor, doubling its distance each time, until
-    is_out(x).  Returns (inside, outside): the last point stepped from
-    (`inside` before the first step) and the first point that is out."""
-    for _ in range(_MAX_STEPS):
-        if is_out(x):
-            return inside, x
-        inside, x = x, anchor + 2.0 * (x - anchor)
-    raise NumericError(f"no bracket found in {_MAX_STEPS} doublings away from {anchor}")
-
-
-def bisect(holds, a: float, b: float, xtol: float) -> float:
-    """Bisect [a, b], where holds(a) is true and holds(b) false, until the
-    width is at most xtol; returns the midpoint."""
-    while abs(b - a) > xtol:
-        mid = 0.5 * (a + b)
-        if holds(mid):
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def root(f, a: float, b: float) -> float:
     """Brent's root of f on a sign-changing bracket [a, b]."""
     # brentq's wrapper of f refers to itself, so it lives until the cyclic
@@ -61,6 +39,18 @@ def root(f, a: float, b: float) -> float:
         return brentq(lambda x: held[0](x), a, b, xtol=XTOL, rtol=RTOL)
     finally:
         held.clear()
+
+
+def root_beyond(f, x0: float, x1: float) -> float:
+    """Brent's root of f outward from x0, where f(x0) < 0: f is sampled at
+    x0 + 2^k (x1 - x0), k = 0, 1, ..., until f >= 0, and the root is taken
+    between that sample and the one before it (x0 before the first)."""
+    inside, x = x0, x1
+    for _ in range(_MAX_STEPS):
+        if f(x) >= 0.0:
+            return root(f, inside, x)
+        inside, x = x, x0 + 2.0 * (x - x0)
+    raise NumericError(f"no sign change found in {_MAX_STEPS} doublings away from {x0}")
 
 
 def monotone_newton(fg, x: float, tol: float):

@@ -230,7 +230,7 @@ def test_criterion_09_boundary_merge():
     with Budget(9, 120, "gap ladder decreasing; free closed form to 1e-8"):
         params = make_params(alpha=0.0)
         res = br.g0_boundary(params, np.array([1.0, 0.0, 0.0]), QUAD, 1e-10,
-                             deltas=(0.1, 0.03, 0.01), r_tol=1e-10)
+                             deltas=(0.1, 0.03, 0.01))
         assert res.status == "converged"
         gaps = [gap for _, gap in res.ladder]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))

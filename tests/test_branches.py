@@ -372,9 +372,11 @@ class TestGround:
         # distance delta inside is sqrt(2) delta - delta^2 / 2
         params = make_params(alpha=0.0)
         res = br.g0_boundary(params, np.array([1.0, 0.0, 0.0]), QUAD,
-                             1e-10, deltas=(0.1, 0.03), r_tol=1e-9)
+                             1e-10, deltas=(0.1, 0.03))
         assert res.status == "converged"
         assert res.r_star == pytest.approx(math.sqrt(2.0), abs=1e-7)
+        # the sign change of F_r(hi) = r^2 / 2 - (1 - 1e-9)
+        assert res.r_star == pytest.approx(math.sqrt(2.0 * (1.0 - 1e-9)), abs=1e-13)
         for dlt, gap in res.ladder:
             assert gap == pytest.approx(math.sqrt(2.0) * dlt - 0.5 * dlt * dlt,
                                         abs=1e-7)
@@ -414,6 +416,33 @@ class TestGroundProperties:
             bp = br.ground_state(params, p, kappa, order, QUAD, 1e-10, lam1=lam1)
             assert bp.status == "converged"
             assert bp.xi < lam1
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.sampled_from([1, 3]), p=st.lists(coords, min_size=3, max_size=3),
+           alpha=st.floats(0.0, 0.12), order=st.integers(0, 2),
+           relativistic=st.booleans())
+    def test_random_points(self, d, p, alpha, order, relativistic):
+        # F decreases on ground_state's first search range below hi, and
+        # the solved xi0 < lambda1 <= kappa
+        eps = EpsilonSpec.relativistic(1.0, 0.5) if relativistic else None
+        params = make_params(d=d, alpha=alpha, eps=eps)
+        p = np.array(p[:d])
+        kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+        lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
+        assert lam1 <= kappa
+        tables = se.SelfEnergyTables(params, p, QUAD)
+        e0 = 0.5 * float(p @ p)
+        hi = lam1 - 1e-9
+
+        def f(xi):
+            return FriedrichsSolver.from_tables(tables, xi, e0, order).delta(xi, order)
+
+        values = [f(xi) for xi in np.linspace(min(e0, hi) - 1.0, hi, 41)]
+        assert all(b < a for a, b in zip(values, values[1:]))
+        bp = br.ground_state(params, p, kappa, order, QUAD, 1e-10, lam1=lam1)
+        assert bp.status == "converged"
+        assert bp.xi < lam1
 
 
 class TestIterations:

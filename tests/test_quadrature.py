@@ -145,8 +145,24 @@ class TestNodeCache:
             node_system(self.SPEC, 3, axis=axis / np.linalg.norm(axis))
         assert quadrature._continuum_system.cache_info().currsize == bound
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_lattice_system_is_built_once_and_exact(self, d):
+        m = grid_measure(2.0, 5, d)
+        ns = node_system(QuadratureSpec.discrete(m), d)
+        assert node_system(QuadratureSpec.discrete(m), d) is ns
+        w = np.full(m.points.shape[0], m.weight)
+        fresh = quadrature.NodeSystem(m.points, w, m.points, w, np.arange(w.shape[0]))
+        for cached, built in zip(self.fields(ns), self.fields(fresh)):
+            assert cached.dtype == built.dtype
+            assert np.array_equal(cached, built)
+            assert cached.tobytes() == built.tobytes()
+        for arr in self.fields(ns):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
     def test_lattice_rules_reuse_the_measure(self):
-        # lattice rules bypass the cache: their points are the measure's
+        # lattice rules bypass the continuum cache: their points are the
+        # measure's
         before = quadrature._continuum_system.cache_info()
         m = grid_measure(2.0, 3, 3)
         ns = node_system(QuadratureSpec.discrete(m), 3)

@@ -4,44 +4,58 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polaron import NumericError
 from polaron import roots
 
 
-class TestExpand:
-    def test_doubles_distance_from_anchor(self):
+class TestRootBeyond:
+    def test_doubles_distance_from_x0(self):
         seen = []
 
-        def is_out(x):
+        def f(x):
             seen.append(x)
-            return x <= -7.0
+            return -6.0 - x
 
-        assert roots.expand(is_out, 1.0, 0.0) == (-3.0, -7.0)
-        assert seen == [0.0, -1.0, -3.0, -7.0]
+        assert roots.root_beyond(f, 1.0, 0.0) == pytest.approx(-6.0, abs=1e-14)
+        # samples at x0 + 2^k (x1 - x0) until f >= 0, then Brent's root
+        # between the last two samples
+        assert seen[:4] == [0.0, -1.0, -3.0, -7.0]
+        assert all(-7.0 <= x <= -3.0 for x in seen[4:])
 
     def test_bracketing_failure_raises(self):
         with pytest.raises(NumericError):
-            roots.expand(lambda x: False, 0.0, 1.0)
+            roots.root_beyond(lambda x: -1.0, 0.0, 1.0)
 
-
-class TestBisect:
-    @pytest.mark.parametrize("xtol", [1e-9, 1e-12])
-    def test_width_meets_tolerance(self, xtol):
+    def test_root_meets_tolerance(self):
         c = 1000.0 / 3.0
         calls = []
 
-        def holds(x):
+        def f(x):
             calls.append(x)
-            return x < c
+            return x - c
 
-        mid = roots.bisect(holds, 0.0, 1000.0, xtol)
-        # each call halves the bracket, which keeps c inside
-        width = 1000.0 / 2 ** len(calls)
-        assert width <= xtol
-        assert abs(mid - c) <= 0.5 * width
-        # and it stops at the first width that meets the tolerance
-        assert 2.0 * width > xtol
+        x = roots.root_beyond(f, 0.0, 1000.0)
+        # the first sample brackets the root, and Brent stays inside
+        assert calls[0] == 1000.0
+        assert all(0.0 <= t <= 1000.0 for t in calls)
+        assert abs(x - c) <= roots.XTOL + roots.RTOL * c
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(-10.0, 10.0), offset=st.floats(1e-6, 100.0),
+           step=st.floats(1e-6, 10.0), b=st.floats(0.0, 1.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_root_of_random_monotone_f(self, c, offset, step, b, sign):
+        # f = sign (g(x) - g(c)) with g(x) = x + b x^3, factored so that
+        # f(c) = 0 exactly; f increases in the step direction from x0
+        def f(x):
+            return sign * (x - c) * (1.0 + b * (x * x + x * c + c * c))
+
+        x0 = c - sign * offset
+        x = roots.root_beyond(f, x0, x0 + sign * step)
+        assert abs(x - c) <= 1e-12 * (1.0 + abs(c))
 
 
 class TestRoot:
