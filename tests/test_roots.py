@@ -58,6 +58,26 @@ class TestRootBeyond:
         assert abs(x - c) <= 1e-12 * (1.0 + abs(c))
 
 
+class TestBisect:
+    @pytest.mark.parametrize("xtol", [1e-9, 1e-12])
+    def test_width_meets_tolerance(self, xtol):
+        # a predicate's sign change is a jump, not a smooth root: Brent's
+        # bisection steps must still close the bracket on it to xtol
+        c = 1000.0 / 3.0
+        calls = []
+
+        def holds(x):
+            calls.append(x)
+            return x < c
+
+        x = roots.root(lambda t: -1.0 if holds(t) else 1.0, 0.0, 1000.0)
+        assert all(0.0 <= t <= 1000.0 for t in calls)
+        assert abs(x - c) <= xtol
+        # at most one Brent step per halving of the bracket, and one more
+        # interpolation step between halvings
+        assert len(calls) <= 2 * math.ceil(math.log2(1000.0 / roots.XTOL)) + 2
+
+
 class TestRoot:
     def test_fixed_tolerance(self):
         assert roots.root(math.cos, 0.0, 3.0) == pytest.approx(0.5 * math.pi, abs=1e-14)
