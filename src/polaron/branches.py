@@ -34,7 +34,6 @@ __all__ = [
     "gamma_factor",
 ]
 
-CAP_MARGIN = 1e-6
 BOUNDARY_R_MAX = 8.0   # g0_boundary's scan gives up past this |p|
 
 
@@ -58,7 +57,7 @@ class DomainMap:
     membership: np.ndarray    # (N,) bool
     boundary: list            # [(direction, radius)]
     kappa: float | None
-    points: list = field(default_factory=list)  # BranchPoints for members
+    points: list = field(default_factory=list)  # one BranchPoint per probe
 
 
 @dataclass
@@ -145,18 +144,15 @@ def one_boson_domain(params: ModelParams, p, kappa: float, probes,
                      quad: QuadratureSpec, tol: float = 1e-10,
                      rays=None) -> DomainMap:
     """Membership map of the one-boson domain over the probe momenta,
-    with solved branch points for members and boundary radii along the
-    requested rays, each a Brent root of a_p(kappa; r u) - kappa."""
+    with the solved branch point at each probe, in probe order, and
+    boundary radii along the requested rays, each a Brent root of
+    a_p(kappa; r u) - kappa."""
     p = params._check_vec(p, "p")
     _check_cap(params, p, kappa)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    membership = np.zeros(probes.shape[0], dtype=bool)
-    points = []
-    for i, q in enumerate(probes):
-        bp = dispersion_point(params, p, q, kappa, quad, tol, check_cap=False)
-        membership[i] = bp.status != "none"
-        if membership[i]:
-            points.append(bp)
+    points = [dispersion_point(params, p, q, kappa, quad, tol, check_cap=False)
+              for q in probes]
+    membership = np.array([bp.status != "none" for bp in points], dtype=bool)
     axis = axis_of(p)
     if rays is None:
         rays = [axis, -axis]
@@ -209,15 +205,16 @@ def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
 def _ground_determinant(params, p, neumann_order, quad, tol, lam1):
     """(F, hi) at p: F(xi) = Delta_xi(xi), counted, read from the tables at
     p, and hi = lam1 - max(tol, 1e-9), the top of its search range.  F is
-    None when hi is not below the continuum edge of the operator at hi."""
+    None when hi is not below the continuum edge of the operator at hi,
+    which is built at order 0: the edge does not read the kernel matrix."""
     tables = SelfEnergyTables(params, p, quad)
     e0 = 0.5 * float(p @ p)
 
-    def operator(xi):
-        return FriedrichsSolver.from_tables(tables, xi, e0, neumann_order)
+    def operator(xi, order=neumann_order):
+        return FriedrichsSolver.from_tables(tables, xi, e0, order)
 
     hi = lam1 - max(tol, 1e-9)
-    if hi >= operator(hi).edge()[0]:
+    if hi >= operator(hi, 0).edge()[0]:
         return None, hi
     return roots.Counted(lambda xi: operator(xi).delta(xi, neumann_order)), hi
 

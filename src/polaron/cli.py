@@ -15,7 +15,6 @@ import numpy as np
 from . import branches, model, oracle, selfenergy
 from .config import RunConfig, load_config
 from .errors import InputError, PolaronError
-from .quadrature import QuadratureSpec
 
 __all__ = ["main"]
 
@@ -52,6 +51,36 @@ def _kappa_at(cfg: RunConfig, p_vec):
     return branches.kappa_from_rule(
         cfg.params, p_vec, cfg.run["kappa_mode"], cfg.run["kappa"]
     )
+
+
+def _cap_columns(cfg: RunConfig, p, kappa) -> dict:
+    """The columns of every row solved below a cap: alpha, kappa, the
+    two-boson proxy at the row's momentum p, and tol."""
+    return {"alpha": cfg.params.alpha, "kappa": kappa,
+            "lambda2_proxy": selfenergy.lambda2_proxy_value(cfg.params, p),
+            "tol": cfg.run["tol"]}
+
+
+def _ground_at(cfg: RunConfig, pmag):
+    """(cap columns, lambda1, ground BranchPoint) at |p| = pmag: kappa by
+    the run's rule, then lambda1 below it, then the ground state."""
+    p = cfg.vector(pmag)
+    kappa = _kappa_at(cfg, p)
+    cap = _cap_columns(cfg, p, kappa)
+    lam1 = branches.lambda1(cfg.params, p, kappa, cfg.quad, cfg.run["tol"])
+    bp = branches.ground_state(cfg.params, p, kappa, cfg.run["neumann_order"],
+                               cfg.quad, cfg.run["tol"], lam1=lam1)
+    return cap, lam1, bp
+
+
+def _g1_points(cfg: RunConfig, p, kappa, rays=None):
+    """([(q, BranchPoint)] over the q grid, boundary along the rays) of the
+    one-boson domain at p below the cap kappa: one `one_boson_domain` call."""
+    grid = [float(q) for q in _q_grid(cfg)]
+    probes = np.reshape([cfg.vector(q) for q in grid], (-1, cfg.params.d))
+    dmap = branches.one_boson_domain(cfg.params, p, kappa, probes, cfg.quad,
+                                     cfg.run["tol"], rays=rays)
+    return list(zip(grid, dmap.points)), dmap.boundary
 
 
 def _base_record(cfg: RunConfig):
@@ -95,28 +124,17 @@ def cmd_thresholds(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_ground_scan(cfg: RunConfig, out_dir: Path) -> int:
-    tol = cfg.run["tol"]
-    order = cfg.run["neumann_order"]
-
     def one(pmag):
-        p = cfg.vector(pmag)
-        kappa = _kappa_at(cfg, p)
-        proxy = selfenergy.lambda2_proxy_value(cfg.params, p)
-        lam1 = branches.lambda1(cfg.params, p, kappa, cfg.quad, tol)
-        bp = branches.ground_state(cfg.params, p, kappa, order, cfg.quad,
-                                   tol, lam1=lam1)
-        return {
-            "p": float(pmag), "alpha": cfg.params.alpha, "kappa": kappa,
-            "lambda2_proxy": proxy, "lambda1": lam1, "xi0": bp.xi,
-            "residual": bp.residual, "status": bp.status, "tol": tol,
-        }
+        cap, lam1, bp = _ground_at(cfg, pmag)
+        return {"p": float(pmag), **cap, "lambda1": lam1, "xi0": bp.xi,
+                "residual": bp.residual, "status": bp.status}
 
     rows = [one(x) for x in cfg.run["p_values"]]
     record = _base_record(cfg)
     boundary = branches.g0_boundary(
-        cfg.params, cfg.direction(), cfg.quad, tol,
+        cfg.params, cfg.direction(), cfg.quad, cfg.run["tol"],
         deltas=cfg.run["delta_ladder"], kappa_mode=cfg.run["kappa_mode"],
-        kappa_value=cfg.run["kappa"], neumann_order=order,
+        kappa_value=cfg.run["kappa"], neumann_order=cfg.run["neumann_order"],
     )
     record["g0_boundary"] = {
         "r_star": boundary.r_star,
@@ -138,29 +156,19 @@ def _q_grid(cfg: RunConfig):
 
 
 def cmd_dispersion_scan(cfg: RunConfig, out_dir: Path) -> int:
-    tol = cfg.run["tol"]
     p = cfg.vector(cfg.run["p"])
     kappa = _kappa_at(cfg, p)
-    proxy = selfenergy.lambda2_proxy_value(cfg.params, p)
-
-    def one(qmag):
-        bp = branches.dispersion_point(cfg.params, p, cfg.vector(qmag),
-                                       kappa, cfg.quad, tol)
-        return {
-            "p": cfg.run["p"], "q": float(qmag), "xi": bp.xi,
-            "member": bp.status != "none", "residual": bp.residual,
-            "status": bp.status, "alpha": cfg.params.alpha, "kappa": kappa,
-            "lambda2_proxy": proxy, "tol": tol,
-        }
-
-    rows = [one(x) for x in _q_grid(cfg)]
+    cap = _cap_columns(cfg, p, kappa)
+    points, boundary = _g1_points(cfg, p, kappa)
+    rows = [
+        {"p": cfg.run["p"], "q": q, "xi": bp.xi, "member": bp.status != "none",
+         "residual": bp.residual, "status": bp.status, **cap}
+        for q, bp in points
+    ]
     record = _base_record(cfg)
-    dmap = branches.one_boson_domain(
-        cfg.params, p, kappa, np.zeros((1, cfg.params.d)), cfg.quad, tol,
-    )
     record["boundary"] = [
         {"direction": list(map(float, ray)), "radius": radius}
-        for ray, radius in dmap.boundary
+        for ray, radius in boundary
     ]
     cols = ["p", "q", "xi", "member", "residual", "status", "alpha", "kappa",
             "lambda2_proxy", "tol"]
@@ -169,32 +177,20 @@ def cmd_dispersion_scan(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_domain_map(cfg: RunConfig, out_dir: Path) -> int:
-    tol = cfg.run["tol"]
-    order = cfg.run["neumann_order"]
     p_fixed = cfg.vector(cfg.run["p"])
     kappa = _kappa_at(cfg, p_fixed)
-    proxy = selfenergy.lambda2_proxy_value(cfg.params, p_fixed)
+    g1_cap = _cap_columns(cfg, p_fixed, kappa)
 
     def g0_row(pmag):
-        p = cfg.vector(pmag)
-        kp = _kappa_at(cfg, p)
-        bp = branches.ground_state(cfg.params, p, kp, order, cfg.quad, tol)
+        cap, _, bp = _ground_at(cfg, pmag)
         return {"domain": "G0", "coordinate": float(pmag),
-                "member": bp.status == "converged", "alpha": cfg.params.alpha,
-                "kappa": kp,
-                "lambda2_proxy": selfenergy.lambda2_proxy_value(cfg.params, p),
-                "status": bp.status, "tol": tol}
-
-    def g1_row(qmag):
-        bp = branches.dispersion_point(cfg.params, p_fixed, cfg.vector(qmag),
-                                       kappa, cfg.quad, tol)
-        return {"domain": "G1", "coordinate": float(qmag),
-                "member": bp.status != "none", "alpha": cfg.params.alpha,
-                "kappa": kappa, "lambda2_proxy": proxy, "status": bp.status,
-                "tol": tol}
+                "member": bp.status == "converged", **cap, "status": bp.status}
 
     rows = [g0_row(x) for x in cfg.run["p_values"]]
-    rows += [g1_row(x) for x in _q_grid(cfg)]
+    # an empty q grid makes no G1 call, so its cap is not checked
+    g1 = _g1_points(cfg, p_fixed, kappa, rays=[])[0] if _q_grid(cfg) else []
+    rows += [{"domain": "G1", "coordinate": q, "member": bp.status != "none",
+              **g1_cap, "status": bp.status} for q, bp in g1]
     cols = ["domain", "coordinate", "member", "alpha", "kappa",
             "lambda2_proxy", "status", "tol"]
     _write_outputs(out_dir, "domain-map", cols, rows, _base_record(cfg))
@@ -202,24 +198,16 @@ def cmd_domain_map(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_gamma(cfg: RunConfig, out_dir: Path) -> int:
-    tol = cfg.run["tol"]
-    order = cfg.run["neumann_order"]
-    q0 = np.zeros(cfg.params.d)
-
     def one(kmag):
         p = cfg.vector(kmag)
-        kappa = _kappa_at(cfg, p)
-        proxy = selfenergy.lambda2_proxy_value(cfg.params, p)
-        res = branches.gamma_factor(cfg.params, p, q0, kappa, cfg.quad, tol)
-        gs = branches.ground_state(cfg.params, p, kappa, order, cfg.quad, tol)
+        res = branches.gamma_factor(cfg.params, p, np.zeros(cfg.params.d),
+                                    _kappa_at(cfg, p), cfg.quad, cfg.run["tol"])
+        cap, _, gs = _ground_at(cfg, kmag)
         return {
             "k": float(kmag), "gamma": res.gamma, "residual": res.residual,
-            "xi0": gs.xi, "ground_status": gs.status,
-            "alpha": cfg.params.alpha, "kappa": kappa,
-            "lambda2_proxy": proxy,
+            "xi0": gs.xi, "ground_status": gs.status, **cap,
             # the second pair of the factorization check left the domain
             "status": "converged" if res.residual is not None else "no-residual",
-            "tol": tol,
         }
 
     rows = [one(x) for x in cfg.run["p_values"]]
@@ -234,14 +222,14 @@ def cmd_alpha0(cfg: RunConfig, out_dir: Path) -> int:
     rows = []
     for frac in cfg.run["kappa_fractions"]:
         kappa = branches.kappa_from_rule(cfg.params, p, "fraction", frac)
-        rep = selfenergy.contraction_bounds(cfg.params, p, kappa)
+        cap = _cap_columns(cfg, p, kappa)
+        rep = selfenergy.contraction_bounds(cfg.params, p, kappa,
+                                            lam2=cap["lambda2_proxy"])
         rows.append({
-            "kappa_fraction": float(frac), "kappa": kappa,
-            "bound_Q": rep.bound_Q, "bound_Gamma": rep.bound_Gamma,
-            "alpha0_Q": rep.alpha0_Q, "alpha0_Gamma": rep.alpha0_Gamma,
-            "h_norm": rep.h_norm, "lambda2_proxy": rep.lam2,
-            "alpha": cfg.params.alpha, "status": "converged",
-            "tol": cfg.run["tol"],
+            "kappa_fraction": float(frac), "bound_Q": rep.bound_Q,
+            "bound_Gamma": rep.bound_Gamma, "alpha0_Q": rep.alpha0_Q,
+            "alpha0_Gamma": rep.alpha0_Gamma, "h_norm": rep.h_norm, **cap,
+            "status": "converged",
         })
     cols = ["kappa_fraction", "kappa", "bound_Q", "bound_Gamma", "alpha0_Q",
             "alpha0_Gamma", "h_norm", "lambda2_proxy", "alpha", "status", "tol"]
@@ -258,17 +246,16 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
     tol = cfg.run["tol"]
     p = cfg.vector(cfg.run["p"])
     kappa = _kappa_at(cfg, p)
-    proxy = selfenergy.lambda2_proxy_value(cfg.params, p)
+    cap = _cap_columns(cfg, p, kappa)
     comparison = oracle.compare_ground(
         cfg.params, p, cfg.measure, cfg.run["kappa"], cfg.run["alpha_ladder"],
         neumann_order=cfg.run["neumann_order"], n_max=cfg.run["n_max"],
         tol=tol,
     )
     rows = [
-        {"kind": "ground", "alpha": r.alpha, "q": cfg.run["p"],
-         "oracle": r.oracle_e0, "solver": r.solver_xi0, "diff": r.diff,
-         "diff_scaled": r.diff_scaled, "kappa": r.kappa,
-         "lambda2_proxy": proxy, "status": "converged", "tol": tol}
+        {"kind": "ground", **cap, "alpha": r.alpha, "kappa": r.kappa,
+         "q": cfg.run["p"], "oracle": r.oracle_e0, "solver": r.solver_xi0,
+         "diff": r.diff, "diff_scaled": r.diff_scaled, "status": "converged"}
         for r in comparison.rows
     ]
     for qmag in cfg.run["oracle_q"]:
@@ -281,12 +268,10 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
             n_max=cfg.run["n_max"], tol=tol,
         )
         rows.append({
-            "kind": "dispersion", "alpha": cfg.params.alpha,
-            "q": float(np.linalg.norm(q_snap)),
+            "kind": "dispersion", "q": float(np.linalg.norm(q_snap)),
             "oracle": comp.nearest_eigenvalue, "solver": comp.solver_xi,
-            "diff": comp.gap, "diff_scaled": None, "kappa": kappa,
-            "lambda2_proxy": proxy,
-            "status": "matched" if comp.matched else "mismatch", "tol": tol,
+            "diff": comp.gap, "diff_scaled": None, **cap,
+            "status": "matched" if comp.matched else "mismatch",
         })
     cols = ["kind", "alpha", "q", "oracle", "solver", "diff",
             "diff_scaled", "kappa", "lambda2_proxy", "status", "tol"]

@@ -135,19 +135,19 @@ def load_config(path) -> RunConfig:
     )
 
     qsec = cp["quadrature"] if "quadrature" in cp else {}
-    r_max = _get(qsec, "rmax", float, None) if qsec else None
+    r_max = _get(qsec, "rmax", float, None)
     if r_max is None:
         r_max = max(coupling.decay_radius(), 4.0)
     quad = QuadratureSpec.continuum(
-        n_radial=_get(qsec, "radial-nodes", int, 64) if qsec else 64,
-        angular_degree=_get(qsec, "angular-degree", int, 17) if qsec else 17,
+        n_radial=_get(qsec, "radial-nodes", int, 64),
+        angular_degree=_get(qsec, "angular-degree", int, 17),
         r_max=r_max,
     )
 
     gsec = cp["grid"] if "grid" in cp else {}
     measure = grid_measure(
-        _get(gsec, "lambda", float, 3.0) if gsec else 3.0,
-        _get(gsec, "points-per-axis", int, 5) if gsec else 5,
+        _get(gsec, "lambda", float, 3.0),
+        _get(gsec, "points-per-axis", int, 5),
         params.d,
     )
 

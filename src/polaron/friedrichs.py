@@ -24,6 +24,9 @@ __all__ = [
 
 EDGE_MARGIN = 1e-9     # stand-off of the eigenvalue search from the continuum edge
 _EDGE_SPAN = 10.0      # half-width of the 81-point on-axis edge grid beyond |p|
+NORM_PROBES = (0.0, 0.5, 1.0, 1.5, 2.0)  # on-axis |q| of the kernel norm sample
+GRAD_MARGIN = 1e-10    # least |a'| at the level set of im_delta_edge
+MIN_STEP = 1e-4        # second-difference step of check_minimum
 
 
 @dataclass
@@ -89,16 +92,12 @@ class FriedrichsSolver:
 
     @classmethod
     def from_functions(cls, e0, alpha, v, a, quad: QuadratureSpec, d: int,
-                       dker=None, axis=None) -> "FriedrichsSolver":
+                       dker=None) -> "FriedrichsSolver":
         """Sample v and a, callable on (N, d) point arrays, and the kernel
         dker (P (N, d), Q (M, d)) -> (N, M) on the node system of the rule.
-        axis (default: the last coordinate axis) is the axis of symmetry
-        of v, a and dker, about which a d=3 continuum rule is reduced."""
-        if axis is None:
-            axis = np.zeros(d)
-            axis[-1] = 1.0
-        axis = np.asarray(axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
+        The last coordinate axis is the axis of symmetry of v, a and dker,
+        about which a d=3 continuum rule is reduced."""
+        axis = np.eye(d)[-1]
         ns = quad_mod.node_system(quad, d, axis=axis)
 
         def a_at(pts):
@@ -178,16 +177,15 @@ class FriedrichsSolver:
             )
         return float(root)
 
-    def neumann_kernel(self, z: float, n: int, probes=None,
-                       h=None) -> NeumannKernel:
+    def neumann_kernel(self, z: float, n: int, h=None) -> NeumannKernel:
         """Order-n resolvent kernel alpha^(2n) D (W (a - z)^-1 D)^(n-1),
         an (n-1)-fold iterated sum over the nodes.  The columns D(., Q)
         take the D W step of `delta`, so on an axially reduced evaluation
         set the points Q must lie on the axis.
 
         norm_sample is the maximum of |L_n(q, q')| / (h(|q|) h(|q'|)) over
-        the probe pairs (default: on the axis, |q| = 0, 0.5, ..., 2), with
-        h = 1 when no envelope is given.
+        the pairs of on-axis probes at |q| in NORM_PROBES, with h = 1 when
+        no envelope is given.
         """
         if n < 1:
             raise DomainError("kernel order must be >= 1")
@@ -216,16 +214,14 @@ class FriedrichsSolver:
             left = np.asarray(dker(P, ns.full_points), dtype=float)
             return alpha2n * (left @ (ns.full_weights[:, None] * x[ns.out_index]))
 
-        if probes is None:
-            probes = np.array([0.0, 0.5, 1.0, 1.5, 2.0])[:, None] * self.axis[None, :]
-        probes = np.atleast_2d(np.asarray(probes, dtype=float))
+        probes = np.array(NORM_PROBES)[:, None] * self.axis[None, :]
         vals = np.abs(evaluate(probes, probes))
         if h is not None:
             hvals = np.asarray(h(np.linalg.norm(probes, axis=-1)), dtype=float)
             vals = vals / (hvals[:, None] * hvals[None, :])
         return NeumannKernel(order=n, evaluate=evaluate, norm_sample=float(vals.max()))
 
-    def im_delta_edge(self, x: float, grad_margin: float = 1e-10) -> float:
+    def im_delta_edge(self, x: float) -> float:
         """Leading-order +/- Im Delta on the cut at energy x > a_bar:
         alpha^2 pi times the level-set integral of |v|^2 with weight 1/|a'|.
         Radial case: alpha^2 pi |S^{d-1}| r^{d-1} |v(r)|^2 / |a'(r)|."""
@@ -246,15 +242,17 @@ class FriedrichsSolver:
         step = 1e-7 * (1.0 + abs(r))
         aprime = a_at(r + step) - a_at(max(r - step, 0.0))
         aprime /= (r + step - max(r - step, 0.0))
-        if abs(aprime) < grad_margin:
+        if abs(aprime) < GRAD_MARGIN:
             raise DomainError(f"|a'({r})| = {abs(aprime):.3g} too small; x is too close to the edge")
         v_r = float(self.v_at(np.outer([r], self.axis))[0])
         area = _SPHERE_AREA[self.d] * r ** (self.d - 1) if self.d > 1 else _SPHERE_AREA[1]
         return self.alpha**2 * math.pi * area * v_r * v_r / abs(aprime)
 
-    def check_minimum(self, step: float = 1e-4) -> bool:
+    def check_minimum(self) -> bool:
         """Sampled nondegeneracy of the edge minimum: positive second
-        difference along the axis and along a transverse direction."""
+        difference, at step MIN_STEP, along the axis and along a transverse
+        direction."""
+        step = MIN_STEP
         _, t_bar = self.edge()
         along = self._a_line([t_bar - step, t_bar, t_bar + step])
         ok = along[0] + along[2] - 2.0 * along[1] > 0.0

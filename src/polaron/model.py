@@ -29,6 +29,11 @@ __all__ = [
     "ValidationReport",
 ]
 
+DECAY_RATIO = 1e-14        # h(R)^2 / h(0)^2 at the decay radius R
+VALIDATE_SAMPLES = 10_000  # random draws per sampled validation check
+VALIDATE_Q_MAX = 10.0      # validation samples momenta in [-q_max, q_max]^d
+VALIDATE_TOL = 1e-9        # slack of the validation inequalities
+
 
 # ---------------------------------------------------------------------------
 # dispersion
@@ -173,9 +178,9 @@ class CouplingSpec:
         """||h||_{L^2(R^d)}^2, closed form for the gaussian envelope."""
         return self.amplitude**2 * (math.pi * self.width**2) ** (d / 2.0)
 
-    def decay_radius(self, ratio: float = 1e-14) -> float:
-        """Radius R with h(R)^2 <= ratio * h(0)^2."""
-        return self.width * math.sqrt(-math.log(ratio))
+    def decay_radius(self) -> float:
+        """Radius R with h(R)^2 <= DECAY_RATIO * h(0)^2."""
+        return self.width * math.sqrt(-math.log(DECAY_RATIO))
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +292,17 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_model(
-    params: ModelParams,
-    n_samples: int = 10_000,
-    q_max: float = 10.0,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> ValidationReport:
+def validate_model(params: ModelParams, seed: int = 0) -> ValidationReport:
     """Sampled falsification of the structural conditions on the model.
 
     Failures go into the report; nothing is raised.  The checks are
     positivity and radial convex monotonicity of eps, the subadditivity
     gap with the declared c0, domination of |c| by the envelope and
-    finiteness of ||h||_{L^2}.
+    finiteness of ||h||_{L^2}.  Momenta range over [-VALIDATE_Q_MAX,
+    VALIDATE_Q_MAX]^d, VALIDATE_SAMPLES random draws per sampled check,
+    and each inequality allows the slack VALIDATE_TOL.
     """
+    n_samples, q_max, tol = VALIDATE_SAMPLES, VALIDATE_Q_MAX, VALIDATE_TOL
     rng = np.random.default_rng(seed)
     report = ValidationReport()
 

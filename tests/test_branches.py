@@ -224,6 +224,25 @@ class TestDomain:
             assert inside.status != "none"
             assert outside.status == "none"
 
+    def test_one_point_per_probe(self):
+        # members and non-members alike, in probe order, each the solve
+        # that dispersion_point gives at that probe
+        params = make_params()
+        p = np.array([0.2, 0.0, 0.0])
+        kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+        probes = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.1, 0.3, -0.2],
+                           [0.0, 4.0, 0.0]])
+        dm = br.one_boson_domain(params, p, kappa, probes, QUAD, 1e-10, rays=[])
+        assert len(dm.points) == len(probes)
+        assert dm.boundary == []
+        for q, member, bp in zip(probes, dm.membership, dm.points):
+            ref = br.dispersion_point(params, p, q, kappa, QUAD, 1e-10)
+            np.testing.assert_array_equal(bp.q, q)
+            assert (bp.xi, bp.residual, bp.status, bp.iterations) == \
+                (ref.xi, ref.residual, ref.status, ref.iterations)
+            assert member == (bp.status != "none")
+        assert [bp.status != "none" for bp in dm.points] == [False, True, True, False]
+
     def test_boundary_symmetric_at_p0(self):
         params = make_params()
         kappa = br.kappa_from_rule(params, np.zeros(3), "fraction", 0.9)
@@ -498,6 +517,25 @@ class TestIterations:
         assert bp.status == "converged"
         assert bp.iterations > 10
         assert len(builds) <= 2
+
+    def test_ground_state_builds_d_matrix_once_per_evaluation(self, monkeypatch):
+        # the operator at hi that only serves the edge check has order 0,
+        # so it builds no kernel matrix: one d_matrix per evaluation of F
+        params = make_params()
+        p = np.array([0.0, 0.0, 0.3])
+        kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+        lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
+        builds = []
+        d_matrix = se.SelfEnergyTables.d_matrix
+
+        def counted(self, xi):
+            builds.append(xi)
+            return d_matrix(self, xi)
+
+        monkeypatch.setattr(se.SelfEnergyTables, "d_matrix", counted)
+        bp = br.ground_state(params, p, kappa, 1, QUAD, 1e-10, lam1=lam1)
+        assert bp.status == "converged"
+        assert len(builds) == bp.iterations
 
 
 class TestGamma:

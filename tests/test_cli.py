@@ -116,23 +116,61 @@ class TestCommands:
             expect = 0.1 * (3.0 + hsq) / gap
             assert float(row["bound_Gamma"]) == pytest.approx(expect, rel=1e-12)
 
-    def test_domain_map_proxy_at_row_momentum(self, tmp_path):
+    @pytest.mark.parametrize("command, momentum", [
+        ("domain-map", "coordinate"), ("ground-scan", "p"), ("gamma", "k"),
+    ], ids=["domain-map", "ground-scan", "gamma"])
+    def test_proxy_at_row_momentum(self, tmp_path, command, momentum):
         # with a relativistic eps the two-boson proxy varies with p, so
-        # each G0 row must carry the proxy at its own p
+        # each row over the p-values must carry the proxy at its own p
         path = tmp_path / "rel.ini"
         path.write_text(CONFIG.replace(
             "kind = constant\neps0 = 1.0",
             "kind = relativistic\nmass = 1.0\nshift = 0.5"))
         out = tmp_path / "o"
-        assert main(["domain-map", "--config", str(path), "--out", str(out)]) == 0
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
         cfg = load_config(path)
-        with open(out / "domain-map.csv") as fh:
-            rows = [r for r in csv.DictReader(fh) if r["domain"] == "G0"]
+        with open(out / f"{command}.csv") as fh:
+            rows = [r for r in csv.DictReader(fh) if r.get("domain", "G0") == "G0"]
         assert len(rows) == 2
         for row in rows:
-            p = cfg.vector(float(row["coordinate"]))
+            p = cfg.vector(float(row[momentum]))
             assert float(row["lambda2_proxy"]) == \
                 selfenergy.lambda2_proxy_value(cfg.params, p)
+
+    def test_dispersion_scan_rows_are_domain_points(self, tmp_path, monkeypatch):
+        # each row is the dispersion solve at its grid q, the boundary is
+        # the domain map's, and no q off the grid is solved
+        path = tmp_path / "run.ini"
+        path.write_text(CONFIG.replace("q-max = 1.0", "q-max = 3.0"))
+        cfg = load_config(path)
+        solves = []
+        dispersion_point = branches.dispersion_point
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return dispersion_point(*args, **kwargs)
+
+        monkeypatch.setattr(branches, "dispersion_point", counted)
+        out = tmp_path / "o"
+        assert main(["dispersion-scan", "--config", str(path), "--out", str(out)]) == 0
+        assert len(solves) == cfg.run["q_count"] == 7
+        monkeypatch.undo()
+        record = json.loads((out / "dispersion-scan.json").read_text())
+        p = cfg.vector(cfg.run["p"])
+        kappa = branches.kappa_from_rule(cfg.params, p, "fraction", 0.9)
+        grid = np.linspace(-3.0, 3.0, 7)
+        assert [row["q"] for row in record["points"]] == list(grid)
+        for row, q in zip(record["points"], grid):
+            bp = dispersion_point(cfg.params, p, cfg.vector(q), kappa, cfg.quad, 1e-9)
+            assert (row["xi"], row["residual"], row["status"]) == \
+                (bp.xi, bp.residual, bp.status)
+        assert {"converged", "none"} <= {row["status"] for row in record["points"]}
+        dmap = branches.one_boson_domain(cfg.params, p, kappa, np.zeros((0, 1)),
+                                         cfg.quad, 1e-9)
+        assert record["boundary"] == [
+            {"direction": list(map(float, ray)), "radius": radius}
+            for ray, radius in dmap.boundary
+        ]
 
     def test_gamma_without_residual(self, tmp_path):
         # a relativistic eps makes eps(q) grow with |q|, so an absolute cap
@@ -193,6 +231,23 @@ class TestDeterminism:
         assert run("oracle-check", config_path, out2) == 0
         for name in ("oracle-check.csv", "oracle-check.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestConfigDefaults:
+    @pytest.mark.parametrize("form", ["absent", "empty"])
+    def test_optional_sections(self, tmp_path, form):
+        # an absent and an empty [quadrature] or [grid] give the same defaults
+        text = CONFIG.replace("radial-nodes = 24\nangular-degree = 9\n", "")
+        text = text.replace("lambda = 3.0\npoints-per-axis = 15\n", "")
+        if form == "absent":
+            text = text.replace("[quadrature]\n", "").replace("[grid]\n", "")
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        cfg = load_config(path)
+        assert ("quadrature" in cfg.raw) == (form == "empty")
+        assert (cfg.quad.n_radial, cfg.quad.angular_degree) == (64, 17)
+        assert cfg.quad.r_max == max(cfg.params.coupling.decay_radius(), 4.0)
+        assert (cfg.measure.half_width, cfg.measure.points_per_axis) == (3.0, 5)
 
 
 class TestErrors:
