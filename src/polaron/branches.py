@@ -101,8 +101,7 @@ def _check_cap(params, p, kappa, delta_margin=None):
 
 
 def dispersion_point(params: ModelParams, p, q, kappa: float,
-                     quad: QuadratureSpec, tol: float = 1e-10,
-                     check_cap: bool = True) -> BranchPoint:
+                     quad: QuadratureSpec, tol: float = 1e-10) -> BranchPoint:
     """Solve a_p(xi; q) = xi below the cap.
 
     g(xi) = a_p(xi; q) - xi is strictly decreasing and concave; q belongs
@@ -111,9 +110,14 @@ def dispersion_point(params: ModelParams, p, q, kappa: float,
     g'(xi) = m'(xi) - 1 is one row sum over the point's one-row table.
     """
     p = params._check_vec(p, "p")
+    _check_cap(params, p, kappa)
+    return _dispersion_solve(params, p, q, kappa, quad, tol)
+
+
+def _dispersion_solve(params, p, q, kappa, quad, tol):
+    """`dispersion_point` for a caller that has checked the cap at p."""
+    p = params._check_vec(p, "p")
     q = params._check_vec(q, "q")
-    if check_cap:
-        _check_cap(params, p, kappa)
     row = SelfEnergyTables(params, p, quad, q[None, :])
 
     @roots.Counted
@@ -150,14 +154,15 @@ def one_boson_domain(params: ModelParams, p, kappa: float, probes,
     p = params._check_vec(p, "p")
     _check_cap(params, p, kappa)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    points = [dispersion_point(params, p, q, kappa, quad, tol, check_cap=False)
-              for q in probes]
+    points = [_dispersion_solve(params, p, q, kappa, quad, tol) for q in probes]
     membership = np.array([bp.status != "none" for bp in points], dtype=bool)
     axis = axis_of(p)
     if rays is None:
         rays = [axis, -axis]
     boundary = []
-    t_seed = model_mod.collinear_minimizer(params, 1, float(np.linalg.norm(p)))
+    # the free minimizer seeds the rays only: solve it when there are rays
+    t_seed = (model_mod.collinear_minimizer(params, 1, float(np.linalg.norm(p)))
+              if len(rays) else None)
     for ray in rays:
         ray = np.asarray(ray, dtype=float)
         unit = ray / np.linalg.norm(ray)
@@ -190,8 +195,7 @@ def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
     lo = roots.root_beyond(gap, t0, t0 - 1.0)
 
     def xi_at(t):
-        bp = dispersion_point(params, p, t * axis, kappa, quad, tol,
-                              check_cap=False)
+        bp = _dispersion_solve(params, p, t * axis, kappa, quad, tol)
         return bp.xi if bp.xi is not None else kappa
 
     pad = 1e-9 * (1.0 + abs(hi) + abs(lo))

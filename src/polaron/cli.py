@@ -31,20 +31,14 @@ def _fmt(x) -> str:
 
 def _write_outputs(out_dir: Path, command: str, columns, rows, record):
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{command}.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with open(out_dir / f"{command}.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(row.get(c)) for c in columns])
-    json_path = out_dir / f"{command}.json"
-    record = dict(record)
-    record["command"] = command
-    record["points"] = rows
-    with open(json_path, "w") as fh:
+    with open(out_dir / f"{command}.json", "w") as fh:
         json.dump(record, fh, indent=1, default=_fmt, sort_keys=True)
         fh.write("\n")
-    return csv_path, json_path
 
 
 def _kappa_at(cfg: RunConfig, p_vec):
@@ -83,28 +77,22 @@ def _g1_points(cfg: RunConfig, p, kappa, rays=None):
     return list(zip(grid, dmap.points)), dmap.boundary
 
 
-def _base_record(cfg: RunConfig):
-    return {"config": cfg.raw, "tol": cfg.run["tol"]}
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_validate(cfg: RunConfig):
     report = model.validate_model(cfg.params, seed=cfg.run["seed"])
+    print(report)
     rows = [
         {"check": c.name, "passed": bool(c.passed), "detail": c.detail}
         for c in report.checks
     ]
-    _write_outputs(out_dir, "validate", ["check", "passed", "detail"], rows,
-                   _base_record(cfg))
-    print(report)
-    return 0 if report.all_passed else 1
+    return ["check", "passed", "detail"], rows, {}, 0 if report.all_passed else 1
 
 
-def cmd_thresholds(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_thresholds(cfg: RunConfig):
     tol = cfg.run["tol"]
 
     def one(pmag):
@@ -119,32 +107,26 @@ def cmd_thresholds(cfg: RunConfig, out_dir: Path) -> int:
     rows = [one(x) for x in cfg.run["p_values"]]
     cols = ["p", "lambda1_0", "lambda2_0", "lambda3_0", "lambda2_proxy",
             "alpha", "tol", "status"]
-    _write_outputs(out_dir, "thresholds", cols, rows, _base_record(cfg))
-    return 0
+    return cols, rows, {}
 
 
-def cmd_ground_scan(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_ground_scan(cfg: RunConfig):
     def one(pmag):
         cap, lam1, bp = _ground_at(cfg, pmag)
         return {"p": float(pmag), **cap, "lambda1": lam1, "xi0": bp.xi,
                 "residual": bp.residual, "status": bp.status}
 
     rows = [one(x) for x in cfg.run["p_values"]]
-    record = _base_record(cfg)
     boundary = branches.g0_boundary(
         cfg.params, cfg.direction(), cfg.quad, cfg.run["tol"],
         deltas=cfg.run["delta_ladder"], kappa_mode=cfg.run["kappa_mode"],
         kappa_value=cfg.run["kappa"], neumann_order=cfg.run["neumann_order"],
     )
-    record["g0_boundary"] = {
-        "r_star": boundary.r_star,
-        "ladder": boundary.ladder,
-        "status": boundary.status,
-    }
     cols = ["p", "xi0", "lambda1", "kappa", "lambda2_proxy", "alpha",
             "residual", "status", "tol"]
-    _write_outputs(out_dir, "ground-scan", cols, rows, record)
-    return 0
+    return cols, rows, {"g0_boundary": {"r_star": boundary.r_star,
+                                        "ladder": boundary.ladder,
+                                        "status": boundary.status}}
 
 
 def _q_grid(cfg: RunConfig):
@@ -155,7 +137,7 @@ def _q_grid(cfg: RunConfig):
     return list(np.linspace(-qm, qm, n))
 
 
-def cmd_dispersion_scan(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_dispersion_scan(cfg: RunConfig):
     p = cfg.vector(cfg.run["p"])
     kappa = _kappa_at(cfg, p)
     cap = _cap_columns(cfg, p, kappa)
@@ -165,18 +147,15 @@ def cmd_dispersion_scan(cfg: RunConfig, out_dir: Path) -> int:
          "residual": bp.residual, "status": bp.status, **cap}
         for q, bp in points
     ]
-    record = _base_record(cfg)
-    record["boundary"] = [
-        {"direction": list(map(float, ray)), "radius": radius}
-        for ray, radius in boundary
-    ]
     cols = ["p", "q", "xi", "member", "residual", "status", "alpha", "kappa",
             "lambda2_proxy", "tol"]
-    _write_outputs(out_dir, "dispersion-scan", cols, rows, record)
-    return 0
+    return cols, rows, {"boundary": [
+        {"direction": list(map(float, ray)), "radius": radius}
+        for ray, radius in boundary
+    ]}
 
 
-def cmd_domain_map(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_domain_map(cfg: RunConfig):
     p_fixed = cfg.vector(cfg.run["p"])
     kappa = _kappa_at(cfg, p_fixed)
     g1_cap = _cap_columns(cfg, p_fixed, kappa)
@@ -193,11 +172,10 @@ def cmd_domain_map(cfg: RunConfig, out_dir: Path) -> int:
               **g1_cap, "status": bp.status} for q, bp in g1]
     cols = ["domain", "coordinate", "member", "alpha", "kappa",
             "lambda2_proxy", "status", "tol"]
-    _write_outputs(out_dir, "domain-map", cols, rows, _base_record(cfg))
-    return 0
+    return cols, rows, {}
 
 
-def cmd_gamma(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_gamma(cfg: RunConfig):
     def one(kmag):
         p = cfg.vector(kmag)
         res = branches.gamma_factor(cfg.params, p, np.zeros(cfg.params.d),
@@ -213,11 +191,10 @@ def cmd_gamma(cfg: RunConfig, out_dir: Path) -> int:
     rows = [one(x) for x in cfg.run["p_values"]]
     cols = ["k", "gamma", "residual", "xi0", "ground_status", "alpha",
             "kappa", "lambda2_proxy", "status", "tol"]
-    _write_outputs(out_dir, "gamma", cols, rows, _base_record(cfg))
-    return 0
+    return cols, rows, {}
 
 
-def cmd_alpha0(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_alpha0(cfg: RunConfig):
     p = cfg.vector(cfg.run["p"])
     rows = []
     for frac in cfg.run["kappa_fractions"]:
@@ -233,11 +210,10 @@ def cmd_alpha0(cfg: RunConfig, out_dir: Path) -> int:
         })
     cols = ["kappa_fraction", "kappa", "bound_Q", "bound_Gamma", "alpha0_Q",
             "alpha0_Gamma", "h_norm", "lambda2_proxy", "alpha", "status", "tol"]
-    _write_outputs(out_dir, "alpha0", cols, rows, _base_record(cfg))
-    return 0
+    return cols, rows, {}
 
 
-def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_oracle_check(cfg: RunConfig):
     if cfg.run["kappa_mode"] != "fraction":
         raise InputError(
             "oracle-check needs kappa-mode = fraction: the ground ladder sets "
@@ -253,9 +229,10 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
         tol=tol,
     )
     rows = [
-        {"kind": "ground", **cap, "alpha": r.alpha, "kappa": r.kappa,
-         "q": cfg.run["p"], "oracle": r.oracle_e0, "solver": r.solver_xi0,
-         "diff": r.diff, "diff_scaled": r.diff_scaled, "status": "converged"}
+        {"kind": "ground", "alpha": r.alpha, "kappa": r.kappa,
+         "lambda2_proxy": r.lambda2_proxy, "tol": tol, "q": cfg.run["p"],
+         "oracle": r.oracle_e0, "solver": r.solver_xi0, "diff": r.diff,
+         "diff_scaled": r.diff_scaled, "status": "converged"}
         for r in comparison.rows
     ]
     for qmag in cfg.run["oracle_q"]:
@@ -275,30 +252,27 @@ def cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> int:
         })
     cols = ["kind", "alpha", "q", "oracle", "solver", "diff",
             "diff_scaled", "kappa", "lambda2_proxy", "status", "tol"]
-    _write_outputs(out_dir, "oracle-check", cols, rows, _base_record(cfg))
-    return 0
+    return cols, rows, {}
 
 
+# name -> (command, one-line help).  A command returns its CSV columns,
+# its rows and its own record fields; validate adds its exit status.
 _COMMANDS = {
-    "validate": cmd_validate,
-    "thresholds": cmd_thresholds,
-    "ground-scan": cmd_ground_scan,
-    "dispersion-scan": cmd_dispersion_scan,
-    "domain-map": cmd_domain_map,
-    "gamma": cmd_gamma,
-    "alpha0": cmd_alpha0,
-    "oracle-check": cmd_oracle_check,
-}
-
-_HELP = {
-    "validate": "model condition report (sampled falsification checks)",
-    "thresholds": "free n-boson thresholds over a |p| grid (n = 1, 2, 3)",
-    "ground-scan": "ground branch over a |p| grid plus the domain boundary",
-    "dispersion-scan": "one-boson dispersion over a q grid at fixed p",
-    "domain-map": "membership maps for the ground and one-boson domains",
-    "gamma": "dressed dispersion gamma(k) with factorization residuals",
-    "alpha0": "contraction bound table over the cap ladder",
-    "oracle-check": "solver vs truncated-diagonalization comparisons",
+    "validate": (cmd_validate,
+                 "model condition report (sampled falsification checks)"),
+    "thresholds": (cmd_thresholds,
+                   "free n-boson thresholds over a |p| grid (n = 1, 2, 3)"),
+    "ground-scan": (cmd_ground_scan,
+                    "ground branch over a |p| grid plus the domain boundary"),
+    "dispersion-scan": (cmd_dispersion_scan,
+                        "one-boson dispersion over a q grid at fixed p"),
+    "domain-map": (cmd_domain_map,
+                   "membership maps for the ground and one-boson domains"),
+    "gamma": (cmd_gamma,
+              "dressed dispersion gamma(k) with factorization residuals"),
+    "alpha0": (cmd_alpha0, "contraction bound table over the cap ladder"),
+    "oracle-check": (cmd_oracle_check,
+                     "solver vs truncated-diagonalization comparisons"),
 }
 
 
@@ -306,23 +280,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="polaron",
         description="Lower spectral branches of the fixed-momentum "
-                    "particle-boson Hamiltonian at weak coupling.",
+                    "particle-boson Hamiltonian\nat weak coupling.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<17}{text}" for name, (_, text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        sp = sub.add_parser(name, help=_HELP[name])
-        sp.add_argument("--config", required=True, help="path to the run config")
-        sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--tol", type=float, default=None,
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", required=True, help="path to the run config")
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--tol", type=float, default=None,
                         help="override the [run] tolerance")
-        sp.set_defaults(fn=fn)
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
         if args.tol is not None:
             cfg.run["tol"] = args.tol
-        return args.fn(cfg, Path(args.out))
+        columns, rows, fields, *status = _COMMANDS[args.command][0](cfg)
+        record = {"config": cfg.raw, "tol": cfg.run["tol"], **fields,
+                  "command": args.command, "points": rows}
+        _write_outputs(Path(args.out), args.command, columns, rows, record)
+        return status[0] if status else 0
     except PolaronError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)

@@ -25,7 +25,7 @@ import scipy.sparse.linalg
 from . import branches as branches_mod
 from .errors import InputError, NumericError, ResourceError
 from .model import ModelParams
-from .selfenergy import clipped_proxy_margin
+from .selfenergy import clipped_proxy_margin, lambda2_proxy_value
 from .quadrature import DiscreteMeasure, QuadratureSpec
 
 __all__ = [
@@ -186,6 +186,7 @@ def _complete(ham: TruncatedHamiltonian, vals: np.ndarray) -> bool:
 class GroundComparisonRow:
     alpha: float
     kappa: float
+    lambda2_proxy: float      # the two-boson proxy kappa was set against
     oracle_e0: float
     solver_xi0: float
     diff: float
@@ -228,8 +229,9 @@ def compare_ground(params: ModelParams, p, measure: DiscreteMeasure,
         diff = abs(e0 - bp.xi)
         ratio = diff / alpha ** (2 * neumann_order + 4) if alpha > 0 else math.nan
         rows.append(GroundComparisonRow(
-            alpha=float(alpha), kappa=kappa, oracle_e0=e0, solver_xi0=bp.xi,
-            diff=diff, diff_scaled=ratio,
+            alpha=float(alpha), kappa=kappa,
+            lambda2_proxy=lambda2_proxy_value(pa, p, margin), oracle_e0=e0,
+            solver_xi0=bp.xi, diff=diff, diff_scaled=ratio,
         ))
     return GroundComparison(p=p, n_max=n_max,
                             neumann_order=neumann_order, rows=rows)

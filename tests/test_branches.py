@@ -72,8 +72,15 @@ class TestCapRules:
 
     def test_cap_above_proxy_rejected(self):
         params = make_params()
+        p = np.zeros(3)
         with pytest.raises(DomainError):
-            br.dispersion_point(params, np.zeros(3), np.zeros(3), 3.0, QUAD)
+            br.dispersion_point(params, p, np.zeros(3), 3.0, QUAD)
+        with pytest.raises(DomainError):
+            br.one_boson_domain(params, p, 3.0, np.zeros((1, 3)), QUAD)
+        with pytest.raises(DomainError):
+            br.lambda1(params, p, 3.0, QUAD)
+        with pytest.raises(DomainError):
+            br.ground_state(params, p, 3.0, 1, QUAD, lam1=0.5)
 
 
 class TestDispersion:
@@ -242,6 +249,28 @@ class TestDomain:
                 (ref.xi, ref.residual, ref.status, ref.iterations)
             assert member == (bp.status != "none")
         assert [bp.status != "none" for bp in dm.points] == [False, True, True, False]
+
+    @pytest.mark.parametrize("rays, solves", [([], 0), (None, 1)],
+                             ids=["no-rays", "default-rays"])
+    def test_ray_seed_solved_only_with_rays(self, monkeypatch, rays, solves):
+        # the one-boson free minimizer only seeds the boundary rays; the
+        # cap check still solves the two-boson one inside `threshold`
+        params = make_params(d=1, eps=EpsilonSpec.relativistic(1.0, 0.5))
+        p = np.array([0.3])
+        kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+        calls = []
+        collinear_minimizer = model.collinear_minimizer
+
+        def counted(params, n, pmag):
+            if n == 1:
+                calls.append(pmag)
+            return collinear_minimizer(params, n, pmag)
+
+        monkeypatch.setattr(model, "collinear_minimizer", counted)
+        dm = br.one_boson_domain(params, p, kappa, np.zeros((1, 1)), QUAD,
+                                 1e-10, rays=rays)
+        assert len(calls) == solves
+        assert len(dm.boundary) == 2 * solves
 
     def test_boundary_symmetric_at_p0(self):
         params = make_params()

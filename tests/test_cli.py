@@ -1,11 +1,12 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polaron import branches, selfenergy
+from polaron import branches, model, selfenergy
 from polaron.cli import main
 from polaron.config import load_config
 
@@ -144,13 +145,13 @@ class TestCommands:
         path.write_text(CONFIG.replace("q-max = 1.0", "q-max = 3.0"))
         cfg = load_config(path)
         solves = []
-        dispersion_point = branches.dispersion_point
+        dispersion_solve = branches._dispersion_solve
 
         def counted(*args, **kwargs):
             solves.append(args)
-            return dispersion_point(*args, **kwargs)
+            return dispersion_solve(*args, **kwargs)
 
-        monkeypatch.setattr(branches, "dispersion_point", counted)
+        monkeypatch.setattr(branches, "_dispersion_solve", counted)
         out = tmp_path / "o"
         assert main(["dispersion-scan", "--config", str(path), "--out", str(out)]) == 0
         assert len(solves) == cfg.run["q_count"] == 7
@@ -161,7 +162,8 @@ class TestCommands:
         grid = np.linspace(-3.0, 3.0, 7)
         assert [row["q"] for row in record["points"]] == list(grid)
         for row, q in zip(record["points"], grid):
-            bp = dispersion_point(cfg.params, p, cfg.vector(q), kappa, cfg.quad, 1e-9)
+            bp = branches.dispersion_point(cfg.params, p, cfg.vector(q), kappa,
+                                           cfg.quad, 1e-9)
             assert (row["xi"], row["residual"], row["status"]) == \
                 (bp.xi, bp.residual, bp.status)
         assert {"converged", "none"} <= {row["status"] for row in record["points"]}
@@ -208,6 +210,48 @@ class TestCommands:
             assert row["residual"] != ""
             assert row["status"] == "converged"
 
+    @pytest.mark.parametrize("eps", ["constant", "relativistic"])
+    def test_oracle_ground_rows_carry_their_proxy(self, tmp_path, eps):
+        # each ground row's cap was set at the ladder's alpha against the
+        # clipped margin, and the row reports that proxy
+        path = tmp_path / "run.ini"
+        text = CONFIG if eps == "constant" else CONFIG.replace(
+            "kind = constant\neps0 = 1.0",
+            "kind = relativistic\nmass = 1.0\nshift = 0.5")
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["oracle-check", "--config", str(path), "--out", str(out)]) == 0
+        cfg = load_config(path)
+        p = cfg.vector(cfg.run["p"])
+        with open(out / "oracle-check.csv") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["kind"] == "ground"]
+        assert len(rows) == 2
+        for row in rows:
+            pa = replace(cfg.params, alpha=float(row["alpha"]))
+            expect = model.threshold(pa, 2, p) - selfenergy.clipped_proxy_margin(pa, p)
+            assert float(row["lambda2_proxy"]) == pytest.approx(expect, abs=1e-12)
+            assert float(row["lambda2_proxy"]) > float(row["kappa"])
+
+    def test_options_before_command(self, config_path, tmp_path):
+        out = tmp_path / "o"
+        assert main(["--config", config_path, "--out", str(out), "thresholds"]) == 0
+        assert (out / "thresholds.csv").exists()
+
+    def test_validate_failing_check(self, tmp_path, capsys):
+        # a failing check exits 1 and still writes both files
+        path = tmp_path / "run.ini"
+        path.write_text(CONFIG.replace("\nc0 = 0.5\n", "\nc0 = 5\n"))
+        out = tmp_path / "o"
+        assert main(["validate", "--config", str(path), "--out", str(out)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        with open(out / "validate.csv") as fh:
+            rows = {r["check"]: r["passed"] for r in csv.DictReader(fh)}
+        assert rows["subadditivity gap with declared c0"] == "false"
+        record = json.loads((out / "validate.json").read_text())
+        assert record["command"] == "validate"
+        failed = [r["check"] for r in record["points"] if not r["passed"]]
+        assert failed == ["subadditivity gap with declared c0"]
+
     def test_tol_override(self, config_path, tmp_path):
         out = tmp_path / "o"
         assert run("thresholds", config_path, out, "--tol", "1e-6") == 0
@@ -251,6 +295,23 @@ class TestConfigDefaults:
 
 
 class TestErrors:
+    def test_help_lists_every_command(self, capsys):
+        from polaron.cli import _COMMANDS
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(_COMMANDS) == 8
+        for name, (_, text) in _COMMANDS.items():
+            assert any(line.split() == [name] + text.split() for line in lines)
+
+    def test_unknown_command(self, config_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nope", "--config", config_path, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
     def test_missing_config(self, tmp_path, capsys):
         rc = main(["thresholds", "--config", str(tmp_path / "nope.ini"),
                    "--out", str(tmp_path)])
