@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import model as model_mod
 from . import roots
@@ -199,11 +198,7 @@ def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
         return bp.xi if bp.xi is not None else kappa
 
     pad = 1e-9 * (1.0 + abs(hi) + abs(lo))
-    res = minimize_scalar(xi_at, bounds=(lo + pad, hi - pad), method="bounded",
-                          options={"xatol": 1e-8})
-    if not res.success:
-        raise NumericError(f"lambda1 minimization failed: {res.message}")
-    return float(res.fun)
+    return roots.minimize(xi_at, lo + pad, hi - pad, 1e-8)[0]
 
 
 def _ground_determinant(params, p, neumann_order, quad, tol, lam1):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import branches, model, oracle, selfenergy
+from . import branches, model, selfenergy
 from .config import RunConfig, load_config
 from .errors import InputError, PolaronError
 
@@ -214,6 +214,9 @@ def cmd_alpha0(cfg: RunConfig):
 
 
 def cmd_oracle_check(cfg: RunConfig):
+    # scipy's sparse and dense eigensolvers load with the oracle, here only
+    from . import oracle
+
     if cfg.run["kappa_mode"] != "fraction":
         raise InputError(
             "oracle-check needs kappa-mode = fraction: the ground ladder sets "

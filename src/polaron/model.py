@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import roots
 from .errors import InputError
@@ -86,6 +85,8 @@ class EpsilonSpec:
     def _interp(self):
         interp = getattr(self, "_interp_cache", None)
         if interp is None:
+            from scipy.interpolate import PchipInterpolator
+
             interp = PchipInterpolator(self.knots, self.values, extrapolate=True)
             self._interp_cache = interp
             self._slope = interp.derivative()

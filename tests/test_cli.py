@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polaron
 from polaron import branches, model, selfenergy
 from polaron.cli import main
 from polaron.config import load_config
@@ -275,6 +279,29 @@ class TestDeterminism:
         assert run("oracle-check", config_path, out2) == 0
         for name in ("oracle-check.csv", "oracle-check.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestImports:
+    def test_commands_load_no_scipy_solvers(self, config_path, tmp_path):
+        # in a fresh interpreter: scipy's optimizers, interpolators and
+        # sparse and dense linear algebra load only with the oracle and a
+        # tabulated epsilon, not with the package or a command
+        heavy = ["scipy.optimize", "scipy.interpolate", "scipy.sparse", "scipy.linalg"]
+        argv = ["thresholds", "--config", config_path, "--out", str(tmp_path / "o")]
+        script = (
+            "import json, sys\n"
+            "import polaron, polaron.branches, polaron.cli\n"
+            f"code = polaron.cli.main({argv!r})\n"
+            f"print(json.dumps([code, [m for m in {heavy!r} if m in sys.modules]]))\n"
+        )
+        src = str(Path(polaron.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        code, loaded = json.loads(res.stdout.splitlines()[-1])
+        assert code == 0
+        assert loaded == []
 
 
 class TestConfigDefaults:

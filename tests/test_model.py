@@ -86,6 +86,22 @@ class TestRadialSlope:
         assert EpsilonSpec.relativistic(0.7, 0.0).radial_slope(0.0) == 0.0
         assert EpsilonSpec.relativistic(0.0, 0.0).radial_slope(0.0) == 1.0
 
+    def test_fresh_table_values(self):
+        # a fresh table builds its interpolant on first use; its values and
+        # slopes below, between and beyond the knots equal these recorded
+        # ones bit for bit
+        knots = np.linspace(0.5, 3.0, 12)
+        tab = EpsilonSpec.tabulated(knots, np.sqrt(knots * knots + 1.0))
+        rs = (0.2, 0.45, 0.61, 1.13, 2.0, 2.9, 3.4, 6.0)
+        radial = ["0x1.1e3779b97f4a8p+0", "0x1.1e3779b97f4a8p+0", "0x1.2c0f736ffdc55p+0",
+                  "0x1.824eb2788cc07p+0", "0x1.1e37797b69bc2p+1", "0x1.88a54d641f585p+1",
+                  "0x1.c560044d8e9ccp+1", "0x1.80a6242e7c3f2p+2"]
+        slope = ["0x0.0p+0", "0x0.0p+0", "0x1.0abcafdfc3227p-1", "0x1.800ad0d3b7ee4p-1",
+                 "0x1.ca38b969d38cdp-1", "0x1.e407674e94ebbp-1", "0x1.e609063f190c1p-1",
+                 "0x1.e609063f190c1p-1"]
+        assert [float(tab.radial(r)).hex() for r in rs] == radial
+        assert [float(tab.radial_slope(r)).hex() for r in rs] == slope
+
 
 class TestCoupling:
     def test_h_norm_against_quadrature(self):

@@ -6,9 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
 from polaron import NumericError
 from polaron import roots
+
+
+def traced(f):
+    """f that also records, as floats, the points it is evaluated at."""
+    seen = []
+
+    def g(x):
+        seen.append(float(x))
+        return f(x)
+
+    return g, seen
+
+
+def step(c):
+    """The predicate of TestBisect as a function: -1 below c, 1 from c on."""
+    return lambda x: -1.0 if x < c else 1.0
 
 
 class TestRootBeyond:
@@ -82,6 +99,48 @@ class TestRoot:
     def test_fixed_tolerance(self):
         assert roots.root(math.cos, 0.0, 3.0) == pytest.approx(0.5 * math.pi, abs=1e-14)
 
+    def test_same_sign_raises_numeric_error(self):
+        with pytest.raises(NumericError, match="same sign"):
+            roots.root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_no_convergence_raises_numeric_error(self):
+        # a jump on a bracket 2e300 wide: 100 halvings leave it ~1e270 wide
+        with pytest.raises(NumericError, match="did not converge"):
+            roots.root(step(1.0 / 3.0), -1e300, 1e300)
+
+    def test_nan_raises_numeric_error(self):
+        with pytest.raises(NumericError, match="NaN"):
+            roots.root(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.floats(-10.0, 10.0), left=st.floats(1e-6, 100.0),
+           right=st.floats(1e-6, 100.0), b=st.floats(0.0, 1.0),
+           sign=st.sampled_from([-1.0, 1.0]), flip=st.booleans(),
+           scale=st.sampled_from([1.0, 1e-120]))
+    def test_equals_scipy_on_monotone_cubics(self, c, left, right, b, sign, flip, scale):
+        # the same root, bit for bit, from the same evaluation points; at
+        # scale 1e-120 the extrapolation's denominator underflows to 0
+        def f(x):
+            return scale * sign * (x - c) * (1.0 + b * (x * x + x * c + c * c))
+
+        lo, hi = (c + right, c - left) if flip else (c - left, c + right)
+        ours, seen = traced(f)
+        theirs, ref_seen = traced(f)
+        x = roots.root(ours, lo, hi)
+        ref = brentq(theirs, lo, hi, xtol=roots.XTOL, rtol=roots.RTOL)
+        assert x.hex() == ref.hex()
+        assert seen == ref_seen
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.floats(1e-3, 1000.0, exclude_max=True))
+    def test_equals_scipy_on_step(self, c):
+        ours, seen = traced(step(c))
+        theirs, ref_seen = traced(step(c))
+        x = roots.root(ours, 0.0, 1000.0)
+        ref = brentq(theirs, 0.0, 1000.0, xtol=roots.XTOL, rtol=roots.RTOL)
+        assert x.hex() == ref.hex()
+        assert seen == ref_seen
+
     def test_releases_f_on_return(self):
         # without the cyclic collector, nothing may keep f (and what it
         # refers to) alive once root returns
@@ -101,6 +160,49 @@ class TestRoot:
             assert alive() is None
         finally:
             gc.enable()
+
+
+class TestMinimize:
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(-10.0, 10.0), width=st.floats(1e-3, 20.0),
+           at=st.floats(-0.5, 1.5), k=st.floats(0.0, 2.0), m=st.floats(0.0, 2.0),
+           f0=st.floats(-5.0, 5.0), xatol=st.sampled_from([1e-12, 1e-10, 1e-8, 1e-5]))
+    def test_equals_scipy(self, a, width, at, k, m, f0, xatol):
+        # shifted quartics k u^4 + m u^2 + f0, u = x - c, parabolas at
+        # k = 0; with `at` outside [0, 1] the minimum is at a bound
+        b = a + width
+        c = a + at * width
+
+        def f(x):
+            u = x - c
+            u2 = u * u
+            return k * u2 * u2 + m * u2 + f0
+
+        ours = roots.Counted(f)
+        fun, x = roots.minimize(ours, a, b, xatol)
+        ref = minimize_scalar(f, bounds=(a, b), method="bounded",
+                              options={"xatol": xatol})
+        assert ref.success
+        assert x.hex() == float(ref.x).hex()
+        assert fun.hex() == float(ref.fun).hex()
+        assert ours.calls == ref.nfev
+
+    def test_nan_raises_numeric_error(self):
+        with pytest.raises(NumericError, match="NaN"):
+            roots.minimize(lambda x: math.nan, 0.0, 1.0, 1e-8)
+
+    def test_evaluation_budget_raises_numeric_error(self):
+        # a kink on a huge interval: the parabolic steps fail and golden
+        # sections cannot close the interval within the budget
+        f = roots.Counted(lambda x: abs(x - 1.0 / 3.0))
+        with pytest.raises(NumericError, match="evaluations"):
+            roots.minimize(f, -1e300, 1e300, 1e-300)
+        assert f.calls == roots._MAX_EVALS
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_bad_interval_raises_numeric_error(self, a, b):
+        with pytest.raises(NumericError, match="interval"):
+            roots.minimize(lambda x: x * x, a, b, 1e-8)
 
 
 class TestLineMin:
