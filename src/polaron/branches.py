@@ -5,7 +5,6 @@ existence domain, the boundary merge, and the dispersion factorization.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,7 +40,7 @@ class BranchPoint:
     """A solved branch point.  `iterations` counts the evaluations of the
     scalar function being solved: g(xi) = a_p(xi; q) - xi and its slope at
     each Newton iterate from kappa for the dispersion, F(xi) = Delta_xi(xi)
-    with bracketing and final residual for the ground branch."""
+    at each distinct point of the bracket and root for the ground branch."""
 
     q: np.ndarray
     xi: float | None
@@ -135,8 +134,9 @@ def _dispersion_solve(params, p, q, kappa, quad, tol):
 
 
 def _cap_gap(params, p, kappa, quad, unit):
-    """r -> a_p(kappa; r u) - kappa along the unit ray u, by one-row tables:
-    smooth, and negative exactly inside the one-boson domain."""
+    """r -> a_p(kappa; r u) - kappa along the unit ray u, counted, by one-row
+    tables: smooth, and negative exactly inside the one-boson domain."""
+    @roots.Counted
     def gap(r):
         row = SelfEnergyTables(params, p, quad, (r * unit)[None, :])
         return float(row.a_values(kappa)[0]) - kappa
@@ -218,26 +218,23 @@ def _ground_determinant(params, p, neumann_order, quad, tol, lam1):
     return roots.Counted(lambda xi: operator(xi).delta(xi, neumann_order)), hi
 
 
-def ground_state(params: ModelParams, p, kappa: float, neumann_order: int,
-                 quad: QuadratureSpec, tol: float = 1e-10,
-                 lam1: float | None = None,
-                 delta_margin: float | None = None) -> BranchPoint:
-    """Polaron ground branch: solve e_p(xi) = xi for xi below lambda1(p).
+def ground_state(params: ModelParams, p, lam1: float, neumann_order: int,
+                 quad: QuadratureSpec, tol: float = 1e-10) -> BranchPoint:
+    """Polaron ground branch: solve e_p(xi) = xi for xi below lam1, the
+    bottom lambda1(p) of the one-boson manifold.
 
     e_p(xi) is the discrete Friedrichs eigenvalue of the reduced operator
     at trial energy xi: the unique root below the continuum edge of the
     determinant Delta_xi(z).  So xi0 is the root of F(xi) = Delta_xi(xi),
     found by Brent's method; F decreases in xi.  The edge is searched once,
-    at hi = lambda1 - max(tol, 1e-9): a(xi; q) - xi grows as xi falls, so
+    at hi = lam1 - max(tol, 1e-9): a(xi; q) - xi grows as xi falls, so
     every xi below hi is below its edge too.  Status is 'none' when hi is
     not below the edge or F(hi) >= 0 (p outside the ground domain).
-    `iterations` counts the evaluations of F.  The residual |F(xi0)|
-    bounds |e_p(xi0) - xi0| from above, since |dDelta/dz| >= 1.
+    `iterations` counts the points where F is evaluated, none of them
+    twice.  The residual |F(xi0)| bounds |e_p(xi0) - xi0| from above,
+    since |dDelta/dz| >= 1.
     """
     p = params._check_vec(p, "p")
-    _check_cap(params, p, kappa, delta_margin)
-    if lam1 is None:
-        lam1 = lambda1(params, p, kappa, quad, tol, delta_margin=delta_margin)
     f, hi = _ground_determinant(params, p, neumann_order, quad, tol, lam1)
     if f is None:
         return BranchPoint(q=p, xi=None, iterations=0, residual=math.inf,
@@ -271,11 +268,11 @@ def g0_boundary(params: ModelParams, direction, quad: QuadratureSpec,
     def setup(r):
         p = r * direction
         kappa = kappa_from_rule(params, p, kappa_mode, kappa_value)
-        return p, kappa, lambda1(params, p, kappa, quad, tol)
+        return p, lambda1(params, p, kappa, quad, tol)
 
-    @functools.cache
+    @roots.Counted
     def f_top(r):
-        p, _, lam1 = setup(r)
+        p, lam1 = setup(r)
         f, hi = _ground_determinant(params, p, neumann_order, quad, tol, lam1)
         return math.inf if f is None else f(hi)
 
@@ -290,8 +287,8 @@ def g0_boundary(params: ModelParams, direction, quad: QuadratureSpec,
     r_star = roots.root(f_top, r_in, r_out)
     ladder = []
     for dlt in deltas:
-        p, kappa, lam1 = setup(r_star - dlt)
-        bp = ground_state(params, p, kappa, neumann_order, quad, tol, lam1=lam1)
+        p, lam1 = setup(r_star - dlt)
+        bp = ground_state(params, p, lam1, neumann_order, quad, tol)
         if bp.status != "converged":
             raise NumericError(f"ground state lost at delta={dlt} inside the boundary")
         ladder.append((float(dlt), float(lam1 - bp.xi)))

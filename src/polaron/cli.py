@@ -62,8 +62,8 @@ def _ground_at(cfg: RunConfig, pmag):
     kappa = _kappa_at(cfg, p)
     cap = _cap_columns(cfg, p, kappa)
     lam1 = branches.lambda1(cfg.params, p, kappa, cfg.quad, cfg.run["tol"])
-    bp = branches.ground_state(cfg.params, p, kappa, cfg.run["neumann_order"],
-                               cfg.quad, cfg.run["tol"], lam1=lam1)
+    bp = branches.ground_state(cfg.params, p, lam1, cfg.run["neumann_order"],
+                               cfg.quad, cfg.run["tol"])
     return cap, lam1, bp
 
 
@@ -177,10 +177,10 @@ def cmd_domain_map(cfg: RunConfig):
 
 def cmd_gamma(cfg: RunConfig):
     def one(kmag):
-        p = cfg.vector(kmag)
-        res = branches.gamma_factor(cfg.params, p, np.zeros(cfg.params.d),
-                                    _kappa_at(cfg, p), cfg.quad, cfg.run["tol"])
         cap, _, gs = _ground_at(cfg, kmag)
+        res = branches.gamma_factor(cfg.params, cfg.vector(kmag),
+                                    np.zeros(cfg.params.d), cap["kappa"],
+                                    cfg.quad, cfg.run["tol"])
         return {
             "k": float(kmag), "gamma": res.gamma, "residual": res.residual,
             "xi0": gs.xi, "ground_status": gs.status, **cap,

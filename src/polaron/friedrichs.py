@@ -163,6 +163,7 @@ class FriedrichsSolver:
     def ground_eigenvalue(self, order: int = 1, tol: float = 1e-12):
         """Unique root of the determinant below the edge, or None when
         the determinant is still positive at the edge."""
+        @roots.Counted
         def det(z):
             return self.delta(z, order)
 
@@ -236,7 +237,8 @@ class FriedrichsSolver:
 
         r_lo = max(t_bar, 0.0)
         try:
-            r = roots.root_beyond(lambda t: a_at(t) - x, r_lo, r_lo + 1.0)
+            r = roots.root_beyond(roots.Counted(lambda t: a_at(t) - x),
+                                  r_lo, r_lo + 1.0)
         except NumericError as exc:
             raise DomainError(f"level a(r)=x={x} not reached within the search range") from exc
         step = 1e-7 * (1.0 + abs(r))

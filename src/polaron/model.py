@@ -235,6 +235,7 @@ def collinear_minimizer(params: ModelParams, n: int, pmag: float) -> float:
     the interval or Brent's root of f'."""
     top = pmag / n
 
+    @roots.Counted
     def slope(t):
         return params.eps.radial_slope(t) - (pmag - n * t)
 

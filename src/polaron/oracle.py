@@ -222,8 +222,8 @@ def compare_ground(params: ModelParams, p, measure: DiscreteMeasure,
                                              delta_margin=margin)
         ham = build(pa, p, measure, n_max=n_max)
         e0 = float(low_spectrum(ham, 1)[0])
-        bp = branches_mod.ground_state(pa, p, kappa, neumann_order, quad, tol,
-                                       delta_margin=margin)
+        lam1 = branches_mod.lambda1(pa, p, kappa, quad, tol, delta_margin=margin)
+        bp = branches_mod.ground_state(pa, p, lam1, neumann_order, quad, tol)
         if bp.status != "converged":
             raise NumericError(f"solver ground branch missing at alpha={alpha}")
         diff = abs(e0 - bp.xi)

@@ -126,11 +126,12 @@ def _angular_counts(degree: int):
 class NodeSystem:
     """Full node set plus an axially reduced evaluation set.
 
-    For a d=3 continuum rule with an axis, evaluation points collapse to
-    the (r, cos theta) half-plane grid: out_index maps every full node to
-    its reduced representative, and out_weights carry the summed azimuthal
-    weight.  In every other case the two sets coincide.  The arrays, those
-    passed in among them, are made read-only, so that a system can be shared.
+    For a d=3 continuum rule, evaluation points collapse to the
+    (r, cos theta) half-plane grid about its axis: out_index maps every full
+    node to its reduced representative, and out_weights carry the summed
+    azimuthal weight.  In every other case the two sets coincide.  The
+    arrays, those passed in among them, are made read-only, so that a
+    system can be shared.
     """
 
     full_points: np.ndarray   # (Nf, d)
@@ -170,10 +171,11 @@ def _orthonormal_frame(axis: np.ndarray):
 def node_system(spec: QuadratureSpec, d: int, axis=None) -> NodeSystem:
     """Build the node system for dimension d.
 
-    axis (d=3 continuum only): unit direction of axial symmetry; enables
-    the azimuthal reduction of the evaluation set.  Continuum systems are
-    shared from one bounded cache (keyed by the rule, d and the d=3 axis),
-    a lattice's is built once per measure, and their arrays are read-only.
+    axis (d=3 continuum only): unit direction of axial symmetry, about
+    which the evaluation set is reduced; the last coordinate axis when
+    None.  Continuum systems are shared from one bounded cache (keyed by
+    the rule, d and the d=3 axis), a lattice's is built once per measure,
+    and their arrays are read-only.
     """
     if spec.is_discrete:
         m = spec.measure
@@ -183,9 +185,9 @@ def node_system(spec: QuadratureSpec, d: int, axis=None) -> NodeSystem:
 
     if d not in (1, 2, 3):
         raise InputError("continuum quadrature supports d in {1, 2, 3}")
-    axis = tuple(float(x) for x in axis) if d == 3 and axis is not None else None
+    axis = (0.0, 0.0, 1.0) if axis is None else tuple(float(x) for x in axis)
     return _continuum_system(spec.n_radial, spec.angular_degree,
-                             float(spec.r_max), d, axis)
+                             float(spec.r_max), d, axis if d == 3 else None)
 
 
 @lru_cache(maxsize=16)
@@ -218,14 +220,7 @@ def _build_continuum(spec, d, axis):
     n_u, n_phi = _angular_counts(spec.angular_degree)
     u, wu = np.polynomial.legendre.leggauss(n_u)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    if axis is None:
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0])
-        e3 = np.array([0.0, 0.0, 1.0])
-        reduce = False
-    else:
-        e1, e2, e3 = _orthonormal_frame(np.asarray(axis, dtype=float))
-        reduce = True
+    e1, e2, e3 = _orthonormal_frame(np.asarray(axis, dtype=float))
 
     s = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
     # full grid ordering: (radial, u, phi)
@@ -239,10 +234,6 @@ def _build_continuum(spec, d, axis):
     full_pts = (R[..., None] * dirs).reshape(-1, 3)
     WR, WU = np.meshgrid(r * r * wr, wu, indexing="ij")
     full_w = np.repeat((WR * WU).ravel(), n_phi) * (2.0 * math.pi / n_phi)
-
-    if not reduce:
-        idx = np.arange(full_pts.shape[0])
-        return NodeSystem(full_pts, full_w, full_pts, full_w, idx)
 
     out_dirs = u[:, None] * e3 + s[:, None] * e1
     out_pts = (r[:, None, None] * out_dirs[None, :, :]).reshape(-1, 3)

@@ -30,15 +30,21 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 class Counted:
-    """Scalar function that counts its evaluations in `calls`."""
+    """Scalar function that keeps each value by its argument, so that a
+    search evaluates no point twice; `calls` counts the evaluations."""
 
     def __init__(self, f):
         self.f = f
-        self.calls = 0
+        self.values = {}
+
+    @property
+    def calls(self) -> int:
+        return len(self.values)
 
     def __call__(self, x):
-        self.calls += 1
-        return self.f(x)
+        if x not in self.values:
+            self.values[x] = self.f(x)
+        return self.values[x]
 
 
 def _value(f, x: float) -> float:

@@ -84,7 +84,8 @@ def test_criterion_01_free_theory_exactness():
             e1 = 0.5 * float((p - q) @ (p - q)) + float(params.eps(q))
             assert bp.xi == pytest.approx(e1, abs=1e-10)
             # ground branch: xi0 = p^2/2 exactly
-            gs = br.ground_state(params, p, kappa, 1, QUAD, 1e-10)
+            lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
+            gs = br.ground_state(params, p, lam1, 1, QUAD, 1e-10)
             assert gs.status == "converged"
             assert gs.xi == pytest.approx(0.5 * float(p @ p), abs=1e-10)
             # oracle: diagonal free spectrum
@@ -115,8 +116,9 @@ def test_criterion_03_ground_branch_inequality():
                 p = np.array([pmag, 0.0, 0.0])
                 kappa = br.kappa_from_rule(params, p, "fraction", 0.9,
                                            delta_margin=margin)
-                bp = br.ground_state(params, p, kappa, 1, QUAD_FINE, 1e-10,
-                                     delta_margin=margin)
+                lam1 = br.lambda1(params, p, kappa, QUAD_FINE, 1e-10,
+                                  delta_margin=margin)
+                bp = br.ground_state(params, p, lam1, 1, QUAD_FINE, 1e-10)
                 assert bp.status == "converged"
                 assert bp.xi < 0.5 * pmag * pmag - 1e-12
                 if pmag == 0.0:

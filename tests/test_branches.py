@@ -17,6 +17,7 @@ from polaron import (
 from polaron import branches as br
 from polaron import model
 from polaron import quadrature
+from polaron import roots
 from polaron import selfenergy as se
 from polaron.friedrichs import FriedrichsSolver
 
@@ -79,8 +80,6 @@ class TestCapRules:
             br.one_boson_domain(params, p, 3.0, np.zeros((1, 3)), QUAD)
         with pytest.raises(DomainError):
             br.lambda1(params, p, 3.0, QUAD)
-        with pytest.raises(DomainError):
-            br.ground_state(params, p, 3.0, 1, QUAD, lam1=0.5)
 
 
 class TestDispersion:
@@ -396,7 +395,8 @@ class TestGround:
         for pmag in (0.0, 0.5, 1.0):
             p = np.array([pmag, 0.0, 0.0])
             kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
-            bp = br.ground_state(params, p, kappa, 1, QUAD, 1e-10)
+            lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
+            bp = br.ground_state(params, p, lam1, 1, QUAD, 1e-10)
             assert bp.status == "converged"
             assert bp.xi == pytest.approx(0.5 * pmag * pmag, abs=1e-10)
 
@@ -404,7 +404,8 @@ class TestGround:
         params = make_params(alpha=0.1)
         p = np.array([0.5, 0.0, 0.0])
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
-        bp = br.ground_state(params, p, kappa, 1, QUAD, 1e-10)
+        lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
+        bp = br.ground_state(params, p, lam1, 1, QUAD, 1e-10)
         assert bp.status == "converged"
         assert bp.xi < 0.125 - 1e-12
 
@@ -412,7 +413,8 @@ class TestGround:
         params = make_params(alpha=0.01)
         p = np.array([2.5, 0.0, 0.0])
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
-        bp = br.ground_state(params, p, kappa, 1, QUAD, 1e-10)
+        lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
+        bp = br.ground_state(params, p, lam1, 1, QUAD, 1e-10)
         assert bp.status == "none"
 
     def test_boundary_free_closed_form(self):
@@ -461,7 +463,7 @@ class TestGroundProperties:
         lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
         assert lam1 <= kappa
         for order in (0, 1, 2):
-            bp = br.ground_state(params, p, kappa, order, QUAD, 1e-10, lam1=lam1)
+            bp = br.ground_state(params, p, lam1, order, QUAD, 1e-10)
             assert bp.status == "converged"
             assert bp.xi < lam1
 
@@ -488,12 +490,119 @@ class TestGroundProperties:
 
         values = [f(xi) for xi in np.linspace(min(e0, hi) - 1.0, hi, 41)]
         assert all(b < a for a, b in zip(values, values[1:]))
-        bp = br.ground_state(params, p, kappa, order, QUAD, 1e-10, lam1=lam1)
+        bp = br.ground_state(params, p, lam1, order, QUAD, 1e-10)
         assert bp.status == "converged"
         assert bp.xi < lam1
 
 
+def record_calls(monkeypatch, owner, name, arg):
+    """Patch owner.name to record arg(*call args) of every call."""
+    seen = []
+    fn = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        seen.append(arg(*args))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return seen
+
+
+def keep_counted(monkeypatch, name):
+    """The roots.Counted wrappers of functions called `name`, as made."""
+    kept = []
+
+    class Kept(roots.Counted):
+        def __init__(self, f):
+            super().__init__(f)
+            if f.__qualname__.endswith(name):
+                kept.append(self)
+
+    monkeypatch.setattr(roots, "Counted", Kept)
+    return kept
+
+
+def ground_solve(d, p, quad=QUAD):
+    """F's points (xi of each delta call) and iterations of one ground solve."""
+    def run(monkeypatch):
+        params = make_params(d=d)
+        p_vec = np.array(p)
+        kappa = br.kappa_from_rule(params, p_vec, "fraction", 0.9)
+        lam1 = br.lambda1(params, p_vec, kappa, quad, 1e-10)
+        seen = record_calls(monkeypatch, FriedrichsSolver, "delta",
+                            lambda self, z, *_: z)
+        bp = br.ground_state(params, p_vec, lam1, 1, quad, 1e-10)
+        assert bp.status == "converged"
+        return seen, bp.iterations
+    return run
+
+
+def cap_gap_rays(solve):
+    """Each one-row table's point (r u) on the cap-gap rays of one solve,
+    and the calls of their counted ray functions."""
+    def run(monkeypatch):
+        params = make_params()
+        p = np.array([0.3, 0.2, 0.0])
+        kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+        seen = record_calls(monkeypatch, se.SelfEnergyTables, "a_values",
+                            lambda self, xi: tuple(self.points.ravel()))
+        gaps = keep_counted(monkeypatch, "_cap_gap.<locals>.gap")
+        solve(params, p, kappa)
+        return seen, sum(g.calls for g in gaps)
+    return run
+
+
+def eigenvalue_points(monkeypatch):
+    """z of each delta call in ground_eigenvalue, and det's calls."""
+    params = make_params(d=1)
+    p = np.array([0.3])
+    kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+    xi = br.lambda1(params, p, kappa, QUAD, 1e-10) - 0.01
+    solver = FriedrichsSolver.from_tables(se.SelfEnergyTables(params, p, QUAD),
+                                          xi, 0.5 * float(p @ p), 1)
+    seen = record_calls(monkeypatch, FriedrichsSolver, "delta",
+                        lambda self, z, *_: z)
+    dets = keep_counted(monkeypatch, "ground_eigenvalue.<locals>.det")
+    assert solver.ground_eigenvalue(1) is not None
+    return seen, sum(f.calls for f in dets)
+
+
+def boundary_radii(monkeypatch):
+    """r of each ground-domain test in g0_boundary's scan and root (no
+    ladder), and f_top's calls."""
+    params = make_params(d=1)
+    seen = record_calls(monkeypatch, br, "_ground_determinant",
+                        lambda params, p, *_: float(np.linalg.norm(p)))
+    tops = keep_counted(monkeypatch, "g0_boundary.<locals>.f_top")
+    res = br.g0_boundary(params, np.array([1.0]), QUAD, 1e-10, deltas=())
+    assert res.status == "converged"
+    return seen, sum(f.calls for f in tops)
+
+
+NO_REPEAT_CASES = {
+    "ground-d1": ground_solve(1, [0.3]),
+    "ground-d3": ground_solve(3, [0.3, 0.2, 0.0]),
+    "ground-lattice": ground_solve(3, [0.0, 0.0, 0.3], QuadratureSpec.discrete(
+        quadrature.grid_measure(2.0, 4, 3))),
+    "lambda1": cap_gap_rays(lambda params, p, kappa:
+                            br.lambda1(params, p, kappa, QUAD, 1e-10)),
+    "one_boson_domain": cap_gap_rays(lambda params, p, kappa: br.one_boson_domain(
+        params, p, kappa, np.zeros((1, 3)), QUAD, 1e-10,
+        rays=[quadrature.axis_of(p), -quadrature.axis_of(p), [0.0, 0.6, 0.8]])),
+    "ground_eigenvalue": eigenvalue_points,
+    "g0_boundary": boundary_radii,
+}
+
+
 class TestIterations:
+    @pytest.mark.parametrize("case", NO_REPEAT_CASES)
+    def test_no_point_evaluated_twice(self, monkeypatch, case):
+        # every real evaluation of a searched function records its
+        # argument: all differ, and the search counts each of them once
+        seen, count = NO_REPEAT_CASES[case](monkeypatch)
+        assert seen
+        assert len(set(seen)) == len(seen) == count
+
     def test_count_every_evaluation(self, monkeypatch):
         # iterations = evaluations of the solved scalar function; in a
         # dispersion solve each is one Newton row evaluation of g and g'
@@ -522,7 +631,7 @@ class TestIterations:
             assert bp.status == status
             assert bp.iterations == calls["g"]
         lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
-        bp = br.ground_state(params, p, kappa, 1, QUAD, 1e-10, lam1=lam1)
+        bp = br.ground_state(params, p, lam1, 1, QUAD, 1e-10)
         assert bp.status == "converged"
         assert bp.iterations == calls["delta"]
 
@@ -542,9 +651,10 @@ class TestIterations:
             return node_system(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, "node_system", counted)
-        bp = br.ground_state(params, p, kappa, 1, QUAD, 1e-10, lam1=lam1)
+        bp = br.ground_state(params, p, lam1, 1, QUAD, 1e-10)
         assert bp.status == "converged"
-        assert bp.iterations > 10
+        # the same solve's F evaluations, none of them at a point twice
+        assert bp.iterations == {1: 10, 3: 9}[d]
         assert len(builds) <= 2
 
     def test_ground_state_builds_d_matrix_once_per_evaluation(self, monkeypatch):
@@ -562,7 +672,7 @@ class TestIterations:
             return d_matrix(self, xi)
 
         monkeypatch.setattr(se.SelfEnergyTables, "d_matrix", counted)
-        bp = br.ground_state(params, p, kappa, 1, QUAD, 1e-10, lam1=lam1)
+        bp = br.ground_state(params, p, lam1, 1, QUAD, 1e-10)
         assert bp.status == "converged"
         assert len(builds) == bp.iterations
 

@@ -115,11 +115,21 @@ class TestNodeCache:
         again = node_system(QuadratureSpec.continuum(24, 9, r_max=6.0), d,
                             axis=None if axis is None else np.array(axis))
         assert again is ns
+        # no axis means the last coordinate axis for d = 3
+        if d == 3 and axis is None:
+            axis = (0.0, 0.0, 1.0)
         fresh = quadrature._build_continuum(self.SPEC, d, axis)
         for cached, built in zip(self.fields(ns), self.fields(fresh)):
             assert cached.dtype == built.dtype
             assert np.array_equal(cached, built)
             assert cached.tobytes() == built.tobytes()
+
+    def test_no_axis_shares_the_last_axis_entry(self):
+        # given-point tables (no axis) and tables at p along z share one
+        # reduced system
+        ns = node_system(self.SPEC, 3)
+        assert ns is node_system(self.SPEC, 3, axis=(0, 0, 1))
+        assert ns.out_points.shape[0] < ns.full_points.shape[0]
 
     @pytest.mark.parametrize("d, axis", [(1, None), (3, None), (3, (0.0, 0.0, 1.0))])
     def test_cached_arrays_are_read_only(self, d, axis):

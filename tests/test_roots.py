@@ -226,3 +226,32 @@ class TestCounted:
         f = roots.Counted(lambda x: 2.0 * x)
         assert [f(1.0), f(2.0)] == [2.0, 4.0]
         assert f.calls == 2
+
+    def test_calls_f_once_per_distinct_x(self):
+        bare, seen = traced(lambda x: 2.0 * x)
+        f = roots.Counted(bare)
+        assert [f(x) for x in (1.0, 2.0, 1.0, 2.0, 3.0, 1.0)] == \
+            [2.0, 4.0, 2.0, 4.0, 6.0, 2.0]
+        assert seen == [1.0, 2.0, 3.0]
+        assert f.calls == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(-10.0, 10.0), left=st.floats(1e-6, 100.0),
+           right=st.floats(1e-6, 100.0), b=st.floats(0.0, 1.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_searches_agree_with_bare_f(self, c, left, right, b, sign):
+        # the same root bit for bit, with f called once at each distinct
+        # point that the bare search evaluates
+        def f(x):
+            return sign * (x - c) * (1.0 + b * (x * x + x * c + c * c))
+
+        lo, hi = c - left, c + right
+        x0 = c - sign * left
+        for search, args in ((roots.root, (lo, hi)),
+                             (roots.root_beyond, (x0, x0 + sign * right))):
+            bare, bare_seen = traced(f)
+            inner, seen = traced(f)
+            counted = roots.Counted(inner)
+            assert search(counted, *args).hex() == search(bare, *args).hex()
+            assert seen == list(dict.fromkeys(bare_seen))
+            assert counted.calls == len(set(bare_seen))

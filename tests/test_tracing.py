@@ -32,7 +32,7 @@ def test_tracer_records_ground_state_spans():
     delta = FriedrichsSolver.__dict__["delta"]
     tracer = tracing.Tracer().install()
     try:
-        bp = br.ground_state(params, p, kappa, 1, quad, 1e-10, lam1=lam1)
+        bp = br.ground_state(params, p, lam1, 1, quad, 1e-10)
     finally:
         tracer.uninstall()
     assert bp.status == "converged"
