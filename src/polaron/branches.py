@@ -205,7 +205,8 @@ def _ground_determinant(params, p, neumann_order, quad, tol, lam1):
     """(F, hi) at p: F(xi) = Delta_xi(xi), counted, read from the tables at
     p, and hi = lam1 - max(tol, 1e-9), the top of its search range.  F is
     None when hi is not below the continuum edge of the operator at hi,
-    which is built at order 0: the edge does not read the kernel matrix."""
+    which is built at order 0: the edge does not read the kernel matrix.
+    F(hi) reuses that operator and its a(hi), with the kernel matrix added."""
     tables = SelfEnergyTables(params, p, quad)
     e0 = 0.5 * float(p @ p)
 
@@ -213,9 +214,12 @@ def _ground_determinant(params, p, neumann_order, quad, tol, lam1):
         return FriedrichsSolver.from_tables(tables, xi, e0, order)
 
     hi = lam1 - max(tol, 1e-9)
-    if hi >= operator(hi, 0).edge()[0]:
+    top = operator(hi, 0)
+    if hi >= top.edge()[0]:
         return None, hi
-    return roots.Counted(lambda xi: operator(xi).delta(xi, neumann_order)), hi
+    top.dmat = tables.d_matrix(hi) if neumann_order >= 1 else None
+    return roots.Counted(
+        lambda xi: (top if xi == hi else operator(xi)).delta(xi, neumann_order)), hi
 
 
 def ground_state(params: ModelParams, p, lam1: float, neumann_order: int,

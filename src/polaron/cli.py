@@ -214,7 +214,7 @@ def cmd_alpha0(cfg: RunConfig):
 
 
 def cmd_oracle_check(cfg: RunConfig):
-    # scipy's sparse and dense eigensolvers load with the oracle, here only
+    # only this command loads the oracle
     from . import oracle
 
     if cfg.run["kappa_mode"] != "fraction":

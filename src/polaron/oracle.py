@@ -1,7 +1,7 @@
 """Brute-force truth source: the fiber Hamiltonian truncated to at most
-N_max bosons on a discrete momentum lattice, assembled as a sparse CSR
-matrix; its low spectrum by Lanczos; and matched-discretization
-comparisons against the perturbative branches.
+N_max bosons on a discrete momentum lattice, held in blocks; its low
+spectrum from the Schur complement onto the vacuum and one-boson modes;
+and matched-discretization comparisons against the perturbative branches.
 
 Basis and normalization: orthonormal occupancy states over the lattice
 modes.  Writing w for the cell weight, a one-boson mode carries amplitude
@@ -10,6 +10,15 @@ k with amplitude alpha*sqrt(w)*c(p-q_k-q_l; q_l) (and symmetrically), and
 the doubly occupied state {k,k} carries the bosonic sqrt(2) enhancement.
 This makes the matrix the exact image of the fiber operator under the
 isometry from the 1/n!-weighted symmetric functions on the lattice.
+
+Spectrum: the two-boson block D is diagonal, so below its least entry
+D_min it is eliminated exactly (the Feshbach reduction of Bach, Froehlich
+& Sigal, Adv. Math. 137, 1998).  By Sylvester's law, H has as many
+eigenvalues below sigma as the Schur complement
+S(sigma) = H11 - sigma - B (D - sigma)^-1 B^T on the vacuum and one-boson
+modes has negative ones.  The j-th eigenvalue g_j(sigma) of S strictly
+decreases (dS/dsigma = -I - B (D - sigma)^-2 B^T), so the j-th eigenvalue
+of H is the unique root of g_j, repeats included.
 """
 
 from __future__ import annotations
@@ -18,56 +27,90 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import branches as branches_mod
+from . import roots
 from .errors import InputError, NumericError, ResourceError
 from .model import ModelParams
 from .selfenergy import clipped_proxy_margin, lambda2_proxy_value
 from .quadrature import DiscreteMeasure, QuadratureSpec
 
-__all__ = [
-    "TruncatedHamiltonian",
-    "build",
-    "low_spectrum",
-    "compare_ground",
-    "compare_dispersion",
-    "GroundComparison",
-    "DispersionComparison",
-]
+__all__ = ["TruncatedHamiltonian", "build", "low_spectrum", "compare_ground",
+           "compare_dispersion", "GroundComparison", "DispersionComparison"]
 
 _DIM_BUDGET = 20_000  # max matrix dimension
+_DENSE_BYTES = 256 * 2**20  # max size of the dense matrix of the fallback
+# roots of g_j stay this far below D_min, where (D - sigma)^-1 blows up;
+# eigenvalues above D_min - _STANDOFF come from the dense fallback
+_STANDOFF = 1e-9
 
 
 @dataclass
 class TruncatedHamiltonian:
+    """The truncated matrix in blocks: h11 on the vacuum and one-boson
+    modes, the two-boson diagonal pair_diag, and each pair's couplings
+    pair_amps to its one-boson rows pair_rows, both of shape (n2, 2).  A
+    pair {k,k} holds its one coupling in column 0 and zero in column 1."""
     p: np.ndarray
     measure: DiscreteMeasure
     n_max: int
-    csr: scipy.sparse.csr_matrix
+    h11: np.ndarray
+    pair_diag: np.ndarray
+    pair_rows: np.ndarray
+    pair_amps: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.csr.shape[0]
+        return self.h11.shape[0] + self.pair_diag.size
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense copy of the matrix, built on each access.  Of the solvers
         only `low_spectrum`'s dense fallback reads it."""
-        return self.csr.toarray()
+        n1, dim = self.h11.shape[0], self.dim
+        m = np.zeros((dim, dim))
+        m[:n1, :n1] = self.h11
+        pairs = np.arange(n1, dim)
+        m[pairs, pairs] = self.pair_diag
+        m[self.pair_rows[:, 0], pairs] = self.pair_amps[:, 0]
+        m[self.pair_rows[:, 1], pairs] += self.pair_amps[:, 1]
+        m[n1:, :n1] = m[:n1, n1:].T
+        return m
 
     def asymmetry(self) -> float:
-        m = self.csr
-        scale = max(1.0, float(abs(m).max()))
-        return float(abs(m - m.T).max()) / scale
+        m = self.matrix
+        scale = max(1.0, float(np.abs(m).max()))
+        return float(np.abs(m - m.T).max()) / scale
+
+    def schur(self, sigma: float) -> np.ndarray:
+        """S(sigma) = h11 - sigma - B (D - sigma)^-1 B^T, dense, (1+N)^2.
+        Each pair adds at most four entries; one bincount sums them."""
+        n1 = self.h11.shape[0]
+        ra, rb = self.pair_rows.T
+        aa, ab = self.pair_amps.T
+        w = 1.0 / (self.pair_diag - sigma)
+        cross = aa * ab * w
+        terms = np.bincount(
+            np.concatenate([ra * n1 + ra, rb * n1 + rb, ra * n1 + rb, rb * n1 + ra]),
+            np.concatenate([aa * aa * w, ab * ab * w, cross, cross]),
+            minlength=n1 * n1)
+        s = self.h11 - terms.reshape(n1, n1)
+        s[np.diag_indices(n1)] -= sigma
+        return s
+
+    def lower_bound(self) -> float:
+        """Gershgorin's bound: no eigenvalue lies below
+        min_i (H_ii - sum_{j != i} |H_ij|)."""
+        diag, amps = np.diag(self.h11), np.abs(self.pair_amps)
+        radius = (np.abs(self.h11).sum(axis=1) - np.abs(diag)
+                  + np.bincount(self.pair_rows.ravel(), amps.ravel(), minlength=diag.size))
+        return min((diag - radius).min(), (self.pair_diag - amps.sum(axis=1)).min())
 
 
 def build(params: ModelParams, p, measure: DiscreteMeasure,
           n_max: int = 2) -> TruncatedHamiltonian:
-    """Assemble the truncated fiber Hamiltonian on the lattice measure as
-    a sparse CSR matrix."""
+    """Assemble the truncated fiber Hamiltonian on the lattice measure in
+    blocks."""
     p = params._check_vec(p, "p")
     if n_max not in (1, 2):
         raise InputError("n_max must be 1 or 2")
@@ -75,111 +118,68 @@ def build(params: ModelParams, p, measure: DiscreteMeasure,
         raise InputError("measure dimension does not match the model")
     q = measure.points
     n_pts = q.shape[0]
-    w = measure.weight
-    sqw = math.sqrt(w)
-    alpha = params.alpha
+    amp = params.alpha * math.sqrt(measure.weight)
 
     n2 = n_pts * (n_pts + 1) // 2 if n_max == 2 else 0
     dim = 1 + n_pts + n2
     if dim > _DIM_BUDGET:
         raise ResourceError(f"truncated basis of dimension {dim} exceeds the budget")
 
-    # COO triplets; the two-boson block is diagonal and each pair couples
-    # to at most two one-boson modes.  Duplicates ({k,k} pairs) are summed
-    # on conversion.
-    modes = np.arange(1, 1 + n_pts)
-    vac = np.zeros(n_pts, dtype=int)
     e1 = 0.5 * np.sum((p[None, :] - q) ** 2, axis=-1) + params.eps(q)
-    c01 = alpha * sqw * params.coupling.evaluate(p[None, :] - q, q)
-    rows = [vac[:1], modes, vac, modes]
-    cols = [vac[:1], modes, modes, vac]
-    vals = [np.array([0.5 * float(p @ p)]), e1, c01, c01]
+    h11 = np.diag(np.concatenate(([0.5 * float(p @ p)], e1)))
+    h11[0, 1:] = h11[1:, 0] = amp * params.coupling.evaluate(p[None, :] - q, q)
 
-    if n_max == 2:
-        kk, ll = np.triu_indices(n_pts)
-        qsum = q[kk] + q[ll]
-        rest = p[None, :] - qsum
-        e2 = (0.5 * np.sum(rest**2, axis=-1)
-              + params.eps(q[kk]) + params.eps(q[ll]))
-        pairs = 1 + n_pts + np.arange(kk.size)
-        amp_k = alpha * sqw * params.coupling.evaluate(rest, q[ll])
-        amp_l = alpha * sqw * params.coupling.evaluate(rest, q[kk])
-        diag_pair = kk == ll
-        amp_k = np.where(diag_pair, amp_k * (math.sqrt(2.0) / 2.0), amp_k)
-        amp_l = np.where(diag_pair, amp_l * (math.sqrt(2.0) / 2.0), amp_l)
-        rows += [pairs, 1 + kk, 1 + ll, pairs, pairs]
-        cols += [pairs, pairs, pairs, 1 + kk, 1 + ll]
-        vals += [e2, amp_k, amp_l, amp_k, amp_l]
+    # each pair {k,l} couples to one-boson rows k and l; {k,k} carries
+    # sqrt(2), shared between its two equal amplitudes on its one row
+    kk, ll = np.triu_indices(n_pts) if n_max == 2 else (np.empty(0, int),) * 2
+    rest = p[None, :] - (q[kk] + q[ll])
+    e2 = 0.5 * np.sum(rest**2, axis=-1) + params.eps(q[kk]) + params.eps(q[ll])
+    amp_k = amp * params.coupling.evaluate(rest, q[ll])
+    amp_l = amp * params.coupling.evaluate(rest, q[kk])
+    same, half = kk == ll, math.sqrt(2.0) / 2.0
+    amps = np.stack([np.where(same, amp_k * half + amp_l * half, amp_k),
+                     np.where(same, 0.0, amp_l)], axis=1)
+    return TruncatedHamiltonian(p=p, measure=measure, n_max=n_max, h11=h11,
+                                pair_diag=e2, pair_rows=np.stack([1 + kk, 1 + ll], axis=1),
+                                pair_amps=amps)
 
-    coo = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim))
-    return TruncatedHamiltonian(p=p, measure=measure, n_max=n_max,
-                                csr=coo.tocsr())
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
 
 
 def low_spectrum(ham: TruncatedHamiltonian, k: int) -> np.ndarray:
-    """k lowest eigenvalues, ascending, by implicitly restarted Lanczos
-    (ARPACK) on the CSR matrix.  The start vector is fixed, so reruns are
-    bit-identical.
-
-    The lattice spectrum has tight clusters and repeated eigenvalues.
-    ARPACK stalls when the last requested eigenvalue falls inside a
-    cluster, and a single Krylov sequence can skip a copy of a repeated
-    eigenvalue; the result is checked against the inertia count.  After
-    a stall or a failed check the request is doubled.  Only where ARPACK
-    cannot run (at least dim - 1 eigenvalues) is the matrix densified for
-    a dense symmetric eigensolver."""
+    """k lowest eigenvalues, ascending: Brent's roots of g_j between a
+    Gershgorin bound and D_min - _STANDOFF, sharing the spectra of S by
+    sigma.  With n_max = 1 the matrix is h11.  A request that reaches
+    D_min - _STANDOFF goes to a dense eigensolver, which raises
+    ResourceError when the matrix would exceed _DENSE_BYTES."""
     dim = ham.dim
     if k < 1 or k > dim:
         raise InputError(f"need 1 <= k <= {dim}")
-    m = k
-    while m < dim - 1:
-        try:
-            # with fewer than 64 Lanczos vectors ARPACK often stalls near
-            # a cluster; converging runs here need well under 100 restarts
-            vals = scipy.sparse.linalg.eigsh(
-                ham.csr, m, which="SA", v0=np.ones(dim),
-                ncv=min(dim, max(2 * m + 1, 64)), maxiter=100,
-                return_eigenvectors=False)
-        except scipy.sparse.linalg.ArpackNoConvergence:
-            pass  # stalled: ask for more
-        except scipy.sparse.linalg.ArpackError as exc:
-            raise NumericError(f"Lanczos eigensolver failed: {exc}") from exc
-        else:
-            vals = np.sort(vals)[:k]
-            if _complete(ham, vals):
-                return vals
-        m *= 2
-    try:
-        return scipy.linalg.eigvalsh(ham.matrix, subset_by_index=[0, k - 1])
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericError(f"dense eigensolver failed: {exc}") from exc
+    if ham.pair_diag.size == 0:
+        return _eigvalsh(ham.h11)[:k]
+    top = float(ham.pair_diag.min()) - _STANDOFF
+    spectrum = roots.Counted(lambda sigma: _eigvalsh(ham.schur(sigma)))
+    if np.count_nonzero(spectrum(top) < 0.0) < k:
+        if dim * dim * 8 > _DENSE_BYTES:
+            raise ResourceError(f"dense matrix of dimension {dim} exceeds {_DENSE_BYTES} B")
+        return _eigvalsh(ham.matrix)[:k]
+    # one stand-off below the bound, so rounding puts no root on the edge
+    lo = ham.lower_bound() - _STANDOFF
+    return np.array([roots.root(lambda s, j=j: spectrum(s)[j], lo, top)
+                     for j in range(k)])
 
 
 def _count_below(ham: TruncatedHamiltonian, sigma: float) -> int:
     """Number of eigenvalues below sigma, by Sylvester's law of inertia:
     the inertia of H - sigma is that of the diagonal two-boson block
-    D - sigma plus that of its Schur complement on the vacuum and
-    one-boson modes, a small dense matrix."""
-    n1 = 1 + ham.measure.points.shape[0]
-    h = ham.csr
-    shifted = h.diagonal()[n1:] - sigma
-    b = h[:n1, n1:]
-    schur = (h[:n1, :n1] - b.multiply(1.0 / shifted[None, :]) @ b.T).toarray()
-    schur[np.diag_indices(n1)] -= sigma
-    return (int(np.count_nonzero(shifted < 0.0))
-            + int(np.count_nonzero(np.linalg.eigvalsh(schur) < 0.0)))
-
-
-def _complete(ham: TruncatedHamiltonian, vals: np.ndarray) -> bool:
-    """Whether sorted eigenvalues vals are the lowest ones, repeats
-    included: just below each distinct value, the inertia count must
-    equal the number of values under it.  Values closer than sep count
-    as one repeated eigenvalue."""
-    sep = 1e-12 * max(1.0, float(np.abs(vals).max()))
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(vals) > sep) + 1))
-    return all(_count_below(ham, vals[j] - sep) == j for j in starts)
+    D - sigma plus that of its Schur complement S(sigma)."""
+    return (int(np.count_nonzero(ham.pair_diag < sigma))
+            + int(np.count_nonzero(_eigvalsh(ham.schur(sigma)) < 0.0)))
 
 
 @dataclass
@@ -254,8 +254,8 @@ def compare_dispersion(params: ModelParams, p, measure: DiscreteMeasure,
     """Match the solved one-boson dispersion at a grid momentum against
     the nearest truncated-oracle eigenvalue inside the window
     (lambda1 estimate, kappa).  Only the eigenvalues below kappa are
-    computed: their number comes from the matrix inertia, and that many
-    are taken from the bottom of the spectrum by Lanczos."""
+    computed: their number comes from the matrix inertia, and each is a
+    root of the Schur complement's eigenvalues (see `low_spectrum`)."""
     p = params._check_vec(p, "p")
     q = params._check_vec(q, "q")
     dists = np.linalg.norm(measure.points - q[None, :], axis=-1)

@@ -284,14 +284,15 @@ class TestDeterminism:
 class TestImports:
     def test_commands_load_no_scipy_solvers(self, config_path, tmp_path):
         # in a fresh interpreter: scipy's optimizers, interpolators and
-        # sparse and dense linear algebra load only with the oracle and a
-        # tabulated epsilon, not with the package or a command
+        # sparse and dense linear algebra load only with a tabulated
+        # epsilon, not with the package, a command or the oracle
         heavy = ["scipy.optimize", "scipy.interpolate", "scipy.sparse", "scipy.linalg"]
-        argv = ["thresholds", "--config", config_path, "--out", str(tmp_path / "o")]
+        argvs = [[command, "--config", config_path, "--out", str(tmp_path / command)]
+                 for command in ("thresholds", "oracle-check")]
         script = (
             "import json, sys\n"
             "import polaron, polaron.branches, polaron.cli\n"
-            f"code = polaron.cli.main({argv!r})\n"
+            f"code = max(polaron.cli.main(argv) for argv in {argvs!r})\n"
             f"print(json.dumps([code, [m for m in {heavy!r} if m in sys.modules]]))\n"
         )
         src = str(Path(polaron.__file__).resolve().parents[1])

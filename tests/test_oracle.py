@@ -1,9 +1,8 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-
-import scipy.sparse.linalg
 
 from polaron import CouplingSpec, EpsilonSpec, InputError, ModelParams, grid_measure
 from polaron import branches, oracle
@@ -126,8 +125,8 @@ class TestComparisons:
                                       np.array([0.123]))
 
 
-# p = 0 and p on an axis keep lattice symmetries whose repeated
-# eigenvalues a single Lanczos sequence can skip; the generic p has none
+# p = 0 and p on an axis keep lattice symmetries with repeated
+# eigenvalues; the generic p has none
 SYMMETRY_CASES = [np.zeros(3), np.array([0.3, 0.0, 0.0]),
                   np.array([0.1, 0.2, 0.05])]
 
@@ -160,31 +159,65 @@ class TestSparse:
         for sigma in (-1.0, 0.5, 1.2, 1.6, 2.5, 3.5):
             assert oracle._count_below(ham, sigma) == np.count_nonzero(dense < sigma)
 
-    def test_arpack_error_is_numeric_error(self, monkeypatch):
+    def test_eigensolver_error_is_numeric_error(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackError(-9999)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         ham = oracle.build(make_params(), np.zeros(1), grid_measure(3.0, 9, 1), 2)
         with pytest.raises(NumericError):
             oracle.low_spectrum(ham, 1)
 
-    def test_stalled_lanczos_retried_with_larger_request(self, monkeypatch):
-        real = scipy.sparse.linalg.eigsh
-        requests = []
-
-        def stall_once(a, k, **kwargs):
-            requests.append(k)
-            if len(requests) == 1:
-                raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
-            return real(a, k, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stall_once)
+    def test_three_lowest_match_dense_d1(self):
         ham = oracle.build(make_params(), np.zeros(1), grid_measure(3.0, 9, 1), 2)
         vals = oracle.low_spectrum(ham, 3)
-        assert requests == [3, 6]
         dense = np.linalg.eigvalsh(ham.matrix)[:3]
         assert np.abs(vals - dense).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_schur_matches_dense_complement(self, n_max):
+        # S(sigma) = H11 - sigma - B (D - sigma)^-1 B^T from the dense
+        # matrix, below the least pair energy D_min and between pair energies
+        ham = oracle.build(make_params(d=2, alpha=0.3), np.array([0.4, 0.1]),
+                           grid_measure(2.0, 4, 2), n_max)
+        h, n1 = ham.matrix, ham.h11.shape[0]
+        b, pair = h[:n1, n1:], np.diag(h)[n1:]
+        levels = np.unique(pair)
+        sigmas = [-0.5, 0.9]
+        if n_max == 2:
+            sigmas += [levels[0] - 1e-3, 0.5 * (levels[3] + levels[4])]
+            assert sigmas[-1] > ham.pair_diag.min()
+        for sigma in sigmas:
+            dense = h[:n1, :n1] - sigma * np.eye(n1) - (b / (pair - sigma)) @ b.T
+            assert np.abs(ham.schur(sigma) - dense).max() <= 1e-13 * max(
+                1.0, np.abs(dense).max())
+
+    @pytest.mark.parametrize("p", SYMMETRY_CASES, ids=["zero", "axis", "generic"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    @pytest.mark.parametrize("eps", ["constant", "relativistic"])
+    def test_every_root_matches_dense_4cubed(self, p, alpha, eps):
+        # every eigenvalue below the stand-off from D_min is a Schur root;
+        # with constant eps at alpha = 0.05 four lie within it, left out here
+        params = replace(make_params(d=3, alpha=alpha), eps=(
+            EpsilonSpec.constant(1.0) if eps == "constant"
+            else EpsilonSpec.relativistic(1.0, 0.5)))
+        ham = oracle.build(params, p, grid_measure(3.0, 4, 3), n_max=2)
+        dense = np.linalg.eigvalsh(ham.matrix)
+        k = int(np.count_nonzero(dense < ham.pair_diag.min() - oracle._STANDOFF))
+        assert k >= 9
+        assert np.abs(oracle.low_spectrum(ham, k) - dense[:k]).max() <= 1e-12
+
+    def test_dense_fallback_size_guard(self, monkeypatch):
+        # k = dim reaches D_min, so it needs the dense matrix: on the 5^3
+        # lattice (dim 8001) that exceeds the byte budget
+        def refuse(self):
+            raise AssertionError("dense matrix requested")
+
+        monkeypatch.setattr(oracle.TruncatedHamiltonian, "matrix", property(refuse))
+        ham = oracle.build(make_params(d=3), np.zeros(3), grid_measure(3.0, 5, 3))
+        assert ham.dim == 8001
+        with pytest.raises(ResourceError):
+            oracle.low_spectrum(ham, ham.dim)
 
     @pytest.mark.parametrize("case", ["d1", "4cubed"])
     def test_dispersion_window_matches_dense_recount(self, case):
