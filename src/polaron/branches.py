@@ -307,19 +307,19 @@ def gamma_factor(params: ModelParams, p, q, kappa: float,
     factorization residual from a second pair sharing the same p - q."""
     p = params._check_vec(p, "p")
     q = params._check_vec(q, "q")
-    bp = dispersion_point(params, p, q, kappa, quad, tol)
-    if bp.status == "none":
-        raise DomainError("q is outside the one-boson domain for this cap")
     k = p - q
-    gamma = bp.xi - float(params.eps(q))
     if second_pair is None:
         shift = np.zeros(params.d)
         shift[0] = 0.1
         second_pair = (p + shift, q + shift)
     p2 = params._check_vec(second_pair[0], "p2")
     q2 = params._check_vec(second_pair[1], "q2")
-    if not np.allclose(p2 - q2, k, atol=1e-12):
-        raise InputError("second pair must preserve p - q")
+    if not np.abs(p2 - q2 - k).max() <= 1e-12 * (1.0 + math.sqrt(k @ k)):
+        raise InputError("second pair must preserve p - q to 1e-12 (1 + |p - q|)")
+    bp = dispersion_point(params, p, q, kappa, quad, tol)
+    if bp.status == "none":
+        raise DomainError("q is outside the one-boson domain for this cap")
+    gamma = bp.xi - float(params.eps(q))
     bp2 = dispersion_point(params, p2, q2, kappa, quad, tol)
     if bp2.status == "none":
         return GammaResult(k=k, gamma=gamma, gamma_second=None, residual=None)

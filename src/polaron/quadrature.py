@@ -129,9 +129,10 @@ class NodeSystem:
     For a d=3 continuum rule, evaluation points collapse to the
     (r, cos theta) half-plane grid about its axis: out_index maps every full
     node to its reduced representative, and out_weights carry the summed
-    azimuthal weight.  In every other case the two sets coincide.  The
+    azimuthal weight.  In every other case the two sets coincide.
+    full_points_t is a C-contiguous (d, Nf) copy of full_points.  The
     arrays, those passed in among them, are made read-only, so that a
-    system can be shared.
+    system can be shared; `terms` holds read-only node arrays per model.
     """
 
     full_points: np.ndarray   # (Nf, d)
@@ -140,11 +141,14 @@ class NodeSystem:
     out_weights: np.ndarray   # (No,)
     out_index: np.ndarray     # (Nf,) -> [0, No)
     full_sq: np.ndarray = field(init=False)  # (Nf,) |q'|^2, set on build
+    full_points_t: np.ndarray = field(init=False)  # (d, Nf), set on build
 
     def __post_init__(self):
         self.full_sq = np.sum(self.full_points * self.full_points, axis=-1)
+        self.full_points_t = self.full_points.T.copy()
         for arr in vars(self).values():
             arr.flags.writeable = False
+        self.terms = {}
 
 
 def axis_of(p) -> np.ndarray:

@@ -6,6 +6,7 @@ bound the validity range of the perturbative elimination.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -22,7 +23,6 @@ __all__ = [
     "ContractionReport",
     "SelfEnergyTables",
     "m2",
-    "a_eff",
     "b2_leading",
     "d2_leading",
     "contraction_bounds",
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 DENOM_MARGIN = 1e-6  # minimum allowed distance of xi to the two-boson edge
+_TERMS_BOUND = 4     # models whose node terms one node system keeps
 
 
 @dataclass
@@ -56,25 +57,6 @@ class ContractionReport:
     alpha0_Gamma: float
 
 
-def _m2_row(params, p, xi, q, quad, kappa):
-    """m2's point and the one-row table its value was read from."""
-    p = params._check_vec(p, "p")
-    q = params._check_vec(q, "q")
-    if kappa is not None and xi > kappa:
-        raise DomainError(f"xi={xi} exceeds the cap kappa={kappa}")
-    row = SelfEnergyTables(params, p, quad, q[None, :])
-    value = float(row.m_values(xi)[0])
-    err = 0.0
-    if not quad.is_discrete:
-        fine = replace(quad, n_radial=2 * quad.n_radial,
-                       angular_degree=2 * quad.angular_degree + 1)
-        row = SelfEnergyTables(params, p, fine, q[None, :])
-        fine_value = float(row.m_values(xi)[0])
-        err = abs(fine_value - value)
-        value = fine_value
-    return SelfEnergyPoint(p=p, q=q, xi=float(xi), m=value, quad_error=err), row
-
-
 def m2(params: ModelParams, p, xi: float, q, quad: QuadratureSpec,
        kappa: float | None = None) -> SelfEnergyPoint:
     """Leading self-energy
@@ -85,14 +67,19 @@ def m2(params: ModelParams, p, xi: float, q, quad: QuadratureSpec,
     continuum rule the value comes from the refined rule and quad_error is
     its distance to the value on the given rule.
     """
-    return _m2_row(params, p, xi, q, quad, kappa)[0]
-
-
-def a_eff(params: ModelParams, p, xi: float, q, quad: QuadratureSpec,
-          kappa: float | None = None) -> float:
-    """Effective one-boson energy e1(q) + m(xi; q); strictly decreasing in xi."""
-    point, row = _m2_row(params, p, xi, q, quad, kappa)
-    return float(row.e1_out[0]) + point.m
+    p = params._check_vec(p, "p")
+    q = params._check_vec(q, "q")
+    if kappa is not None and xi > kappa:
+        raise DomainError(f"xi={xi} exceeds the cap kappa={kappa}")
+    value = float(SelfEnergyTables(params, p, quad, q[None, :]).m_values(xi)[0])
+    err = 0.0
+    if not quad.is_discrete:
+        fine = replace(quad, n_radial=2 * quad.n_radial,
+                       angular_degree=2 * quad.angular_degree + 1)
+        fine_value = float(SelfEnergyTables(params, p, fine, q[None, :]).m_values(xi)[0])
+        err = abs(fine_value - value)
+        value = fine_value
+    return SelfEnergyPoint(p=p, q=q, xi=float(xi), m=value, quad_error=err)
 
 
 def _e2_scalar(params, p, q1, q2):
@@ -177,6 +164,27 @@ def contraction_bounds(params: ModelParams, p, kappa: float,
     )
 
 
+def _node_terms(params, ns):
+    """eps(q') on the full nodes, and c(q') and w|c(q')|^2 for a separable
+    coupling (None for a p-modulated one), read-only.  ns.terms keeps them
+    for its _TERMS_BOUND latest models, keyed on the pickled values of the
+    fields of eps and the coupling: equal keys mean equal bits."""
+    key = pickle.dumps([getattr(spec, name) for spec in (params.eps, params.coupling)
+                        for name in spec.__dataclass_fields__])
+    if key not in ns.terms:
+        if len(ns.terms) >= _TERMS_BOUND:
+            del ns.terms[next(iter(ns.terms))]
+        eps = params.eps.radial(np.sqrt(ns.full_sq))
+        c = num = None
+        if params.coupling.kind == "separable":
+            c = params.coupling.from_sq(0.0, ns.full_sq)
+            num = c * c * ns.full_weights
+            c.flags.writeable = num.flags.writeable = False
+        eps.flags.writeable = False
+        ns.terms[key] = eps, c, num
+    return ns.terms[key]
+
+
 class SelfEnergyTables:
     """Self-energy, effective energy and leading kernel at a set of
     evaluation points, from cached pairwise arrays on a node system.
@@ -184,10 +192,12 @@ class SelfEnergyTables:
     The two-boson energies e2 and the numerators w|c|^2 do not depend on
     xi, so sweeping xi (dispersion and ground-branch solves) costs one
     elementwise division per sweep point.  They are built from squared
-    norms, |p - q - q'|^2 = |k|^2 - 2 k.q' + |q'|^2 with k = p - q and
-    |q'|^2 from the node system; each entry comes from its own q and q'
-    alone, so a one-row table at q equals its row of a larger table on
-    the same nodes bit for bit.  num_m is (Nf,) for a separable coupling.
+    norms, |p - q - q'|^2 = |k|^2 - 2 k.q' + |q'|^2 with k = p - q and k.q'
+    summed coordinate by coordinate over the node system's (d, Nf) copy of
+    its nodes; each entry comes from its own q and q' alone, so a one-row
+    table at q equals its row of a larger table on the same nodes bit for
+    bit.  eps(q'), and c(q') and num_m = w|c(q')|^2 (shape (Nf,)) for a
+    separable coupling, depend on no row: `_node_terms` caches them.
     Without `points` the evaluation set is the rule's own; for d=3
     continuum rules it is reduced to the azimuthal half-plane of the p
     axis.  Given points, shape (N, d), are evaluated on the unrotated
@@ -211,19 +221,21 @@ class SelfEnergyTables:
         self._k_sq = np.einsum("ij,ij->i", self._k, self._k)
         eps_out = params.eps(self.points)
         self.e1_out = 0.5 * self._k_sq + eps_out
+        eps_full, self._c_full, self.num_m = _node_terms(params, self.ns)
         s = self._sq_dist()
-        c = params.coupling.from_sq(s, self.ns.full_sq)
-        self.num_m = c * c * self.ns.full_weights
+        if self.num_m is None:
+            c = params.coupling.from_sq(s, self.ns.full_sq)
+            self.num_m = c * c * self.ns.full_weights
         s *= 0.5
         s += eps_out[:, None]
-        s += params.eps.radial(np.sqrt(self.ns.full_sq))
+        s += eps_full
         self.e2 = s
         self._min_e2 = float(self.e2.min())
 
     def _sq_dist(self) -> np.ndarray:
         """|p - q - q'|^2 over all pairs; unoptimized einsum is NumPy's own
         loop, not BLAS, and makes no (rows, Nf) temporary."""
-        s = np.einsum("ij,nj->in", self._k, self.ns.full_points)
+        s = np.einsum("ij,jn->in", self._k, self.ns.full_points_t)
         s *= -2.0
         s += self._k_sq[:, None]
         s += self.ns.full_sq
@@ -231,11 +243,14 @@ class SelfEnergyTables:
 
     @cached_property
     def num_d(self) -> np.ndarray:
-        """Kernel numerators c(p-q-q'; q') c(p-q-q'; q), built on first use."""
-        c, s = self.params.coupling, self._sq_dist()
-        q_sq = np.sum(self.points * self.points, axis=-1)
-        return np.multiply(c.from_sq(s, self.ns.full_sq),
-                           c.from_sq(s, q_sq[:, None]), out=s)
+        """Kernel numerators c(p-q-q'; q') c(p-q-q'; q), built on first use:
+        the outer product c(q) c(q') for a separable coupling."""
+        c = self.params.coupling
+        q_sq = np.sum(self.points * self.points, axis=-1)[:, None]
+        if self._c_full is not None:
+            return np.multiply(self._c_full, c.from_sq(0.0, q_sq))
+        s = self._sq_dist()
+        return np.multiply(c.from_sq(s, self.ns.full_sq), c.from_sq(s, q_sq), out=s)
 
     @cached_property
     def v_out(self) -> np.ndarray:

@@ -10,6 +10,7 @@ from polaron import (
     CouplingSpec,
     DomainError,
     EpsilonSpec,
+    InputError,
     ModelParams,
     QuadratureSpec,
     threshold,
@@ -696,3 +697,19 @@ class TestGamma:
         res = br.gamma_factor(params, p, p, kappa, QUAD, 1e-10)
         assert np.linalg.norm(res.k) == 0.0
         assert res.gamma < 0.0  # self-energy pulls below the free value 0
+
+    def test_second_pair_must_preserve_p_minus_q(self):
+        # a relative mismatch of 5e-6 is inside np.allclose's default rtol,
+        # yet such a pair measures no factorization
+        params = make_params()
+        kappa = br.kappa_from_rule(params, np.zeros(3), "fraction", 0.9)
+        p = np.array([0.3, 0.0, 0.0])
+        q = np.array([-0.2, 0.1, 0.0])
+        shift = np.array([0.1, 0.0, 0.0])
+        off = (p + shift, q + shift - 5e-6 * (p - q))
+        with pytest.raises(InputError):
+            br.gamma_factor(params, p, q, kappa, QUAD, 1e-10, second_pair=off)
+        res = br.gamma_factor(params, p, q, kappa, QUAD, 1e-10,
+                              second_pair=(p + shift, q + shift))
+        assert res.residual is not None
+        assert res.residual <= 1e-7

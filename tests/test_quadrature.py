@@ -105,7 +105,7 @@ class TestNodeCache:
     @staticmethod
     def fields(ns):
         return (ns.full_points, ns.full_weights, ns.out_points,
-                ns.out_weights, ns.out_index, ns.full_sq)
+                ns.out_weights, ns.out_index, ns.full_sq, ns.full_points_t)
 
     @pytest.mark.parametrize("d, axis", [(1, None), (2, None), (3, None),
                                          (3, (0.6, 0.0, 0.8))])
@@ -123,6 +123,16 @@ class TestNodeCache:
             assert cached.dtype == built.dtype
             assert np.array_equal(cached, built)
             assert cached.tobytes() == built.tobytes()
+
+    @pytest.mark.parametrize("d, axis", [(1, None), (2, None), (3, (0.6, 0.0, 0.8))])
+    def test_transposed_nodes(self, d, axis):
+        # k.q' runs over the (d, Nf) copy: C-contiguous, equal bit for bit
+        ns = node_system(self.SPEC, d, axis=axis)
+        t = ns.full_points_t
+        assert t.shape == (d, ns.full_points.shape[0])
+        assert t.flags.c_contiguous
+        assert np.array_equal(t, ns.full_points.T)
+        assert t.tobytes() == np.ascontiguousarray(ns.full_points.T).tobytes()
 
     def test_no_axis_shares_the_last_axis_entry(self):
         # given-point tables (no axis) and tables at p along z share one

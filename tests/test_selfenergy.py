@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad as scipy_quad
 
 from polaron import CouplingSpec, DomainError, EpsilonSpec, ModelParams, QuadratureSpec
+from polaron import quadrature
 from polaron import selfenergy as se
 from polaron.quadrature import grid_measure, node_system
 
@@ -83,12 +84,16 @@ class TestM2Properties:
         assert all(v < 0 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
-    def test_a_eff_strictly_decreasing(self):
+    def test_a_values_strictly_decreasing(self):
+        # on the refined rule, which m2 reads its value from
         params = make_params()
         p = np.zeros(3)
         q = np.array([0.3, 0.0, 0.0])
-        a_lo = se.a_eff(params, p, 0.1, q, QUAD)
-        a_hi = se.a_eff(params, p, 0.8, q, QUAD)
+        fine = replace(QUAD, n_radial=2 * QUAD.n_radial,
+                       angular_degree=2 * QUAD.angular_degree + 1)
+        row = se.SelfEnergyTables(params, p, fine, q[None, :])
+        a_lo = float(row.a_values(0.1)[0])
+        a_hi = float(row.a_values(0.8)[0])
         assert a_hi < a_lo
 
     @settings(max_examples=40, deadline=None)
@@ -214,7 +219,8 @@ class TestTables:
             point = se.m2(params, p, xi, q, quad)
             assert point.m == pytest.approx(m_all[i], rel=1e-15, abs=0)
             assert point.quad_error == 0.0
-            assert se.a_eff(params, p, xi, q, quad) == pytest.approx(
+            # e1 plus m2's value is the table's effective energy
+            assert float(row.e1_out[0]) + point.m == pytest.approx(
                 a_all[i], rel=1e-15, abs=0)
 
     def test_d_matrix_is_d2_leading(self):
@@ -359,3 +365,78 @@ class TestSquaredNorms:
         assert tab.e2.shape == (384, 6144)
         assert build_peak <= 5 * tab.e2.nbytes
         assert num_d_peak <= 2 * tab.e2.nbytes
+
+
+class TestNodeTerms:
+    """eps(q'), c(q') and w|c(q')|^2 are kept on the node system per model."""
+
+    QUAD = QuadratureSpec.continuum(24, 9, r_max=6.0)
+    P = np.array([0.3, -0.1, 0.2])
+    POINTS = np.array([[0.1, 0.2, -0.3], [0.5, 0.0, 0.4], [-0.7, 0.3, 0.1]])
+
+    @staticmethod
+    def models():
+        # pairs that differ only in eps or only in the coupling
+        base = make_params()
+        return [
+            base,
+            replace(base, eps=EpsilonSpec.relativistic(1.0, 0.0)),
+            replace(base, eps=EpsilonSpec.relativistic(1.0, 0.2)),
+            replace(base, eps=EpsilonSpec.constant(1.5)),
+            replace(base, coupling=CouplingSpec(width=1.3)),
+            replace(base, eps=EpsilonSpec.tabulated([0.0, 1.0, 2.0, 4.0],
+                                                    [1.0, 1.2, 1.7, 3.0])),
+            make_modulated(),
+        ]
+
+    def assert_uncached(self, params, tab):
+        # the same nodes in a fresh system, whose cache is empty
+        fresh = quadrature._build_continuum(self.QUAD, 3, (0.0, 0.0, 1.0))
+        ref = se.SelfEnergyTables(params, self.P, fresh, self.POINTS)
+        for name in ("e2", "num_m", "num_d"):
+            assert getattr(tab, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    def test_models_on_one_rule_match_an_uncached_build(self):
+        ns = node_system(self.QUAD, 3)
+        for _ in range(2):            # cold, then whatever the cache still holds
+            for params in self.models():
+                self.assert_uncached(
+                    params, se.SelfEnergyTables(params, self.P, ns, self.POINTS))
+
+    def test_equal_spec_built_anew_hits_the_entry(self):
+        ns = node_system(self.QUAD, 3)
+        first = se.SelfEnergyTables(make_params(), self.P, ns, self.POINTS)
+        again = se.SelfEnergyTables(make_params(), self.P, ns, self.POINTS)
+        assert again.num_m is first.num_m
+        self.assert_uncached(make_params(), again)
+
+    def test_changed_spec_misses_the_entry(self):
+        # keyed by value: a spec changed in place is a new model
+        params = make_params()
+        ns = node_system(self.QUAD, 3)
+        first = se.SelfEnergyTables(params, self.P, ns, self.POINTS)
+        params.eps.eps0 = 1.25
+        params.coupling.width = 0.9
+        tab = se.SelfEnergyTables(params, self.P, ns, self.POINTS)
+        assert tab.num_m is not first.num_m
+        assert not np.array_equal(tab.e2, first.e2)
+        self.assert_uncached(params, tab)
+
+    def test_cached_arrays_are_read_only(self):
+        ns = quadrature._build_continuum(self.QUAD, 3, (0.0, 0.0, 1.0))
+        for params in self.models():
+            tab = se.SelfEnergyTables(params, self.P, ns, self.POINTS)
+            eps, c, num = se._node_terms(params, ns)
+            separable = params.coupling.kind == "separable"
+            assert (c is not None) == (num is tab.num_m) == separable
+            for arr in (eps, c, num) if separable else (eps,):
+                assert arr.shape == ns.full_sq.shape
+                with pytest.raises(ValueError):
+                    arr[0] = arr[0]
+
+    def test_cache_stays_at_its_bound(self):
+        ns = quadrature._build_continuum(self.QUAD, 3, (0.0, 0.0, 1.0))
+        for i in range(20):
+            params = replace(make_params(), coupling=CouplingSpec(width=1.0 + 0.05 * i))
+            se.SelfEnergyTables(params, self.P, ns, self.POINTS)
+            assert len(ns.terms) == min(i + 1, se._TERMS_BOUND)
