@@ -16,7 +16,7 @@ from .model import (
     threshold,
     validate_model,
 )
-from .quadrature import DiscreteMeasure, QuadratureSpec, grid_measure, integrate
+from .quadrature import DiscreteMeasure, QuadratureSpec, grid_measure
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "__version__",
     "free_energy",
     "grid_measure",
-    "integrate",
     "threshold",
     "validate_model",
 ]

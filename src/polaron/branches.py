@@ -39,7 +39,8 @@ BOUNDARY_R_MAX = 8.0   # g0_boundary's scan gives up past this |p|
 class BranchPoint:
     """A solved branch point.  `iterations` counts the evaluations of the
     scalar function being solved: g(xi) = a_p(xi; q) - xi and its slope at
-    each Newton iterate from kappa for the dispersion, F(xi) = Delta_xi(xi)
+    each Newton iterate from min(e1, kappa) for the dispersion, where e1 is
+    the free energy |p - q|^2 / 2 + eps(q), F(xi) = Delta_xi(xi)
     at each distinct point of the bracket and root for the ground branch."""
 
     q: np.ndarray
@@ -104,8 +105,11 @@ def dispersion_point(params: ModelParams, p, q, kappa: float,
 
     g(xi) = a_p(xi; q) - xi is strictly decreasing and concave; q belongs
     to the one-boson domain iff g(kappa) < 0, in which case monotone Newton
-    from kappa falls onto the unique root.  Each evaluation of g and of
-    g'(xi) = m'(xi) - 1 is one row sum over the point's one-row table.
+    falls onto the unique root from any start where g <= 0.  At the free
+    energy e1 = |p - q|^2 / 2 + eps(q), g(e1) = m(e1) <= 0, so e1 < kappa
+    makes q a member without evaluating g at kappa, and Newton starts at
+    min(e1, kappa).  Each evaluation of g and of g'(xi) = m'(xi) - 1 is one
+    row sum over the point's one-row table.
     """
     p = params._check_vec(p, "p")
     _check_cap(params, p, kappa)
@@ -117,13 +121,14 @@ def _dispersion_solve(params, p, q, kappa, quad, tol):
     p = params._check_vec(p, "p")
     q = params._check_vec(q, "q")
     row = SelfEnergyTables(params, p, quad, q[None, :])
+    row._check_xi(kappa)  # a cap too near the row's two-boson edge is refused
 
     @roots.Counted
     def g(xi):
         m, slope = row.m_slopes(xi)
         return float(row.e1_out[0] + m[0]) - xi, float(slope[0]) - 1.0
 
-    root, g_root = roots.monotone_newton(g, kappa, tol)
+    root, g_root = roots.monotone_newton(g, min(float(row.e1_out[0]), kappa), tol)
     resid = abs(g_root)
     if root == kappa and g_root >= 0.0:
         return BranchPoint(q=q, xi=None, iterations=g.calls, residual=resid,

@@ -126,7 +126,7 @@ class EpsilonSpec:
     def __call__(self, q):
         """epsilon evaluated on momentum vectors of shape (..., d)."""
         q = np.asarray(q, dtype=float)
-        return self.radial(np.linalg.norm(q, axis=-1))
+        return self.radial(np.sqrt(np.add.reduce(q * q, axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,7 @@ def threshold(params: ModelParams, n: int, p) -> float:
     p = params._check_vec(p, "p")
     if n < 0:
         raise InputError("boson count n must be >= 0")
-    pmag = float(np.linalg.norm(p))
+    pmag = math.sqrt(float(p @ p))
     if n == 0:
         return 0.5 * pmag * pmag
     t = collinear_minimizer(params, n, pmag)

@@ -10,12 +10,12 @@ are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InputError, NumericError, ResourceError
+from .errors import InputError, ResourceError
 
 __all__ = [
     "DiscreteMeasure",
@@ -25,7 +25,6 @@ __all__ = [
     "grid_measure",
     "nodes",
     "node_system",
-    "integrate",
 ]
 
 # hard cap on lattice size, points * dim
@@ -155,7 +154,7 @@ def axis_of(p) -> np.ndarray:
     """Unit vector along the momentum p, or the last coordinate axis at
     p = 0: the axis of symmetry of the problem at p."""
     p = np.asarray(p, dtype=float)
-    pmag = float(np.linalg.norm(p))
+    pmag = math.sqrt(float(p @ p))
     if pmag > 0:
         return p / pmag
     ax = np.zeros(p.shape[0])
@@ -251,31 +250,3 @@ def nodes(spec: QuadratureSpec, d: int):
     ns = node_system(spec, d)
     return ns.full_points, ns.full_weights
 
-
-def _weighted_sum(f, points, weights):
-    vals = np.asarray(f(points), dtype=float)
-    if vals.shape != (points.shape[0],):
-        raise InputError("integrand must map (N, d) points to (N,) values")
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NumericError(f"integrand is not finite at node {points[i]}")
-    return float(vals @ weights)
-
-
-def integrate(f, spec: QuadratureSpec, d: int):
-    """Integral of f over R^d with the given rule.
-
-    Returns (value, error_estimate).  The continuum estimate comes from
-    doubling the radial node count and the angular degree; the discrete
-    sum is exact with respect to its measure, so its estimate is 0.
-    """
-    if spec.is_discrete:
-        pts, w = nodes(spec, d)
-        return _weighted_sum(f, pts, w), 0.0
-    coarse = _weighted_sum(f, *nodes(spec, d))
-    fine_spec = replace(
-        spec, n_radial=2 * spec.n_radial, angular_degree=2 * spec.angular_degree + 1
-    )
-    fine = _weighted_sum(f, *nodes(fine_spec, d))
-    return fine, abs(fine - coarse)

@@ -24,7 +24,6 @@ __all__ = [
     "SelfEnergyTables",
     "m2",
     "b2_leading",
-    "d2_leading",
     "contraction_bounds",
     "lambda2_proxy_value",
     "default_proxy_margin",
@@ -98,21 +97,6 @@ def b2_leading(params: ModelParams, p, z: float, q1, q) -> float:
     return -params.alpha * float(params.coupling.evaluate(p - q1 - q, q1)) / den
 
 
-def d2_leading(params: ModelParams, p, xi: float, q, qp) -> float:
-    """Leading two-point kernel
-    -conj(c(p-q-q'; q')) c(p-q-q'; q) / (e2(q, q') - xi); self-adjoint at
-    real xi (real for the real couplings supported here)."""
-    p = params._check_vec(p, "p")
-    q = params._check_vec(q, "q")
-    qp = params._check_vec(qp, "qp")
-    den = _e2_scalar(params, p, q, qp) - xi
-    if den < DENOM_MARGIN:
-        raise DomainError(f"denominator {den:.3g} below safety margin {DENOM_MARGIN:.1g}")
-    arg = p - q - qp
-    num = float(params.coupling.evaluate(arg, qp)) * float(params.coupling.evaluate(arg, q))
-    return -num / den
-
-
 def default_proxy_margin(params: ModelParams) -> float:
     """Margin keeping the cap below the true two-boson edge: the edge
     shift is O(alpha^2), so 10 alpha^2 ||h||^2 with a 1e-3 floor."""
@@ -165,23 +149,24 @@ def contraction_bounds(params: ModelParams, p, kappa: float,
 
 
 def _node_terms(params, ns):
-    """eps(q') on the full nodes, and c(q') and w|c(q')|^2 for a separable
-    coupling (None for a p-modulated one), read-only.  ns.terms keeps them
-    for its _TERMS_BOUND latest models, keyed on the pickled values of the
-    fields of eps and the coupling: equal keys mean equal bits."""
+    """h(q') = |q'|^2 / 2 + eps(q') on the full nodes, and c(q') and
+    w|c(q')|^2 for a separable coupling (None for a p-modulated one),
+    read-only.  ns.terms keeps them for its _TERMS_BOUND latest models,
+    keyed on the pickled values of the fields of eps and the coupling:
+    equal keys mean equal bits."""
     key = pickle.dumps([getattr(spec, name) for spec in (params.eps, params.coupling)
                         for name in spec.__dataclass_fields__])
     if key not in ns.terms:
         if len(ns.terms) >= _TERMS_BOUND:
             del ns.terms[next(iter(ns.terms))]
-        eps = params.eps.radial(np.sqrt(ns.full_sq))
+        h = 0.5 * ns.full_sq + params.eps.radial(np.sqrt(ns.full_sq))
         c = num = None
         if params.coupling.kind == "separable":
             c = params.coupling.from_sq(0.0, ns.full_sq)
             num = c * c * ns.full_weights
             c.flags.writeable = num.flags.writeable = False
-        eps.flags.writeable = False
-        ns.terms[key] = eps, c, num
+        h.flags.writeable = False
+        ns.terms[key] = h, c, num
     return ns.terms[key]
 
 
@@ -191,13 +176,15 @@ class SelfEnergyTables:
 
     The two-boson energies e2 and the numerators w|c|^2 do not depend on
     xi, so sweeping xi (dispersion and ground-branch solves) costs one
-    elementwise division per sweep point.  They are built from squared
-    norms, |p - q - q'|^2 = |k|^2 - 2 k.q' + |q'|^2 with k = p - q and k.q'
-    summed coordinate by coordinate over the node system's (d, Nf) copy of
-    its nodes; each entry comes from its own q and q' alone, so a one-row
-    table at q equals its row of a larger table on the same nodes bit for
-    bit.  eps(q'), and c(q') and num_m = w|c(q')|^2 (shape (Nf,)) for a
-    separable coupling, depend on no row: `_node_terms` caches them.
+    elementwise division per sweep point.  With k = p - q, e2 = (e1 - k.q')
+    + h(q'), where e1 = |k|^2 / 2 + eps(q) and h(q') = |q'|^2 / 2 + eps(q'),
+    and k.q' is summed coordinate by coordinate over the node system's
+    (d, Nf) copy of its nodes; each entry comes from its own q and q'
+    alone, so a one-row table at q equals its row of a larger table on
+    the same nodes bit for bit.  h(q'), and c(q') and num_m = w|c(q')|^2
+    (shape (Nf,)) for a separable coupling, depend on no row:
+    `_node_terms` caches them.  A p-modulated coupling reads its values
+    from |p - q - q'|^2 = |k|^2 - 2 k.q' + |q'|^2.
     Without `points` the evaluation set is the rule's own; for d=3
     continuum rules it is reduced to the azimuthal half-plane of the p
     axis.  Given points, shape (N, d), are evaluated on the unrotated
@@ -219,18 +206,17 @@ class SelfEnergyTables:
 
         self._k = self.p[None, :] - self.points
         self._k_sq = np.einsum("ij,ij->i", self._k, self._k)
-        eps_out = params.eps(self.points)
-        self.e1_out = 0.5 * self._k_sq + eps_out
-        eps_full, self._c_full, self.num_m = _node_terms(params, self.ns)
-        s = self._sq_dist()
+        self.e1_out = 0.5 * self._k_sq + params.eps(self.points)
+        h_full, self._c_full, self.num_m = _node_terms(params, self.ns)
         if self.num_m is None:
-            c = params.coupling.from_sq(s, self.ns.full_sq)
+            c = params.coupling.from_sq(self._sq_dist(), self.ns.full_sq)
             self.num_m = c * c * self.ns.full_weights
-        s *= 0.5
-        s += eps_out[:, None]
-        s += eps_full
-        self.e2 = s
-        self._min_e2 = float(self.e2.min())
+        # e2 = |k - q'|^2 / 2 + eps(q) + eps(q') = (e1 - k.q') + h(q')
+        e2 = np.einsum("ij,jn->in", self._k, self.ns.full_points_t)
+        np.subtract(self.e1_out[:, None], e2, out=e2)
+        e2 += h_full
+        self.e2 = e2
+        self._min_e2 = float(e2.min())
 
     def _sq_dist(self) -> np.ndarray:
         """|p - q - q'|^2 over all pairs; unoptimized einsum is NumPy's own

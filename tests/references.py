@@ -1,0 +1,60 @@
+"""Direct references the tests check the library against: a quadrature
+sum of a callable over a rule's nodes, and the leading two-point kernel
+at one pair of momenta."""
+
+from dataclasses import replace
+
+import numpy as np
+
+from polaron.errors import DomainError, InputError, NumericError
+from polaron.quadrature import QuadratureSpec, nodes
+from polaron.selfenergy import DENOM_MARGIN
+
+
+def _weighted_sum(f, points, weights):
+    vals = np.asarray(f(points), dtype=float)
+    if vals.shape != (points.shape[0],):
+        raise InputError("integrand must map (N, d) points to (N,) values")
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericError(f"integrand is not finite at node {points[i]}")
+    return float(vals @ weights)
+
+
+def integrate(f, spec: QuadratureSpec, d: int):
+    """Integral of f over R^d with the given rule.
+
+    Returns (value, error_estimate).  The continuum estimate comes from
+    doubling the radial node count and the angular degree; the discrete
+    sum is exact with respect to its measure, so its estimate is 0.
+    """
+    if spec.is_discrete:
+        pts, w = nodes(spec, d)
+        return _weighted_sum(f, pts, w), 0.0
+    coarse = _weighted_sum(f, *nodes(spec, d))
+    fine_spec = replace(
+        spec, n_radial=2 * spec.n_radial, angular_degree=2 * spec.angular_degree + 1
+    )
+    fine = _weighted_sum(f, *nodes(fine_spec, d))
+    return fine, abs(fine - coarse)
+
+
+def _e2_scalar(params, p, q1, q2):
+    total = np.asarray(p, float) - np.asarray(q1, float) - np.asarray(q2, float)
+    return 0.5 * float(total @ total) + float(params.eps(q1)) + float(params.eps(q2))
+
+
+def d2_leading(params, p, xi: float, q, qp) -> float:
+    """Leading two-point kernel
+    -conj(c(p-q-q'; q')) c(p-q-q'; q) / (e2(q, q') - xi); self-adjoint at
+    real xi (real for the real couplings supported here)."""
+    p = params._check_vec(p, "p")
+    q = params._check_vec(q, "q")
+    qp = params._check_vec(qp, "qp")
+    den = _e2_scalar(params, p, q, qp) - xi
+    if den < DENOM_MARGIN:
+        raise DomainError(f"denominator {den:.3g} below safety margin {DENOM_MARGIN:.1g}")
+    arg = p - q - qp
+    num = float(params.coupling.evaluate(arg, qp)) * float(params.coupling.evaluate(arg, q))
+    return -num / den

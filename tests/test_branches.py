@@ -148,20 +148,21 @@ class TestDispersionProperties:
            relativistic=st.booleans())
     def test_newton_iterates_fall_onto_the_root(self, d, p, k, alpha, fraction,
                                                 relativistic):
-        # g = a - xi is decreasing and concave, so from kappa every Newton
-        # iterate falls and stays on the g <= 0 side of the root, up to the
-        # rounding of one evaluation of g
+        # g = a - xi is decreasing and concave, so from min(e1, kappa) every
+        # Newton iterate falls and stays on the g <= 0 side of the root, up
+        # to the rounding of one evaluation of g
         eps = EpsilonSpec.relativistic(1.0, 0.5) if relativistic else None
         params = make_params(d=d, alpha=alpha, eps=eps)
         p = np.array(p[:d])
         q = p - np.array(k[:d])
         kappa = br.kappa_from_rule(params, p, "fraction", fraction)
-        seen = []
+        seen, e1 = [], []
         m_slopes = se.SelfEnergyTables.m_slopes
 
         def recorded(self, xi):
             m, slope = m_slopes(self, xi)
             seen.append((xi, float(self.e1_out[0] + m[0]) - xi))
+            e1.append(float(self.e1_out[0]))
             return m, slope
 
         with pytest.MonkeyPatch.context() as mp:
@@ -170,7 +171,7 @@ class TestDispersionProperties:
         assume(bp.status != "none")
         assert bp.status == "converged"
         assert len(seen) == bp.iterations
-        assert seen[0][0] == kappa and seen[-1][0] == bp.xi
+        assert seen[0][0] == min(e1[0], kappa) and seen[-1][0] == bp.xi
         xs = [xi for xi, _ in seen]
         assert all(b < a for a, b in zip(xs, xs[1:]))
         for xi, g in seen:
@@ -211,6 +212,55 @@ class TestDispersionProperties:
         assert a.status == b.status
         if a.xi is not None:
             assert b.xi == pytest.approx(a.xi, rel=1e-12, abs=0)
+
+
+class TestNewtonStart:
+    """The dispersion solve starts at min(e1, kappa), e1 the free energy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([1, 3]), p=st.lists(coords, min_size=3, max_size=3),
+           k=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+           alpha=st.one_of(st.just(0.0), st.floats(0.0, 0.12)),
+           fraction=st.floats(0.3, 0.95), relativistic=st.booleans())
+    def test_member_iff_gap_at_kappa_negative(self, d, p, k, alpha, fraction,
+                                              relativistic):
+        # starting below kappa must not change membership: q is in the
+        # domain iff a_p(kappa; q) - kappa < 0 on its one-row table
+        eps = EpsilonSpec.relativistic(1.0, 0.5) if relativistic else None
+        params = make_params(d=d, alpha=alpha, eps=eps)
+        p = np.array(p[:d])
+        q = p - np.array(k[:d])
+        kappa = br.kappa_from_rule(params, p, "fraction", fraction)
+        bp = br.dispersion_point(params, p, q, kappa, QUAD, 1e-10)
+        row = se.SelfEnergyTables(params, p, QUAD, q[None, :])
+        assert (bp.status != "none") == (row.a_values(kappa)[0] - kappa < 0)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("relativistic", [False, True])
+    def test_free_root_is_e1_in_one_evaluation(self, d, relativistic):
+        # at alpha = 0, g(e1) = m(e1) = 0: the start is the root
+        eps = EpsilonSpec.relativistic(1.0, 0.5) if relativistic else None
+        params = make_params(d=d, alpha=0.0, eps=eps)
+        p = np.array([0.3, -0.2, 0.1][:d])
+        q = np.array([-0.1, 0.2, 0.4][:d])
+        kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+        e1 = float(se.SelfEnergyTables(params, p, QUAD, q[None, :]).e1_out[0])
+        assert e1 < kappa
+        bp = br.dispersion_point(params, p, q, kappa, QUAD, 1e-10)
+        assert bp.status == "converged"
+        assert bp.xi == e1
+        assert bp.iterations == 1
+
+    def test_cap_near_the_edge_refused_below_it(self):
+        # e1 < kappa, so Newton never evaluates g at kappa; the cap is still
+        # checked against the row's two-boson edge
+        params = make_params()
+        p = q = np.zeros(3)
+        row = se.SelfEnergyTables(params, p, QUAD, q[None, :])
+        kappa = row.min_e2() - 0.5 * se.DENOM_MARGIN
+        assert float(row.e1_out[0]) < kappa
+        with pytest.raises(DomainError):
+            br._dispersion_solve(params, p, q, kappa, QUAD, 1e-10)
 
 
 class TestDomain:
@@ -655,7 +705,7 @@ class TestIterations:
         bp = br.ground_state(params, p, lam1, 1, QUAD, 1e-10)
         assert bp.status == "converged"
         # the same solve's F evaluations, none of them at a point twice
-        assert bp.iterations == {1: 10, 3: 9}[d]
+        assert bp.iterations == {1: 10, 3: 8}[d]
         assert len(builds) <= 2
 
     def test_ground_state_builds_d_matrix_once_per_evaluation(self, monkeypatch):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from polaron import EpsilonSpec, InputError, QuadratureSpec, grid_measure, integrate
+from polaron import EpsilonSpec, InputError, QuadratureSpec, grid_measure
 from polaron import quadrature
 from polaron.errors import ResourceError
 from polaron.quadrature import node_system
+from references import integrate
 
 
 def gauss(points):

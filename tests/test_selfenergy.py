@@ -12,6 +12,7 @@ from polaron import CouplingSpec, DomainError, EpsilonSpec, ModelParams, Quadrat
 from polaron import quadrature
 from polaron import selfenergy as se
 from polaron.quadrature import grid_measure, node_system
+from references import d2_leading
 
 
 def make_params(d=3, alpha=0.1, eps0=1.0, c0=0.5, width=1.0, amplitude=1.0):
@@ -150,8 +151,8 @@ class TestKernels:
         p = np.array([0.4, 0.2, 0.0])
         q = np.array([0.1, 0.0, 0.3])
         qp = np.array([-0.2, 0.5, 0.0])
-        assert se.d2_leading(params, p, 0.3, q, qp) == pytest.approx(
-            se.d2_leading(params, p, 0.3, qp, q), rel=1e-15
+        assert d2_leading(params, p, 0.3, q, qp) == pytest.approx(
+            d2_leading(params, p, 0.3, qp, q), rel=1e-15
         )
 
     def test_d2_sign_and_value(self):
@@ -159,7 +160,7 @@ class TestKernels:
         p = np.zeros(3)
         q = np.array([0.5, 0.0, 0.0])
         qp = np.array([0.0, 0.5, 0.0])
-        val = se.d2_leading(params, p, 0.0, q, qp)
+        val = d2_leading(params, p, 0.0, q, qp)
         arg = -q - qp
         num = params.coupling.evaluate(arg, qp) * params.coupling.evaluate(arg, q)
         den = 0.5 * float(arg @ arg) + 2.0
@@ -234,7 +235,7 @@ class TestTables:
         qp = tab.ns.full_points[j]
         # kernel tables carry no alpha; d2_leading includes no alpha either
         assert dm[i, j] == pytest.approx(
-            se.d2_leading(params, p, xi, q, qp), rel=1e-12
+            d2_leading(params, p, xi, q, qp), rel=1e-12
         )
 
 
@@ -305,7 +306,7 @@ class TestSquaredNorms:
             assert m_all[i] == pytest.approx(direct, rel=1e-13)
             for j in (0, 7, S.shape[0] // 2, S.shape[0] - 1):
                 assert d_all[i, j] == pytest.approx(
-                    se.d2_leading(params, p, xi, q, S[j]), rel=1e-12)
+                    d2_leading(params, p, xi, q, S[j]), rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(d=st.integers(1, 3), n_rows=st.integers(2, 40),
@@ -368,7 +369,8 @@ class TestSquaredNorms:
 
 
 class TestNodeTerms:
-    """eps(q'), c(q') and w|c(q')|^2 are kept on the node system per model."""
+    """h(q') = |q'|^2 / 2 + eps(q'), c(q') and w|c(q')|^2 are kept on the
+    node system per model."""
 
     QUAD = QuadratureSpec.continuum(24, 9, r_max=6.0)
     P = np.array([0.3, -0.1, 0.2])
@@ -426,10 +428,10 @@ class TestNodeTerms:
         ns = quadrature._build_continuum(self.QUAD, 3, (0.0, 0.0, 1.0))
         for params in self.models():
             tab = se.SelfEnergyTables(params, self.P, ns, self.POINTS)
-            eps, c, num = se._node_terms(params, ns)
+            h, c, num = se._node_terms(params, ns)
             separable = params.coupling.kind == "separable"
             assert (c is not None) == (num is tab.num_m) == separable
-            for arr in (eps, c, num) if separable else (eps,):
+            for arr in (h, c, num) if separable else (h,):
                 assert arr.shape == ns.full_sq.shape
                 with pytest.raises(ValueError):
                     arr[0] = arr[0]
