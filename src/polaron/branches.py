@@ -184,26 +184,36 @@ def one_boson_domain(params: ModelParams, p, kappa: float, probes,
 def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
             tol: float = 1e-10, delta_margin: float | None = None) -> float:
     """Bottom of the one-boson dispersion manifold: minimize the solved
-    xi_p(q) over on-axis q (radial models reduce to a scalar search),
-    between the domain's edges found outward from the free minimizer."""
+    xi_p(t u) over on-axis q = t u (radial models reduce to a scalar
+    search), to the argmin tolerance roots.MIN_XATOL.
+
+    Outside the domain (status none) the minimized function is
+    kappa + g(kappa), where g(kappa) = a_p(kappa; t u) - kappa >= 0 is the
+    solve's residual.  It is continuous at the domain's edges, where
+    xi -> kappa and g(kappa) -> 0, and rises away from the domain, so the
+    search sees no flat region.  The bracket is the first sample outside
+    the domain on each side of the free minimizer t0, doubling the step
+    from 1."""
     p = params._check_vec(p, "p")
     _check_cap(params, p, kappa, delta_margin)
     axis = axis_of(p)
     t0 = model_mod.collinear_minimizer(params, 1, float(np.linalg.norm(p)))
-    gap = _cap_gap(params, p, kappa, quad, axis)
-    if not gap(t0) < 0.0:
+
+    @roots.Counted
+    def xi_at(t):
+        bp = _dispersion_solve(params, p, t * axis, kappa, quad, tol)
+        return kappa + bp.residual if bp.status == "none" else bp.xi
+
+    def excess(t):
+        return xi_at(t) - kappa
+
+    if not excess(t0) < 0.0:
         raise DomainError(
             "one-boson domain is empty along the axis; raise kappa"
         )
-    hi = roots.root_beyond(gap, t0, t0 + 1.0)
-    lo = roots.root_beyond(gap, t0, t0 - 1.0)
-
-    def xi_at(t):
-        bp = _dispersion_solve(params, p, t * axis, kappa, quad, tol)
-        return bp.xi if bp.xi is not None else kappa
-
-    pad = 1e-9 * (1.0 + abs(hi) + abs(lo))
-    return roots.minimize(xi_at, lo + pad, hi - pad, 1e-8)[0]
+    hi = roots.bracket_beyond(excess, t0, t0 + 1.0)[1]
+    lo = roots.bracket_beyond(excess, t0, t0 - 1.0)[1]
+    return roots.minimize(xi_at, lo, hi, roots.MIN_XATOL)[0]
 
 
 def _ground_determinant(params, p, neumann_order, quad, tol, lam1):

@@ -122,12 +122,12 @@ class FriedrichsSolver:
     def edge(self):
         """(a_bar, t_bar): the continuum edge, the least of a over the
         evaluation set and over the on-axis line, whose grid minimum is
-        refined between its neighbours; and the on-axis argmin.  Found on
-        first use."""
+        refined between its neighbours to the argmin tolerance
+        roots.MIN_XATOL; and the on-axis argmin.  Found on first use."""
         if self._edge is None:
             grid = np.linspace(-self.span, self.span, 81)
             a_min, t_bar = roots.line_min(lambda t: float(self._a_line(t)[0]),
-                                          grid, self._a_line(grid), 1e-10)
+                                          grid, self._a_line(grid), roots.MIN_XATOL)
             self._edge = (min(a_min, float(self.a.min())), t_bar)
         return self._edge
 

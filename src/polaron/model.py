@@ -124,8 +124,11 @@ class EpsilonSpec:
         return self._end_slope if r > self.knots[-1] else float(self._slope(r))
 
     def __call__(self, q):
-        """epsilon evaluated on momentum vectors of shape (..., d)."""
+        """epsilon evaluated on momentum vectors of shape (..., d); a
+        constant epsilon needs no norms."""
         q = np.asarray(q, dtype=float)
+        if self.kind == "constant":
+            return np.full(q.shape[:-1], self.eps0, dtype=float)
         return self.radial(np.sqrt(np.add.reduce(q * q, axis=-1)))
 
 

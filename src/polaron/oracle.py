@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -82,18 +83,25 @@ class TruncatedHamiltonian:
         scale = max(1.0, float(np.abs(m).max()))
         return float(np.abs(m - m.T).max()) / scale
 
+    @cached_property
+    def _schur_terms(self):
+        """The sigma-independent part of `schur`: the flat (1+N)^2 index of
+        each pair's four entries, (4 n2,), and their products of
+        amplitudes, (4, n2), each to be multiplied by 1 / (D - sigma)."""
+        n1 = self.h11.shape[0]
+        ra, rb = self.pair_rows.T
+        aa, ab = self.pair_amps.T
+        cross = aa * ab
+        index = np.concatenate([ra * n1 + ra, rb * n1 + rb, ra * n1 + rb, rb * n1 + ra])
+        return index, np.stack([aa * aa, ab * ab, cross, cross])
+
     def schur(self, sigma: float) -> np.ndarray:
         """S(sigma) = h11 - sigma - B (D - sigma)^-1 B^T, dense, (1+N)^2.
         Each pair adds at most four entries; one bincount sums them."""
         n1 = self.h11.shape[0]
-        ra, rb = self.pair_rows.T
-        aa, ab = self.pair_amps.T
+        index, amps = self._schur_terms
         w = 1.0 / (self.pair_diag - sigma)
-        cross = aa * ab * w
-        terms = np.bincount(
-            np.concatenate([ra * n1 + ra, rb * n1 + rb, ra * n1 + rb, rb * n1 + ra]),
-            np.concatenate([aa * aa * w, ab * ab * w, cross, cross]),
-            minlength=n1 * n1)
+        terms = np.bincount(index, (amps * w).ravel(), minlength=n1 * n1)
         s = self.h11 - terms.reshape(n1, n1)
         s[np.diag_indices(n1)] -= sigma
         return s

@@ -1,7 +1,8 @@
 """One-dimensional searches shared by the branch and Friedrichs solvers:
 Brent's root at the package's fixed tolerances, on a given bracket or
-outward from a point by doubling steps, Brent's bounded minimum, monotone
-Newton and a grid-then-refine line minimum.
+outward from a point by doubling steps, the doubling bracket itself,
+Brent's bounded minimum, monotone Newton and a grid-then-refine line
+minimum.
 
 `root` and `minimize` are Brent's algorithms (Brent 1973, *Algorithms for
 Minimization without Derivatives*) ported step for step, with the same
@@ -18,10 +19,19 @@ import numpy as np
 
 from .errors import NumericError
 
-__all__ = ["Counted", "root", "root_beyond", "minimize", "monotone_newton", "line_min"]
+__all__ = ["Counted", "root", "bracket_beyond", "root_beyond", "minimize",
+           "monotone_newton", "line_min"]
 
 XTOL = 1e-14
 RTOL = 4 * sys.float_info.epsilon
+# argmin tolerance of the package's minimizations, which return the minimum
+# value only.  Near a smooth minimum the value error is about f''/2 xatol^2,
+# about 1e-12: a thousandth of the eigenvalue search's 1e-9 edge stand-off
+# and below every solve tolerance.  A finer xatol reaches the floor where f
+# ties in its last bit (argmin resolution about sqrt(eps); Brent 1973, ch. 5;
+# Numerical Recipes, sec. 10.1): there the parabolic step fails and the
+# golden-section steps close in by a factor 0.382 each.
+MIN_XATOL = 1e-6
 _MAX_STEPS = 200
 _BRENT_STEPS = 100          # scipy's default for the Brent root
 _MAX_EVALS = 500            # and for the bounded minimum
@@ -112,16 +122,22 @@ def root(f, a: float, b: float) -> float:
     raise NumericError(f"Brent's root on [{a}, {b}] did not converge in {_BRENT_STEPS} steps")
 
 
-def root_beyond(f, x0: float, x1: float) -> float:
-    """Brent's root of f outward from x0, where f(x0) < 0: f is sampled at
-    x0 + 2^k (x1 - x0), k = 0, 1, ..., until f >= 0, and the root is taken
-    between that sample and the one before it (x0 before the first)."""
+def bracket_beyond(f, x0: float, x1: float):
+    """(inside, outside) outward from x0, where f(x0) < 0: f is sampled at
+    x0 + 2^k (x1 - x0), k = 0, 1, ..., until f(outside) >= 0; inside is the
+    sample before it (x0 before the first), where f < 0."""
     inside, x = x0, x1
     for _ in range(_MAX_STEPS):
         if f(x) >= 0.0:
-            return root(f, inside, x)
+            return inside, x
         inside, x = x, x0 + 2.0 * (x - x0)
     raise NumericError(f"no sign change found in {_MAX_STEPS} doublings away from {x0}")
+
+
+def root_beyond(f, x0: float, x1: float) -> float:
+    """Brent's root of f outward from x0, where f(x0) < 0, on the bracket
+    of `bracket_beyond`."""
+    return root(f, *bracket_beyond(f, x0, x1))
 
 
 def _sign(r: float) -> float:

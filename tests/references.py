@@ -1,6 +1,7 @@
 """Direct references the tests check the library against: a quadrature
-sum of a callable over a rule's nodes, and the leading two-point kernel
-at one pair of momenta."""
+sum of a callable over a rule's nodes, the leading two-point kernel at one
+pair of momenta, and the oracle's Schur complement assembled afresh at
+each sigma."""
 
 from dataclasses import replace
 
@@ -58,3 +59,21 @@ def d2_leading(params, p, xi: float, q, qp) -> float:
     arg = p - q - qp
     num = float(params.coupling.evaluate(arg, qp)) * float(params.coupling.evaluate(arg, q))
     return -num / den
+
+
+def schur_per_sigma(ham, sigma: float) -> np.ndarray:
+    """S(sigma) = h11 - sigma - B (D - sigma)^-1 B^T of a
+    `TruncatedHamiltonian`, with every index and amplitude product formed
+    at this sigma, in the multiply order of `TruncatedHamiltonian.schur`."""
+    n1 = ham.h11.shape[0]
+    ra, rb = ham.pair_rows.T
+    aa, ab = ham.pair_amps.T
+    w = 1.0 / (ham.pair_diag - sigma)
+    cross = aa * ab * w
+    terms = np.bincount(
+        np.concatenate([ra * n1 + ra, rb * n1 + rb, ra * n1 + rb, rb * n1 + ra]),
+        np.concatenate([aa * aa * w, ab * ab * w, cross, cross]),
+        minlength=n1 * n1)
+    s = ham.h11 - terms.reshape(n1, n1)
+    s[np.diag_indices(n1)] -= sigma
+    return s

@@ -411,6 +411,19 @@ class TestLambda1:
         assert lam1 <= best + 1e-12
         assert lam1 == pytest.approx(best, abs=1e-8)
 
+    @pytest.mark.parametrize("eps", [EpsilonSpec.constant(1.0),
+                                     EpsilonSpec.relativistic(1.0, 0.5)])
+    @pytest.mark.parametrize("above", [1e-2, 1e-3, 1e-4])
+    def test_narrow_domain_keeps_the_minimum(self, eps, above):
+        # a cap just above lambda1 leaves a narrow on-axis domain between
+        # wide outside samples; the search must not settle on kappa there
+        params = make_params(eps=eps)
+        p = np.array([0.0, 0.0, 0.4])
+        wide = br.lambda1(params, p, br.kappa_from_rule(params, p, "fraction", 0.9),
+                          QUAD, 1e-10)
+        kappa = br.kappa_from_rule(params, p, "absolute", wide + above)
+        assert br.lambda1(params, p, kappa, QUAD, 1e-10) == pytest.approx(wide, abs=1e-9)
+
     def test_free_limit_equals_threshold(self):
         params = make_params(alpha=0.0)
         p = np.array([0.6, 0.0, 0.0])
@@ -603,6 +616,21 @@ def cap_gap_rays(solve):
     return run
 
 
+def lambda1_solves(monkeypatch):
+    """q = t u of each dispersion solve that lambda1 makes, and xi_at's
+    calls, which are exactly 9 here."""
+    params = make_params()
+    p = np.array([0.3, 0.2, 0.0])
+    kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+    seen = record_calls(monkeypatch, br, "_dispersion_solve",
+                        lambda params, p, q, *_: tuple(q))
+    xis = keep_counted(monkeypatch, "lambda1.<locals>.xi_at")
+    br.lambda1(params, p, kappa, QUAD, 1e-10)
+    calls = sum(f.calls for f in xis)
+    assert calls == 9
+    return seen, calls
+
+
 def eigenvalue_points(monkeypatch):
     """z of each delta call in ground_eigenvalue, and det's calls."""
     params = make_params(d=1)
@@ -635,8 +663,7 @@ NO_REPEAT_CASES = {
     "ground-d3": ground_solve(3, [0.3, 0.2, 0.0]),
     "ground-lattice": ground_solve(3, [0.0, 0.0, 0.3], QuadratureSpec.discrete(
         quadrature.grid_measure(2.0, 4, 3))),
-    "lambda1": cap_gap_rays(lambda params, p, kappa:
-                            br.lambda1(params, p, kappa, QUAD, 1e-10)),
+    "lambda1": lambda1_solves,
     "one_boson_domain": cap_gap_rays(lambda params, p, kappa: br.one_boson_domain(
         params, p, kappa, np.zeros((1, 3)), QUAD, 1e-10,
         rays=[quadrature.axis_of(p), -quadrature.axis_of(p), [0.0, 0.6, 0.8]])),

@@ -35,6 +35,20 @@ class TestEpsilon:
         assert eps.radial(0.0) == 1.5
         assert eps(np.array([2.0, 0.0, 0.0])) == 1.5
 
+    @pytest.mark.parametrize("eps0", [1.5, 1, 0.1])
+    @pytest.mark.parametrize("shape", [(3,), (7, 3), (2, 5, 3)])
+    def test_constant_skips_norms(self, eps0, shape):
+        # the same values, dtype and shape as radial on the norms, down to
+        # the 0-d array of one point
+        eps = EpsilonSpec(kind="constant", eps0=eps0)
+        q = np.random.default_rng(0).normal(size=shape)
+        got = eps(q)
+        expect = eps.radial(np.sqrt(np.add.reduce(q * q, axis=-1)))
+        assert type(got) is type(expect) is np.ndarray
+        assert got.shape == expect.shape == shape[:-1]
+        assert got.dtype == expect.dtype
+        assert np.array_equal(got, expect)
+
     def test_relativistic(self):
         eps = EpsilonSpec.relativistic(1.0, 0.5)
         assert eps.radial(0.0) == pytest.approx(1.5, abs=1e-15)

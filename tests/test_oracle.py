@@ -8,6 +8,8 @@ from polaron import CouplingSpec, EpsilonSpec, InputError, ModelParams, grid_mea
 from polaron import branches, oracle
 from polaron.errors import NumericError, ResourceError
 
+from references import schur_per_sigma
+
 
 def make_params(d=1, alpha=0.1, eps0=1.0, c0=0.5):
     return ModelParams(
@@ -143,6 +145,19 @@ def lattice_4cubed_case():
 
 
 class TestSparse:
+    @pytest.mark.parametrize("eps", ["constant", "relativistic"])
+    def test_schur_equals_per_sigma_assembly(self, eps):
+        # the index and amplitude products held once per matrix give the
+        # complement assembled afresh at each sigma, bit for bit
+        params = make_params(d=3, alpha=0.2)
+        if eps == "relativistic":
+            params = replace(params, eps=EpsilonSpec.relativistic(1.0, 0.5))
+        ham = oracle.build(params, np.array([0.1, -0.05, 0.15]),
+                           grid_measure(3.0, 4, 3), 2)
+        d_min = float(ham.pair_diag.min())
+        for sigma in (-1.0, 0.0, 0.5 * d_min, d_min - 1e-3, d_min + 0.05):
+            assert np.array_equal(ham.schur(sigma), schur_per_sigma(ham, sigma))
+
     @pytest.mark.parametrize("p", SYMMETRY_CASES, ids=["zero", "axis", "generic"])
     def test_low_spectrum_matches_dense(self, p):
         params = make_params(d=3, alpha=0.1)

@@ -28,6 +28,29 @@ def step(c):
     return lambda x: -1.0 if x < c else 1.0
 
 
+class TestBracketBeyond:
+    @pytest.mark.parametrize("c, x0, x1", [
+        (5.3, 0.0, 0.5),      # outward to the right: samples 0.5, 1, 2, 4, 8
+        (-6.0, 1.0, 0.0),     # to the left: 0, -1, -3, -7
+        (0.25, 0.0, 1.0),     # the first sample is already outside
+    ])
+    def test_samples_double_until_outside(self, c, x0, x1):
+        sign = 1.0 if x1 > x0 else -1.0
+        f, seen = traced(lambda x: sign * (x - c))
+        inside, outside = roots.bracket_beyond(f, x0, x1)
+        assert f(inside) < 0.0 <= f(outside)
+        # the samples are x0 + 2^k (x1 - x0), k = 0, 1, ..., and stop at the
+        # first one outside; inside is the one before it, or x0
+        k = len(seen) - 2    # the two calls above are not samples
+        assert seen[:k] == [x0 + 2.0**j * (x1 - x0) for j in range(k)]
+        assert outside == seen[k - 1]
+        assert inside == (seen[k - 2] if k >= 2 else x0)
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(NumericError):
+            roots.bracket_beyond(lambda x: -1.0, 0.0, 1.0)
+
+
 class TestRootBeyond:
     def test_doubles_distance_from_x0(self):
         seen = []
