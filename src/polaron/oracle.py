@@ -16,9 +16,13 @@ D_min it is eliminated exactly (the Feshbach reduction of Bach, Froehlich
 & Sigal, Adv. Math. 137, 1998).  By Sylvester's law, H has as many
 eigenvalues below sigma as the Schur complement
 S(sigma) = H11 - sigma - B (D - sigma)^-1 B^T on the vacuum and one-boson
-modes has negative ones.  The j-th eigenvalue g_j(sigma) of S strictly
-decreases (dS/dsigma = -I - B (D - sigma)^-2 B^T), so the j-th eigenvalue
-of H is the unique root of g_j, repeats included.
+modes has negative ones.  The j-th eigenvalue g_j(sigma) of S falls with
+slope at most -1 (dS/dsigma = -I - B (D - sigma)^-2 B^T <= -I), so the j-th
+eigenvalue of H is the unique root of g_j, repeats included.  Since
+S(sigma) is h11 - sigma less a positive semidefinite term, Weyl's
+inequality gives g_j(lambda_j(h11)) <= 0: the spectrum at n_max = 1 bounds
+each root from above, and the slope bound puts the root within |g_j(s)| of
+any s where g_j(s) < 0.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ __all__ = ["TruncatedHamiltonian", "build", "low_spectrum", "compare_ground",
 
 _DIM_BUDGET = 20_000  # max matrix dimension
 _DENSE_BYTES = 256 * 2**20  # max size of the dense matrix of the fallback
-# roots of g_j stay this far below D_min, where (D - sigma)^-1 blows up;
-# eigenvalues above D_min - _STANDOFF come from the dense fallback
+# no root search starts closer than this to D_min, where (D - sigma)^-1
+# blows up; eigenvalues above D_min - _STANDOFF come from the dense fallback
 _STANDOFF = 1e-9
 
 
@@ -106,19 +110,20 @@ class TruncatedHamiltonian:
         s[np.diag_indices(n1)] -= sigma
         return s
 
-    def lower_bound(self) -> float:
-        """Gershgorin's bound: no eigenvalue lies below
-        min_i (H_ii - sum_{j != i} |H_ij|)."""
-        diag, amps = np.diag(self.h11), np.abs(self.pair_amps)
-        radius = (np.abs(self.h11).sum(axis=1) - np.abs(diag)
-                  + np.bincount(self.pair_rows.ravel(), amps.ravel(), minlength=diag.size))
-        return min((diag - radius).min(), (self.pair_diag - amps.sum(axis=1)).min())
+    def scaled(self, alpha: float) -> TruncatedHamiltonian:
+        """The matrix with every coupling multiplied by alpha: the vacuum
+        row and column of h11 and the pair amplitudes.  The free energies on
+        the diagonal stay."""
+        h11 = self.h11.copy()
+        h11[0, 1:] *= alpha
+        h11[1:, 0] *= alpha
+        return replace(self, h11=h11, pair_amps=self.pair_amps * alpha)
 
 
 def build(params: ModelParams, p, measure: DiscreteMeasure,
           n_max: int = 2) -> TruncatedHamiltonian:
     """Assemble the truncated fiber Hamiltonian on the lattice measure in
-    blocks."""
+    blocks: at unit coupling, then `scaled` to params.alpha."""
     p = params._check_vec(p, "p")
     if n_max not in (1, 2):
         raise InputError("n_max must be 1 or 2")
@@ -126,7 +131,7 @@ def build(params: ModelParams, p, measure: DiscreteMeasure,
         raise InputError("measure dimension does not match the model")
     q = measure.points
     n_pts = q.shape[0]
-    amp = params.alpha * math.sqrt(measure.weight)
+    amp = math.sqrt(measure.weight)
 
     n2 = n_pts * (n_pts + 1) // 2 if n_max == 2 else 0
     dim = 1 + n_pts + n2
@@ -147,9 +152,10 @@ def build(params: ModelParams, p, measure: DiscreteMeasure,
     same, half = kk == ll, math.sqrt(2.0) / 2.0
     amps = np.stack([np.where(same, amp_k * half + amp_l * half, amp_k),
                      np.where(same, 0.0, amp_l)], axis=1)
-    return TruncatedHamiltonian(p=p, measure=measure, n_max=n_max, h11=h11,
+    unit = TruncatedHamiltonian(p=p, measure=measure, n_max=n_max, h11=h11,
                                 pair_diag=e2, pair_rows=np.stack([1 + kk, 1 + ll], axis=1),
                                 pair_amps=amps)
+    return unit.scaled(params.alpha)
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
@@ -160,26 +166,40 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
 
 
 def low_spectrum(ham: TruncatedHamiltonian, k: int) -> np.ndarray:
-    """k lowest eigenvalues, ascending: Brent's roots of g_j between a
-    Gershgorin bound and D_min - _STANDOFF, sharing the spectra of S by
-    sigma.  With n_max = 1 the matrix is h11.  A request that reaches
-    D_min - _STANDOFF goes to a dense eigensolver, which raises
-    ResourceError when the matrix would exceed _DENSE_BYTES."""
+    """k lowest eigenvalues, ascending.  Root j starts at
+    s = min(lambda_j(h11), D_min - _STANDOFF), where g_j(s) <= 0, and is
+    Brent's root of g_j on the slope bound's bracket [s + g_j(s), s], less a
+    tolerance and widened by doubling should rounding leave no sign change.
+    A value of g_j within half the tolerance counts as zero: by the slope
+    bound that sigma is as close to the root as Brent's own stop.  The
+    spectra of S are shared by sigma.  With n_max = 1 the matrix is h11.  A
+    request that reaches D_min - _STANDOFF goes to a dense eigensolver,
+    which raises ResourceError when the matrix would exceed _DENSE_BYTES."""
     dim = ham.dim
     if k < 1 or k > dim:
         raise InputError(f"need 1 <= k <= {dim}")
+    free = _eigvalsh(ham.h11)
     if ham.pair_diag.size == 0:
-        return _eigvalsh(ham.h11)[:k]
+        return free[:k]
     top = float(ham.pair_diag.min()) - _STANDOFF
     spectrum = roots.Counted(lambda sigma: _eigvalsh(ham.schur(sigma)))
-    if np.count_nonzero(spectrum(top) < 0.0) < k:
+    # lambda_{k-1}(h11) < top gives g_{k-1}(top) < 0 without the probe
+    if (k > free.size or free[k - 1] >= top) and np.count_nonzero(spectrum(top) < 0.0) < k:
         if dim * dim * 8 > _DENSE_BYTES:
             raise ResourceError(f"dense matrix of dimension {dim} exceeds {_DENSE_BYTES} B")
         return _eigvalsh(ham.matrix)[:k]
-    # one stand-off below the bound, so rounding puts no root on the edge
-    lo = ham.lower_bound() - _STANDOFF
-    return np.array([roots.root(lambda s, j=j: spectrum(s)[j], lo, top)
-                     for j in range(k)])
+
+    def root(j):
+        s = min(float(free[j]), top)
+        tol = roots.XTOL + roots.RTOL * abs(s)
+
+        def g(sigma):
+            value = spectrum(sigma)[j]
+            return 0.0 if abs(value) <= 0.5 * tol else value
+
+        return roots.root_beyond(g, s, s + g(s) - tol)
+
+    return np.array([root(j) for j in range(k)])
 
 
 def _count_below(ham: TruncatedHamiltonian, sigma: float) -> int:
@@ -222,14 +242,14 @@ def compare_ground(params: ModelParams, p, measure: DiscreteMeasure,
     the comparison window survives the larger rungs of the ladder."""
     p = params._check_vec(p, "p")
     quad = QuadratureSpec.discrete(measure)
+    unit = build(replace(params, alpha=1.0), p, measure, n_max=n_max)
     rows = []
     for alpha in alphas:
         pa = replace(params, alpha=float(alpha))
         margin = clipped_proxy_margin(pa, p)
         kappa = branches_mod.kappa_from_rule(pa, p, "fraction", kappa_fraction,
                                              delta_margin=margin)
-        ham = build(pa, p, measure, n_max=n_max)
-        e0 = float(low_spectrum(ham, 1)[0])
+        e0 = float(low_spectrum(unit.scaled(pa.alpha), 1)[0])
         lam1 = branches_mod.lambda1(pa, p, kappa, quad, tol, delta_margin=margin)
         bp = branches_mod.ground_state(pa, p, lam1, neumann_order, quad, tol)
         if bp.status != "converged":

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polaron import CouplingSpec, EpsilonSpec, InputError, ModelParams, grid_measure
 from polaron import branches, oracle
@@ -76,6 +78,27 @@ class TestBuild:
         with pytest.raises(ResourceError):
             oracle.build(params, np.zeros(1), grid_measure(3.0, 400, 1), 2)
 
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_scaled_equals_build(self, n_max):
+        # build assembles at unit coupling and scales, so a ladder scaled
+        # from one unit-coupling matrix is each rung's build, bit for bit
+        params = replace(make_params(d=2), eps=EpsilonSpec.relativistic(1.0, 0.5))
+        p, m = np.array([0.3, -0.1]), grid_measure(2.0, 4, 2)
+        unit = oracle.build(replace(params, alpha=1.0), p, m, n_max)
+        for alpha in (0.0, 0.05, 0.2, 0.3):
+            ham = oracle.build(replace(params, alpha=alpha), p, m, n_max)
+            rung = unit.scaled(alpha)
+            assert np.array_equal(rung.h11, ham.h11)
+            assert np.array_equal(rung.pair_amps, ham.pair_amps)
+            assert np.array_equal(rung.pair_diag, ham.pair_diag)
+            assert np.array_equal(rung.pair_rows, ham.pair_rows)
+
+    def test_scaled_to_zero_is_free(self):
+        ham = oracle.build(make_params(d=3, alpha=0.2), np.array([0.1, 0.0, -0.2]),
+                           grid_measure(3.0, 4, 3)).scaled(0.0)
+        assert np.array_equal(ham.h11, np.diag(np.diag(ham.h11)))
+        assert not ham.pair_amps.any()
+
     def test_bad_nmax(self):
         params = make_params()
         with pytest.raises(InputError):
@@ -142,6 +165,106 @@ def lattice_4cubed_case():
     p = q + np.array([0.1, -0.05, 0.2])
     kappa = branches.kappa_from_rule(params, p, "fraction", 0.9)
     return params, p, m, kappa, q
+
+
+def schur_root_case(d, eps, alpha, p):
+    """A small lattice Hamiltonian, its n_max = 1 spectrum and D_min."""
+    params = make_params(d=d, alpha=alpha)
+    if eps == "relativistic":
+        params = replace(params, eps=EpsilonSpec.relativistic(1.0, 0.5))
+    lattice = {1: (3.0, 7), 2: (2.0, 4), 3: (2.0, 3)}[d]
+    ham = oracle.build(params, np.array(p[:d]), grid_measure(*lattice, d), 2)
+    return ham, np.linalg.eigvalsh(ham.h11), float(ham.pair_diag.min())
+
+
+class TestSchurRoots:
+    """The two facts `low_spectrum`'s root search rests on: Weyl's bound
+    g_j(lambda_j(h11)) <= 0, and the slope bound dg_j/dsigma <= -1 below
+    D_min.  Both hold up to rounding: 1e-13 at the scale of the matrix,
+    which grows as (D_min - sigma)^-1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]), eps=st.sampled_from(["constant", "relativistic"]),
+           alpha=st.floats(0.0, 0.3), p=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def test_free_spectrum_bounds_each_root(self, d, eps, alpha, p):
+        ham, free, d_min = schur_root_case(d, eps, alpha, p)
+        for j in np.flatnonzero(free < d_min):
+            assert np.linalg.eigvalsh(ham.schur(free[j]))[j] <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]), eps=st.sampled_from(["constant", "relativistic"]),
+           alpha=st.floats(0.0, 0.3), p=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+    def test_eigenvalues_fall_with_slope_at_least_one(self, d, eps, alpha, p, u, v):
+        ham, free, d_min = schur_root_case(d, eps, alpha, p)
+        # sigma < sigma' < D_min, sampled on [lambda_0(h11) - 1, D_min)
+        lo = free[0] - 1.0
+        sigma, sigma_p = sorted(d_min - (d_min - lo) * np.array([u, v]) ** 2)
+        assume(sigma < sigma_p < d_min)
+        s_p = ham.schur(sigma_p)
+        g, g_p = np.linalg.eigvalsh(ham.schur(sigma)), np.linalg.eigvalsh(s_p)
+        assert np.all(g - g_p >= sigma_p - sigma - 1e-13 * max(1.0, np.abs(s_p).max()))
+
+
+# the oracle-matched 4^3 comparisons at two seeds of the benchmark, rounded:
+# ground momentum, dispersion lattice momentum q, the offset p - q, and the
+# sigma of the window's second root
+MATCHED_CASES = [((0.053, 0.021, -0.085), (-0.75, -0.75, 0.75), (-0.078, 0.085, 0.053), 4),
+                 ((0.038, -0.035, -0.114), (-0.75, -0.75, -0.75), (0.011, 0.246, -0.090), 5)]
+
+
+class TestSolveCounts:
+    """Eigensolves per call, counted by patching `_eigvalsh`: one on h11,
+    then each sigma of the root search on S; builds per comparison."""
+
+    @staticmethod
+    def record(monkeypatch):
+        solves, calls = [0], []
+
+        def counted(m):
+            solves[0] += 1
+            return eigvalsh(m)
+
+        def recorded(name, fn):
+            def wrapped(*args, **kwargs):
+                solves[0] = 0
+                out = fn(*args, **kwargs)
+                calls.append((name, solves[0]))
+                return out
+            monkeypatch.setattr(oracle, name, wrapped)
+
+        eigvalsh = oracle._eigvalsh
+        monkeypatch.setattr(oracle, "_eigvalsh", counted)
+        for name in ("build", "low_spectrum", "_count_below"):
+            recorded(name, getattr(oracle, name))
+        return calls
+
+    @pytest.mark.parametrize("p_ground, q, offset, second", MATCHED_CASES,
+                             ids=["seed1", "seed7"])
+    def test_matched_4cubed_pass(self, monkeypatch, p_ground, q, offset, second):
+        params, m = make_params(d=3), grid_measure(3.0, 4, 3)
+        p_disp = np.add(q, offset)
+        kappa = branches.kappa_from_rule(params, p_disp, "fraction", 0.9)
+        calls = self.record(monkeypatch)
+        oracle.compare_ground(params, np.array(p_ground), m, 0.9, (0.2, 0.1, 0.05))
+        oracle.compare_dispersion(params, p_disp, m, kappa, np.array(q))
+        # one build per ladder; the ground roots take 4, 3 and 3 sigma and
+        # the window's first root 4, with no probe at D_min - _STANDOFF.  With
+        # seed 7's offset the second root's fourth sigma leaves g at 6e-15,
+        # above half the tolerance, and Brent steps once more.
+        assert calls == [("build", 0), ("low_spectrum", 5), ("low_spectrum", 4),
+                         ("low_spectrum", 4), ("build", 0), ("_count_below", 1),
+                         ("low_spectrum", 1 + 4 + second)]
+
+    def test_ladder_builds_once(self, monkeypatch):
+        params, m = make_params(d=3), grid_measure(3.0, 4, 3)
+        p, alphas = np.array([0.1, 0.0, -0.2]), (0.2, 0.1, 0.05, 0.025)
+        expect = [oracle.low_spectrum(oracle.build(replace(params, alpha=a), p, m), 1)[0]
+                  for a in alphas]
+        calls = self.record(monkeypatch)
+        comp = oracle.compare_ground(params, p, m, 0.9, alphas)
+        assert [name for name, _ in calls].count("build") == 1
+        assert [r.oracle_e0 for r in comp.rows] == expect
 
 
 class TestSparse:
