@@ -22,7 +22,8 @@ eigenvalue of H is the unique root of g_j, repeats included.  Since
 S(sigma) is h11 - sigma less a positive semidefinite term, Weyl's
 inequality gives g_j(lambda_j(h11)) <= 0: the spectrum at n_max = 1 bounds
 each root from above, and the slope bound puts the root within |g_j(s)| of
-any s where g_j(s) < 0.
+any s where g_j(s) < 0.  h11 is an arrow matrix, so its least eigenvalue,
+where root 0 starts, is also the root of a secular equation (`_least_free`).
 """
 
 from __future__ import annotations
@@ -123,7 +124,12 @@ class TruncatedHamiltonian:
 def build(params: ModelParams, p, measure: DiscreteMeasure,
           n_max: int = 2) -> TruncatedHamiltonian:
     """Assemble the truncated fiber Hamiltonian on the lattice measure in
-    blocks: at unit coupling, then `scaled` to params.alpha."""
+    blocks: at unit coupling, then `scaled` to params.alpha.  eps(q) and
+    |q|^2 are evaluated once per lattice point and gathered per pair, and
+    p - q_k - q_l is formed once per pair; a separable coupling c(q) is
+    evaluated once per point too, while a p-modulated one is evaluated
+    per pair at |p - q_k - q_l|^2.  Each entry is computed as if the
+    pair's terms were evaluated on their own, bit for bit."""
     p = params._check_vec(p, "p")
     if n_max not in (1, 2):
         raise InputError("n_max must be 1 or 2")
@@ -138,17 +144,25 @@ def build(params: ModelParams, p, measure: DiscreteMeasure,
     if dim > _DIM_BUDGET:
         raise ResourceError(f"truncated basis of dimension {dim} exceeds the budget")
 
-    e1 = 0.5 * np.sum((p[None, :] - q) ** 2, axis=-1) + params.eps(q)
-    h11 = np.diag(np.concatenate(([0.5 * float(p @ p)], e1)))
-    h11[0, 1:] = h11[1:, 0] = amp * params.coupling.evaluate(p[None, :] - q, q)
+    k = p[None, :] - q
+    k_sq, q_sq, eps = np.sum(k * k, axis=-1), np.sum(q * q, axis=-1), params.eps(q)
+    coupling = params.coupling
+    c = amp * coupling.from_sq(k_sq, q_sq)
+    h11 = np.diag(np.concatenate(([0.5 * float(p @ p)], 0.5 * k_sq + eps)))
+    h11[0, 1:] = h11[1:, 0] = c
 
-    # each pair {k,l} couples to one-boson rows k and l; {k,k} carries
+    # each pair {k,l} couples to one-boson rows k and l with amplitudes
+    # c(p - q_k - q_l; q_l) and c(p - q_k - q_l; q_k); {k,k} carries
     # sqrt(2), shared between its two equal amplitudes on its one row
     kk, ll = np.triu_indices(n_pts) if n_max == 2 else (np.empty(0, int),) * 2
-    rest = p[None, :] - (q[kk] + q[ll])
-    e2 = 0.5 * np.sum(rest**2, axis=-1) + params.eps(q[kk]) + params.eps(q[ll])
-    amp_k = amp * params.coupling.evaluate(rest, q[ll])
-    amp_l = amp * params.coupling.evaluate(rest, q[kk])
+    rest = p[None, :] - (np.take(q, kk, axis=0) + np.take(q, ll, axis=0))
+    rest_sq = np.sum(rest * rest, axis=-1)
+    e2 = 0.5 * rest_sq + eps[kk] + eps[ll]
+    if coupling.kind == "separable":
+        amp_k, amp_l = c[ll], c[kk]
+    else:
+        amp_k = amp * coupling.from_sq(rest_sq, q_sq[ll])
+        amp_l = amp * coupling.from_sq(rest_sq, q_sq[kk])
     same, half = kk == ll, math.sqrt(2.0) / 2.0
     amps = np.stack([np.where(same, amp_k * half + amp_l * half, amp_k),
                      np.where(same, 0.0, amp_l)], axis=1)
@@ -165,29 +179,59 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
         raise NumericError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def low_spectrum(ham: TruncatedHamiltonian, k: int) -> np.ndarray:
-    """k lowest eigenvalues, ascending.  Root j starts at
-    s = min(lambda_j(h11), D_min - _STANDOFF), where g_j(s) <= 0, and is
-    Brent's root of g_j on the slope bound's bracket [s + g_j(s), s], less a
-    tolerance and widened by doubling should rounding leave no sign change.
-    A value of g_j within half the tolerance counts as zero: by the slope
-    bound that sigma is as close to the root as Brent's own stop.  The
-    spectra of S are shared by sigma.  With n_max = 1 the matrix is h11.  A
-    request that reaches D_min - _STANDOFF goes to a dense eigensolver,
-    which raises ResourceError when the matrix would exceed _DENSE_BYTES."""
+def _least_free(h11: np.ndarray) -> float | None:
+    """Least eigenvalue of h11 from its secular equation, or None where
+    `_eigvalsh` must give it.  h11 is an arrow matrix: the vacuum energy
+    h00, its couplings c_i and the one-boson energies d_i on the diagonal.
+    With every c_i nonzero its least eigenvalue is the one root below
+    min d_i of f(x) = h00 - x - sum c_i^2 / (d_i - x) (Golub, SIAM Rev.
+    15, 1973).  f is concave and decreasing there, so monotone Newton
+    falls onto the root from x = min(h00, min d_i - _STANDOFF) when
+    f(x) < 0; None when some c_i is 0 or f(x) >= 0."""
+    c, d = h11[0, 1:], h11.diagonal()[1:]
+    if not c.all():
+        return None
+    h00, c_sq = float(h11[0, 0]), c * c
+
+    def fg(x):
+        r = 1.0 / (d - x)
+        t = c_sq * r
+        return h00 - x - float(t.sum()), -1.0 - float(t @ r)
+
+    x = min(h00, float(d.min()) - _STANDOFF)
+    if not fg(x)[0] < 0.0:
+        return None
+    return roots.monotone_newton(fg, x, 0.0)[0]
+
+
+def low_spectrum(ham: TruncatedHamiltonian, k: int, first: int = 0) -> np.ndarray:
+    """Eigenvalues first, ..., k - 1 of the truncated matrix, indexed
+    from 0 in ascending order.  Root j starts at s = min(lambda_j(h11), D_min - _STANDOFF),
+    where g_j(s) <= 0, and is Brent's root of g_j on the slope bound's
+    bracket [s + g_j(s), s], less a tolerance and widened by doubling
+    should rounding leave no sign change.  A value of g_j within the
+    tolerance counts as zero: by the slope bound that sigma is as close
+    to the root as Brent's own stop, and a start where g_j reads zero is
+    the root.  For k = 1, lambda_0(h11) comes from `_least_free`'s secular
+    equation; otherwise, or where that does not apply, from an eigensolve
+    of h11.  The spectra of S are shared by sigma.  With n_max = 1 the
+    matrix is h11.  A request that reaches D_min - _STANDOFF goes to a
+    dense eigensolver, which raises ResourceError when the matrix would
+    exceed _DENSE_BYTES."""
     dim = ham.dim
-    if k < 1 or k > dim:
-        raise InputError(f"need 1 <= k <= {dim}")
-    free = _eigvalsh(ham.h11)
+    if not 0 <= first < k <= dim:
+        raise InputError(f"need 0 <= first < k <= {dim}")
+    least = _least_free(ham.h11) if k == 1 else None
+    free = _eigvalsh(ham.h11) if least is None else np.array([least])
     if ham.pair_diag.size == 0:
-        return free[:k]
+        return free[first:k]
     top = float(ham.pair_diag.min()) - _STANDOFF
     spectrum = roots.Counted(lambda sigma: _eigvalsh(ham.schur(sigma)))
     # lambda_{k-1}(h11) < top gives g_{k-1}(top) < 0 without the probe
     if (k > free.size or free[k - 1] >= top) and np.count_nonzero(spectrum(top) < 0.0) < k:
         if dim * dim * 8 > _DENSE_BYTES:
             raise ResourceError(f"dense matrix of dimension {dim} exceeds {_DENSE_BYTES} B")
-        return _eigvalsh(ham.matrix)[:k]
+        return _eigvalsh(ham.matrix)[first:k]
 
     def root(j):
         s = min(float(free[j]), top)
@@ -195,11 +239,12 @@ def low_spectrum(ham: TruncatedHamiltonian, k: int) -> np.ndarray:
 
         def g(sigma):
             value = spectrum(sigma)[j]
-            return 0.0 if abs(value) <= 0.5 * tol else value
+            return 0.0 if abs(value) <= tol else value
 
-        return roots.root_beyond(g, s, s + g(s) - tol)
+        g_s = g(s)
+        return s if g_s == 0.0 else roots.root_beyond(g, s, s + g_s - tol)
 
-    return np.array([root(j) for j in range(k)])
+    return np.array([root(j) for j in range(first, k)])
 
 
 def _count_below(ham: TruncatedHamiltonian, sigma: float) -> int:
@@ -281,9 +326,10 @@ def compare_dispersion(params: ModelParams, p, measure: DiscreteMeasure,
                        tol: float = 1e-10) -> DispersionComparison:
     """Match the solved one-boson dispersion at a grid momentum against
     the nearest truncated-oracle eigenvalue inside the window
-    (lambda1 estimate, kappa).  Only the eigenvalues below kappa are
-    computed: their number comes from the matrix inertia, and each is a
-    root of the Schur complement's eigenvalues (see `low_spectrum`)."""
+    (lambda1 estimate - tol, kappa).  Only the eigenvalues inside it are
+    computed: the matrix inertia at each end of the window gives their
+    indices n_lo, ..., n_hi - 1, and each is a root of the Schur
+    complement's eigenvalues (see `low_spectrum`)."""
     p = params._check_vec(p, "p")
     q = params._check_vec(q, "q")
     dists = np.linalg.norm(measure.points - q[None, :], axis=-1)
@@ -295,15 +341,14 @@ def compare_dispersion(params: ModelParams, p, measure: DiscreteMeasure,
         raise InputError("q is outside the one-boson domain for this cap")
     lam1 = branches_mod.lambda1(params, p, kappa, quad, tol)
     ham = build(params, p, measure, n_max=n_max)
-    n_low = _count_below(ham, kappa)
-    vals = low_spectrum(ham, n_low) if n_low else np.empty(0)
     window = (lam1 - tol, kappa)
-    inside = vals[(vals >= window[0]) & (vals <= window[1])]
-    if inside.size == 0:
+    n_lo, n_hi = (_count_below(ham, end) for end in window)
+    if n_hi <= n_lo:
         return DispersionComparison(q=q, solver_xi=bp.xi, nearest_eigenvalue=None,
                                     gap=None, window=window, window_count=0,
                                     matched=False)
+    inside = low_spectrum(ham, n_hi, first=n_lo)
     nearest = float(inside[np.argmin(np.abs(inside - bp.xi))])
     return DispersionComparison(q=q, solver_xi=bp.xi, nearest_eigenvalue=nearest,
                                 gap=abs(nearest - bp.xi), window=window,
-                                window_count=int(inside.size), matched=True)
+                                window_count=n_hi - n_lo, matched=True)

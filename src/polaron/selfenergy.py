@@ -5,8 +5,9 @@ bound the validity range of the perturbative elimination.
 
 from __future__ import annotations
 
+import marshal
 import math
-import pickle
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -15,7 +16,7 @@ import numpy as np
 from . import model as model_mod
 from . import quadrature as quad_mod
 from .errors import DomainError
-from .model import ModelParams
+from .model import CouplingSpec, EpsilonSpec, ModelParams
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -32,6 +33,8 @@ __all__ = [
 
 DENOM_MARGIN = 1e-6  # minimum allowed distance of xi to the two-boson edge
 _TERMS_BOUND = 4     # models whose node terms one node system keeps
+_EPS_FIELDS = operator.attrgetter(*EpsilonSpec.__dataclass_fields__)
+_COUPLING_FIELDS = operator.attrgetter(*CouplingSpec.__dataclass_fields__)
 
 
 @dataclass
@@ -148,14 +151,32 @@ def contraction_bounds(params: ModelParams, p, kappa: float,
     )
 
 
+def _marshallable(v):
+    """v itself where marshal takes it; an array or a numpy scalar other
+    than float64 as its dtype, shape and bytes."""
+    if isinstance(v, (str, float, int, type(None))):
+        return v
+    a = np.asarray(v)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _model_key(params) -> bytes:
+    """The values of the fields of eps and the coupling, marshalled: a
+    float is kept as its 8 bytes, so -0.0 and 0.0 differ, and 1 and 1.0
+    differ by type.  Arrays (a tabulated eps) go through `_marshallable`."""
+    values = _EPS_FIELDS(params.eps) + _COUPLING_FIELDS(params.coupling)
+    try:
+        return marshal.dumps(values)
+    except ValueError:
+        return marshal.dumps(tuple(map(_marshallable, values)))
+
+
 def _node_terms(params, ns):
     """h(q') = |q'|^2 / 2 + eps(q') on the full nodes, and c(q') and
     w|c(q')|^2 for a separable coupling (None for a p-modulated one),
     read-only.  ns.terms keeps them for its _TERMS_BOUND latest models,
-    keyed on the pickled values of the fields of eps and the coupling:
-    equal keys mean equal bits."""
-    key = pickle.dumps([getattr(spec, name) for spec in (params.eps, params.coupling)
-                        for name in spec.__dataclass_fields__])
+    keyed on `_model_key`: equal keys mean equal bits."""
+    key = _model_key(params)
     if key not in ns.terms:
         if len(ns.terms) >= _TERMS_BOUND:
             del ns.terms[next(iter(ns.terms))]

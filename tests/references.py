@@ -1,8 +1,9 @@
 """Direct references the tests check the library against: a quadrature
 sum of a callable over a rule's nodes, the leading two-point kernel at one
-pair of momenta, and the oracle's Schur complement assembled afresh at
-each sigma."""
+pair of momenta, the oracle's blocks assembled pair by pair, and its Schur
+complement assembled afresh at each sigma."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -77,3 +78,45 @@ def schur_per_sigma(ham, sigma: float) -> np.ndarray:
     s = ham.h11 - terms.reshape(n1, n1)
     s[np.diag_indices(n1)] -= sigma
     return s
+
+
+def oracle_blocks_per_pair(params, p, measure, n_max):
+    """(h11, pair_diag, pair_rows, pair_amps) of `oracle.build`, with eps,
+    the coupling and p - q_k - q_l evaluated afresh for each pair at unit
+    coupling, then scaled to params.alpha as `TruncatedHamiltonian.scaled`
+    does."""
+    p = np.asarray(p, dtype=float)
+    q = measure.points
+    n_pts = q.shape[0]
+    amp = math.sqrt(measure.weight)
+    e1 = 0.5 * np.sum((p[None, :] - q) ** 2, axis=-1) + params.eps(q)
+    h11 = np.diag(np.concatenate(([0.5 * float(p @ p)], e1)))
+    h11[0, 1:] = h11[1:, 0] = amp * params.coupling.evaluate(p[None, :] - q, q)
+    kk, ll = np.triu_indices(n_pts) if n_max == 2 else (np.empty(0, int),) * 2
+    rest = p[None, :] - (q[kk] + q[ll])
+    e2 = 0.5 * np.sum(rest**2, axis=-1) + params.eps(q[kk]) + params.eps(q[ll])
+    amp_k = amp * params.coupling.evaluate(rest, q[ll])
+    amp_l = amp * params.coupling.evaluate(rest, q[kk])
+    same, half = kk == ll, math.sqrt(2.0) / 2.0
+    amps = np.stack([np.where(same, amp_k * half + amp_l * half, amp_k),
+                     np.where(same, 0.0, amp_l)], axis=1)
+    h11[0, 1:] *= params.alpha
+    h11[1:, 0] *= params.alpha
+    return h11, e2, np.stack([1 + kk, 1 + ll], axis=1), amps * params.alpha
+
+
+def sparse_matrix(ham):
+    """The truncated matrix of a `TruncatedHamiltonian` in CSR form, from
+    its blocks, for a Lanczos reference where the dense matrix is too
+    large."""
+    import scipy.sparse
+
+    n1, dim = ham.h11.shape[0], ham.dim
+    pairs = np.arange(n1, dim)
+    r, c = np.nonzero(ham.h11)
+    rows = [r, pairs] + [ham.pair_rows[:, i] for i in (0, 1)] + [pairs, pairs]
+    cols = [c, pairs, pairs, pairs] + [ham.pair_rows[:, i] for i in (0, 1)]
+    amps = [ham.pair_amps[:, 0], ham.pair_amps[:, 1]]
+    vals = [ham.h11[r, c], ham.pair_diag] + amps + amps
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim))

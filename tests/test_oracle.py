@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polaron import CouplingSpec, EpsilonSpec, InputError, ModelParams, grid_measure
-from polaron import branches, oracle
+from polaron import branches, oracle, roots
 from polaron.errors import NumericError, ResourceError
 
-from references import schur_per_sigma
+from references import oracle_blocks_per_pair, schur_per_sigma, sparse_matrix
 
 
 def make_params(d=1, alpha=0.1, eps0=1.0, c0=0.5):
@@ -92,6 +92,27 @@ class TestBuild:
             assert np.array_equal(rung.pair_amps, ham.pair_amps)
             assert np.array_equal(rung.pair_diag, ham.pair_diag)
             assert np.array_equal(rung.pair_rows, ham.pair_rows)
+
+    @pytest.mark.parametrize("n_max", [1, 2])
+    @pytest.mark.parametrize("coupling", ["separable", "p-modulated"])
+    @pytest.mark.parametrize("eps", ["constant", "relativistic", "tabulated"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_equal_per_pair_assembly(self, d, eps, coupling, n_max):
+        # eps, |q|^2 and a separable c taken once per lattice point and
+        # gathered per pair give the per-pair evaluation bit for bit; in
+        # d = 3 the lattice reaches past the table's last knot
+        params = replace(make_params(d=d, alpha=0.2), eps={
+            "constant": EpsilonSpec.constant(1.0),
+            "relativistic": EpsilonSpec.relativistic(1.0, 0.5),
+            "tabulated": EpsilonSpec.tabulated([0.0, 1.0, 2.0, 3.0], [1.0, 1.2, 1.7, 2.6]),
+        }[eps], coupling=CouplingSpec(kind=coupling, width=1.2, p_width=(
+            0.8 if coupling == "p-modulated" else None)))
+        p = np.array([0.3, -0.2, 0.1][:d])
+        m = grid_measure(*{1: (3.0, 9), 2: (2.0, 5), 3: (2.5, 4)}[d], d)
+        ham = oracle.build(params, p, m, n_max)
+        blocks = (ham.h11, ham.pair_diag, ham.pair_rows, ham.pair_amps)
+        for got, ref in zip(blocks, oracle_blocks_per_pair(params, p, m, n_max)):
+            assert np.array_equal(got, ref)
 
     def test_scaled_to_zero_is_free(self):
         ham = oracle.build(make_params(d=3, alpha=0.2), np.array([0.1, 0.0, -0.2]),
@@ -206,16 +227,47 @@ class TestSchurRoots:
         assert np.all(g - g_p >= sigma_p - sigma - 1e-13 * max(1.0, np.abs(s_p).max()))
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]), eps=st.sampled_from(["constant", "relativistic"]),
+           alpha=st.just(0.0) | st.floats(0.0, 0.3),
+           p=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def test_secular_start_is_the_least_free_eigenvalue(self, d, eps, alpha, p):
+        # root 0 starts at the secular root of h11, or at its eigensolve
+        # where a coupling is 0; there g_0 reads at most half the tolerance
+        # under which `low_spectrum` counts it as zero
+        ham, free, d_min = schur_root_case(d, eps, alpha, p)
+        least = oracle._least_free(ham.h11)
+        if alpha == 0.0:
+            assert least is None
+        start = free[0] if least is None else least
+        assert abs(start - free[0]) <= 1e-14 * max(1.0, abs(free[0]))
+        s = min(start, d_min - oracle._STANDOFF)
+        tol = roots.XTOL + roots.RTOL * abs(s)
+        assert np.linalg.eigvalsh(ham.schur(s))[0] <= 0.5 * tol
+
+    def test_secular_fallbacks_match_dense(self):
+        # a zero coupling, and a vacuum above the least one-boson energy at a
+        # coupling too weak to pull the secular root _STANDOFF below it: the
+        # start comes from the eigensolve of h11
+        m = grid_measure(3.0, 7, 1)
+        for ham in (oracle.build(make_params(alpha=0.2), np.array([0.3]), m).scaled(0.0),
+                    oracle.build(make_params(alpha=1e-6), np.array([2.0]), m)):
+            assert oracle._least_free(ham.h11) is None
+            dense = np.linalg.eigvalsh(ham.matrix)[0]
+            assert abs(oracle.low_spectrum(ham, 1)[0] - dense) <= 1e-12
+
+
 # the oracle-matched 4^3 comparisons at two seeds of the benchmark, rounded:
 # ground momentum, dispersion lattice momentum q, the offset p - q, and the
-# sigma of the window's second root
+# sigma of the window's root
 MATCHED_CASES = [((0.053, 0.021, -0.085), (-0.75, -0.75, 0.75), (-0.078, 0.085, 0.053), 4),
-                 ((0.038, -0.035, -0.114), (-0.75, -0.75, -0.75), (0.011, 0.246, -0.090), 5)]
+                 ((0.038, -0.035, -0.114), (-0.75, -0.75, -0.75), (0.011, 0.246, -0.090), 4)]
 
 
 class TestSolveCounts:
-    """Eigensolves per call, counted by patching `_eigvalsh`: one on h11,
-    then each sigma of the root search on S; builds per comparison."""
+    """Eigensolves per call, counted by patching `_eigvalsh`: one on h11
+    where the secular equation does not give its least eigenvalue, then
+    each sigma of the root search on S; builds per comparison."""
 
     @staticmethod
     def record(monkeypatch):
@@ -239,22 +291,36 @@ class TestSolveCounts:
             recorded(name, getattr(oracle, name))
         return calls
 
-    @pytest.mark.parametrize("p_ground, q, offset, second", MATCHED_CASES,
+    @pytest.mark.parametrize("p_ground, q, offset, window", MATCHED_CASES,
                              ids=["seed1", "seed7"])
-    def test_matched_4cubed_pass(self, monkeypatch, p_ground, q, offset, second):
+    def test_matched_4cubed_pass(self, monkeypatch, p_ground, q, offset, window):
         params, m = make_params(d=3), grid_measure(3.0, 4, 3)
         p_disp = np.add(q, offset)
         kappa = branches.kappa_from_rule(params, p_disp, "fraction", 0.9)
         calls = self.record(monkeypatch)
         oracle.compare_ground(params, np.array(p_ground), m, 0.9, (0.2, 0.1, 0.05))
-        oracle.compare_dispersion(params, p_disp, m, kappa, np.array(q))
-        # one build per ladder; the ground roots take 4, 3 and 3 sigma and
-        # the window's first root 4, with no probe at D_min - _STANDOFF.  With
-        # seed 7's offset the second root's fourth sigma leaves g at 6e-15,
-        # above half the tolerance, and Brent steps once more.
-        assert calls == [("build", 0), ("low_spectrum", 5), ("low_spectrum", 4),
-                         ("low_spectrum", 4), ("build", 0), ("_count_below", 1),
-                         ("low_spectrum", 1 + 4 + second)]
+        comp = oracle.compare_dispersion(params, p_disp, m, kappa, np.array(q))
+        # one build per ladder; each ground root starts at the secular root
+        # of h11, with no eigensolve of h11, and takes 4, 3 and 3 sigma.  The
+        # window's ends take one inertia count each; its one root, index 1,
+        # takes an eigensolve of h11 and its sigma, and the ground root below
+        # the window is not solved.  No probe at D_min - _STANDOFF.
+        assert comp.window_count == 1
+        assert calls == [("build", 0), ("low_spectrum", 4), ("low_spectrum", 3),
+                         ("low_spectrum", 3), ("build", 0), ("_count_below", 1),
+                         ("_count_below", 1), ("low_spectrum", 1 + window)]
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_free_start_is_the_root(self, monkeypatch, k):
+        # at alpha = 0, g_j(lambda_j(h11)) = 0: each root is its start, one
+        # sigma after the eigensolve of h11, with no sample beyond it.  The
+        # generic p leaves the one-boson energies distinct.
+        ham = oracle.build(make_params(d=3, alpha=0.2), np.array([0.1, 0.03, -0.2]),
+                           grid_measure(3.0, 4, 3)).scaled(0.0)
+        calls = self.record(monkeypatch)
+        vals = oracle.low_spectrum(ham, k)
+        assert calls == [("low_spectrum", 1 + k)]
+        assert np.array_equal(vals, np.sort(ham.h11.diagonal())[:k])
 
     def test_ladder_builds_once(self, monkeypatch):
         params, m = make_params(d=3), grid_measure(3.0, 4, 3)
@@ -371,6 +437,48 @@ class TestSparse:
         assert comp.window_count == inside.size > 0
         nearest = inside[np.argmin(np.abs(inside - comp.solver_xi))]
         assert comp.nearest_eigenvalue == pytest.approx(nearest, abs=1e-12)
+
+    def test_window_roots_match_lanczos_5cubed(self):
+        # the roots n_lo, ..., n_hi - 1 between the window's inertia counts
+        # are the eigenvalues in the window; on the 5^3 lattice (dim 8001)
+        # the dense matrix alone would take 0.5 GB, so Lanczos on the
+        # matrix's sparse form is the reference
+        from scipy.sparse.linalg import eigsh
+
+        params, m = make_params(d=3), grid_measure(2.5, 5, 3)
+        q = m.points[np.argmin(np.linalg.norm(m.points, axis=1))]
+        p = q + np.array([0.1, -0.05, 0.2])
+        kappa = branches.kappa_from_rule(params, p, "fraction", 0.9)
+        comp = oracle.compare_dispersion(params, p, m, kappa, q, tol=1e-9)
+        ham = oracle.build(params, p, m)
+        lo, hi = comp.window
+        n_lo, n_hi = oracle._count_below(ham, lo), oracle._count_below(ham, hi)
+        window = oracle.low_spectrum(ham, n_hi, first=n_lo)
+        ref = np.sort(eigsh(sparse_matrix(ham), k=n_hi + 2, which="SA",
+                            v0=np.ones(ham.dim), tol=0.0)[0])
+        inside = ref[(ref >= lo) & (ref <= hi)]
+        assert comp.window_count == n_hi - n_lo == inside.size == 3
+        assert np.abs(window - inside).max() <= 1e-12
+        assert np.array_equal(window, oracle.low_spectrum(ham, n_hi)[n_lo:])
+        assert comp.nearest_eigenvalue == window[np.argmin(np.abs(window - comp.solver_xi))]
+
+    def test_empty_window_solves_no_root(self, monkeypatch):
+        # kappa lies between the solved xi at q = 0 and the oracle level
+        # above it, so the window holds no eigenvalue
+        params, p, m = make_params(), np.zeros(1), grid_measure(3.0, 15, 1)
+        q = m.points[7]
+        assert q[0] == 0.0
+        dense = np.linalg.eigvalsh(oracle.build(params, p, m).matrix)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a root was solved")
+
+        monkeypatch.setattr(oracle, "low_spectrum", refuse)
+        comp = oracle.compare_dispersion(params, p, m, 0.9853, q, tol=1e-9)
+        lo, hi = comp.window
+        assert lo < comp.solver_xi < hi
+        assert not np.any((dense >= lo) & (dense <= hi))
+        assert (comp.window_count, comp.matched, comp.nearest_eigenvalue) == (0, False, None)
 
     def test_solvers_never_densify(self, monkeypatch):
         def refuse(self):

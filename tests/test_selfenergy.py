@@ -424,6 +424,22 @@ class TestNodeTerms:
         assert not np.array_equal(tab.e2, first.e2)
         self.assert_uncached(params, tab)
 
+    def test_key_is_exact(self):
+        # equal field values share a key; -0.0 and 0.0, 1 and 1.0, and a
+        # table changed in place do not
+        base = make_params()
+        key = se._model_key
+        assert key(base) == key(make_params())
+        for a, b in ((0.0, -0.0), (1, 1.0), (1.0, np.int64(1))):
+            assert key(replace(base, coupling=CouplingSpec(amplitude=a))) != key(
+                replace(base, coupling=CouplingSpec(amplitude=b)))
+        table = replace(base, eps=EpsilonSpec.tabulated([0.0, 1.0, 2.0], [1.0, 1.2, 1.7]))
+        before = key(table)
+        assert before == key(replace(base, eps=EpsilonSpec.tabulated(
+            [0.0, 1.0, 2.0], [1.0, 1.2, 1.7])))
+        table.eps.values[1] = 1.25
+        assert key(table) != before
+
     def test_cached_arrays_are_read_only(self):
         ns = quadrature._build_continuum(self.QUAD, 3, (0.0, 0.0, 1.0))
         for params in self.models():
