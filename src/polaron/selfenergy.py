@@ -269,7 +269,9 @@ class SelfEnergyTables:
         return self._min_e2
 
     def _check_xi(self, xi):
-        if self._min_e2 - xi < DENOM_MARGIN:
+        # against the cap min_e2 - DENOM_MARGIN as callers form it:
+        # min_e2 - xi may round below the margin at xi equal to that cap
+        if xi > self._min_e2 - DENOM_MARGIN:
             raise DomainError(
                 f"xi={xi} within {DENOM_MARGIN:.1g} of the two-boson edge "
                 f"{self._min_e2:.6g} on this grid"

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad as scipy_quad
 
@@ -102,9 +102,12 @@ class TestM2Properties:
            q=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
            alpha=st.floats(0.01, 0.3), gap=st.floats(0.0, 3.0),
            h=st.floats(0.01, 0.5))
+    @example(d=1, q=[-0.779296875, 0.0, 0.0], alpha=0.25, gap=0.0, h=0.5)
     def test_g_strictly_decreasing_and_concave(self, d, q, alpha, gap, h):
         # g(xi) = a(xi; q) - xi; the monotone root solves and bracketing
-        # read its sign and rely on one root below the two-boson edge
+        # read its sign and rely on one root below the two-boson edge.
+        # The example has min_e2 - (min_e2 - DENOM_MARGIN) < DENOM_MARGIN
+        # in floating point: the cap itself must be admitted
         params = make_params(d=d, alpha=alpha)
         p = np.array([0.4, 0.0, 0.0])[:d]
         row = se.SelfEnergyTables(params, p, QUAD, np.array(q[:d])[None, :])
