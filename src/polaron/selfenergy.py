@@ -35,6 +35,7 @@ DENOM_MARGIN = 1e-6  # minimum allowed distance of xi to the two-boson edge
 _TERMS_BOUND = 4     # models whose node terms one node system keeps
 _EPS_FIELDS = operator.attrgetter(*EpsilonSpec.__dataclass_fields__)
 _COUPLING_FIELDS = operator.attrgetter(*CouplingSpec.__dataclass_fields__)
+_MARSHAL_VERSION = 2  # binary floats; version 3 on writes back-references by object identity
 
 
 @dataclass
@@ -163,12 +164,14 @@ def _marshallable(v):
 def _model_key(params) -> bytes:
     """The values of the fields of eps and the coupling, marshalled: a
     float is kept as its 8 bytes, so -0.0 and 0.0 differ, and 1 and 1.0
-    differ by type.  Arrays (a tabulated eps) go through `_marshallable`."""
+    differ by type.  Marshal format 2 writes each value in full, so the key
+    does not depend on which fields share one object.  Arrays (a tabulated
+    eps) go through `_marshallable`."""
     values = _EPS_FIELDS(params.eps) + _COUPLING_FIELDS(params.coupling)
     try:
-        return marshal.dumps(values)
+        return marshal.dumps(values, _MARSHAL_VERSION)
     except ValueError:
-        return marshal.dumps(tuple(map(_marshallable, values)))
+        return marshal.dumps(tuple(map(_marshallable, values)), _MARSHAL_VERSION)
 
 
 def _node_terms(params, ns):

@@ -428,11 +428,14 @@ class TestNodeTerms:
         self.assert_uncached(params, tab)
 
     def test_key_is_exact(self):
-        # equal field values share a key; -0.0 and 0.0, 1 and 1.0, and a
-        # table changed in place do not
+        # equal field values share a key, also where fields share one
+        # object; -0.0 and 0.0, 1 and 1.0, and a table changed in place do not
         base = make_params()
         key = se._model_key
         assert key(base) == key(make_params())
+        shared = float("1.3")
+        assert key(replace(base, coupling=CouplingSpec(amplitude=shared, width=shared))) == key(
+            replace(base, coupling=CouplingSpec(amplitude=float("1.3"), width=float("1.3"))))
         for a, b in ((0.0, -0.0), (1, 1.0), (1.0, np.int64(1))):
             assert key(replace(base, coupling=CouplingSpec(amplitude=a))) != key(
                 replace(base, coupling=CouplingSpec(amplitude=b)))
