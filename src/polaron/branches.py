@@ -7,22 +7,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import model as model_mod
 from . import roots
 from .errors import DomainError, InputError, NumericError
-from .friedrichs import FriedrichsSolver
+from .friedrichs import EDGE_MARGIN, FriedrichsSolver
 from .model import ModelParams
 from .quadrature import QuadratureSpec, axis_of
-from .selfenergy import SelfEnergyTables, lambda2_proxy_value
+from .selfenergy import SelfEnergyTables
 
 __all__ = [
+    "Cap",
     "BranchPoint",
     "DomainMap",
     "GammaResult",
     "BoundaryResult",
+    "lambda2_proxy_value",
+    "cap",
     "kappa_from_rule",
     "dispersion_point",
     "one_boson_domain",
@@ -75,28 +79,51 @@ class BoundaryResult:
     status: str               # converged | inconclusive
 
 
-def kappa_from_rule(params: ModelParams, p, mode: str = "fraction",
-                    value: float = 0.9,
-                    delta_margin: float | None = None) -> float:
-    """Resolve the cap: absolute energy, or lambda1_0 + value * gap where
-    gap = lambda2-proxy - lambda1_0."""
-    if mode == "absolute":
-        return float(value)
-    if mode != "fraction":
+class Cap(NamedTuple):
+    kappa: float
+    proxy: float              # the two-boson proxy kappa is checked against
+
+
+def cap(params: ModelParams, p, mode: str = "fraction", value: float = 0.9,
+        clipped: bool = False) -> Cap:
+    """kappa = value (absolute) or lambda1_0 + value * (proxy - lambda1_0)
+    (fraction), refused unless kappa <= proxy + 1e-12 (so NaN is refused).
+    proxy = lambda2_0(p) - max(10 alpha^2 ||h||^2, 1e-3), a margin for the
+    O(alpha^2) edge shift, which `clipped` caps at half the free gap
+    lambda2_0 - lambda1_0 to keep the window open at a ladder's larger
+    couplings.  Each threshold is evaluated at most once, lambda2_0 alone
+    for the absolute rule without `clipped`."""
+    if mode not in ("absolute", "fraction"):
         raise InputError(f"unknown kappa rule {mode!r}")
-    lam1_0 = model_mod.threshold(params, 1, p)
-    proxy = lambda2_proxy_value(params, p, delta_margin)
-    if proxy <= lam1_0:
+    lam2_0 = model_mod.threshold(params, 2, p)
+    lam1_0 = model_mod.threshold(params, 1, p) if clipped or mode == "fraction" else None
+    margin = max(10.0 * params.alpha**2 * params.coupling.h_norm_sq(params.d), 1e-3)
+    if clipped:
+        margin = min(margin, 0.5 * (lam2_0 - lam1_0))
+    proxy = lam2_0 - margin
+    if mode == "absolute":
+        kappa = float(value)
+    elif proxy <= lam1_0:
         raise DomainError("two-boson proxy is not above the one-boson threshold")
-    return lam1_0 + float(value) * (proxy - lam1_0)
-
-
-def _check_cap(params, p, kappa, delta_margin=None):
-    proxy = lambda2_proxy_value(params, p, delta_margin)
-    if kappa > proxy + 1e-12:
+    else:
+        kappa = lam1_0 + float(value) * (proxy - lam1_0)
+    if not kappa <= proxy + 1e-12:
         raise DomainError(
             f"kappa={kappa} exceeds the two-boson proxy {proxy:.6g} at this p"
         )
+    return Cap(kappa, proxy)
+
+
+def lambda2_proxy_value(params: ModelParams, p, clipped: bool = False) -> float:
+    """Computable stand-in for the variational two-boson edge, which has no
+    closed expression: the proxy of `cap`, read off a cap of -inf."""
+    return cap(params, p, "absolute", -math.inf, clipped).proxy
+
+
+def kappa_from_rule(params: ModelParams, p, mode: str = "fraction",
+                    value: float = 0.9, clipped: bool = False) -> float:
+    """The kappa of `cap`."""
+    return cap(params, p, mode, value, clipped).kappa
 
 
 def dispersion_point(params: ModelParams, p, q, kappa: float,
@@ -111,8 +138,7 @@ def dispersion_point(params: ModelParams, p, q, kappa: float,
     min(e1, kappa).  Each evaluation of g and of g'(xi) = m'(xi) - 1 is one
     row sum over the point's one-row table.
     """
-    p = params._check_vec(p, "p")
-    _check_cap(params, p, kappa)
+    cap(params, p, "absolute", kappa)
     return _dispersion_solve(params, p, q, kappa, quad, tol)
 
 
@@ -138,6 +164,14 @@ def _dispersion_solve(params, p, q, kappa, quad, tol):
                        residual=resid, status=status)
 
 
+def _unit(v, name):
+    """v / |v|, refusing a zero, infinite or NaN length."""
+    norm = np.linalg.norm(v)
+    if not 0.0 < norm < math.inf:
+        raise InputError(f"{name} must have a finite, nonzero length")
+    return np.asarray(v, dtype=float) / norm
+
+
 def _cap_gap(params, p, kappa, quad, unit):
     """r -> a_p(kappa; r u) - kappa along the unit ray u, counted, by one-row
     tables: smooth, and negative exactly inside the one-boson domain."""
@@ -156,20 +190,17 @@ def one_boson_domain(params: ModelParams, p, kappa: float, probes,
     boundary radii along the requested rays, each a Brent root of
     a_p(kappa; r u) - kappa."""
     p = params._check_vec(p, "p")
-    _check_cap(params, p, kappa)
+    cap(params, p, "absolute", kappa)
+    axis = axis_of(p)
+    units = [_unit(ray, "ray") for ray in ([axis, -axis] if rays is None else rays)]
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     points = [_dispersion_solve(params, p, q, kappa, quad, tol) for q in probes]
     membership = np.array([bp.status != "none" for bp in points], dtype=bool)
-    axis = axis_of(p)
-    if rays is None:
-        rays = [axis, -axis]
     boundary = []
     # the free minimizer seeds the rays only: solve it when there are rays
     t_seed = (model_mod.collinear_minimizer(params, 1, float(np.linalg.norm(p)))
-              if len(rays) else None)
-    for ray in rays:
-        ray = np.asarray(ray, dtype=float)
-        unit = ray / np.linalg.norm(ray)
+              if units else None)
+    for unit in units:
         # seed at the point of the ray nearest the free minimizer; the
         # cosine from the chord is exactly 1 for a ray along the axis
         cos = 1.0 - 0.5 * float((unit - axis) @ (unit - axis))
@@ -182,7 +213,7 @@ def one_boson_domain(params: ModelParams, p, kappa: float, probes,
 
 
 def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
-            tol: float = 1e-10, delta_margin: float | None = None) -> float:
+            tol: float = 1e-10, clipped: bool = False) -> float:
     """Bottom of the one-boson dispersion manifold: minimize the solved
     xi_p(t u) over on-axis q = t u (radial models reduce to a scalar
     search), to the argmin tolerance roots.MIN_XATOL.
@@ -193,9 +224,9 @@ def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
     xi -> kappa and g(kappa) -> 0, and rises away from the domain, so the
     search sees no flat region.  The bracket is the first sample outside
     the domain on each side of the free minimizer t0, doubling the step
-    from 1."""
+    from 1.  `clipped` checks kappa against the clipped proxy."""
     p = params._check_vec(p, "p")
-    _check_cap(params, p, kappa, delta_margin)
+    cap(params, p, "absolute", kappa, clipped)
     axis = axis_of(p)
     t0 = model_mod.collinear_minimizer(params, 1, float(np.linalg.norm(p)))
 
@@ -218,8 +249,8 @@ def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
 
 def _ground_determinant(params, p, neumann_order, quad, tol, lam1):
     """(F, hi) at p: F(xi) = Delta_xi(xi), counted, read from the tables at
-    p, and hi = lam1 - max(tol, 1e-9), the top of its search range.  F is
-    None when hi is not below the continuum edge of the operator at hi,
+    p, and hi = lam1 - max(tol, EDGE_MARGIN), the top of its search range.
+    F is None when hi is not below the continuum edge of the operator at hi,
     which is built at order 0: the edge does not read the kernel matrix.
     F(hi) reuses that operator and its a(hi), with the kernel matrix added."""
     tables = SelfEnergyTables(params, p, quad)
@@ -228,7 +259,7 @@ def _ground_determinant(params, p, neumann_order, quad, tol, lam1):
     def operator(xi, order=neumann_order):
         return FriedrichsSolver.from_tables(tables, xi, e0, order)
 
-    hi = lam1 - max(tol, 1e-9)
+    hi = lam1 - max(tol, EDGE_MARGIN)
     top = operator(hi, 0)
     if hi >= top.edge()[0]:
         return None, hi
@@ -246,7 +277,8 @@ def ground_state(params: ModelParams, p, lam1: float, neumann_order: int,
     at trial energy xi: the unique root below the continuum edge of the
     determinant Delta_xi(z).  So xi0 is the root of F(xi) = Delta_xi(xi),
     found by Brent's method; F decreases in xi.  The edge is searched once,
-    at hi = lam1 - max(tol, 1e-9): a(xi; q) - xi grows as xi falls, so
+    at hi = lam1 - max(tol, EDGE_MARGIN), with the edge stand-off
+    `friedrichs.EDGE_MARGIN` = 1e-9: a(xi; q) - xi grows as xi falls, so
     every xi below hi is below its edge too.  Status is 'none' when hi is
     not below the edge or F(hi) >= 0 (p outside the ground domain).
     `iterations` counts the points where F is evaluated, none of them
@@ -281,8 +313,7 @@ def g0_boundary(params: ModelParams, direction, quad: QuadratureSpec,
     0 up to BOUNDARY_R_MAX; r* is Brent's root of F_r(hi) inside the first
     failing step, which need not be the first exit from the existence set
     when that set is not an interval along the ray."""
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    direction = _unit(direction, "direction")
 
     def setup(r):
         p = r * direction

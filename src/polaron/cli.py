@@ -41,27 +41,21 @@ def _write_outputs(out_dir: Path, command: str, columns, rows, record):
         fh.write("\n")
 
 
-def _kappa_at(cfg: RunConfig, p_vec):
-    return branches.kappa_from_rule(
-        cfg.params, p_vec, cfg.run["kappa_mode"], cfg.run["kappa"]
-    )
-
-
-def _cap_columns(cfg: RunConfig, p, kappa) -> dict:
-    """The columns of every row solved below a cap: alpha, kappa, the
-    two-boson proxy at the row's momentum p, and tol."""
-    return {"alpha": cfg.params.alpha, "kappa": kappa,
-            "lambda2_proxy": selfenergy.lambda2_proxy_value(cfg.params, p),
-            "tol": cfg.run["tol"]}
+def _cap_columns(cfg: RunConfig, p, mode=None, value=None) -> dict:
+    """The columns of every row solved below a cap: alpha, tol, and kappa and
+    the proxy at p from one `branches.cap` call by mode and value, or the run's rule."""
+    cap = branches.cap(cfg.params, p, mode or cfg.run["kappa_mode"],
+                       cfg.run["kappa"] if value is None else value)
+    return {"alpha": cfg.params.alpha, "kappa": cap.kappa,
+            "lambda2_proxy": cap.proxy, "tol": cfg.run["tol"]}
 
 
 def _ground_at(cfg: RunConfig, pmag):
     """(cap columns, lambda1, ground BranchPoint) at |p| = pmag: kappa by
     the run's rule, then lambda1 below it, then the ground state."""
     p = cfg.vector(pmag)
-    kappa = _kappa_at(cfg, p)
-    cap = _cap_columns(cfg, p, kappa)
-    lam1 = branches.lambda1(cfg.params, p, kappa, cfg.quad, cfg.run["tol"])
+    cap = _cap_columns(cfg, p)
+    lam1 = branches.lambda1(cfg.params, p, cap["kappa"], cfg.quad, cfg.run["tol"])
     bp = branches.ground_state(cfg.params, p, lam1, cfg.run["neumann_order"],
                                cfg.quad, cfg.run["tol"])
     return cap, lam1, bp
@@ -101,7 +95,7 @@ def cmd_thresholds(cfg: RunConfig):
                "status": "converged"}
         for n in (1, 2, 3):
             row[f"lambda{n}_0"] = model.threshold(cfg.params, n, p)
-        row["lambda2_proxy"] = selfenergy.lambda2_proxy_value(cfg.params, p)
+        row["lambda2_proxy"] = branches.lambda2_proxy_value(cfg.params, p)
         return row
 
     rows = [one(x) for x in cfg.run["p_values"]]
@@ -139,9 +133,8 @@ def _q_grid(cfg: RunConfig):
 
 def cmd_dispersion_scan(cfg: RunConfig):
     p = cfg.vector(cfg.run["p"])
-    kappa = _kappa_at(cfg, p)
-    cap = _cap_columns(cfg, p, kappa)
-    points, boundary = _g1_points(cfg, p, kappa)
+    cap = _cap_columns(cfg, p)
+    points, boundary = _g1_points(cfg, p, cap["kappa"])
     rows = [
         {"p": cfg.run["p"], "q": q, "xi": bp.xi, "member": bp.status != "none",
          "residual": bp.residual, "status": bp.status, **cap}
@@ -157,8 +150,7 @@ def cmd_dispersion_scan(cfg: RunConfig):
 
 def cmd_domain_map(cfg: RunConfig):
     p_fixed = cfg.vector(cfg.run["p"])
-    kappa = _kappa_at(cfg, p_fixed)
-    g1_cap = _cap_columns(cfg, p_fixed, kappa)
+    g1_cap = _cap_columns(cfg, p_fixed)
 
     def g0_row(pmag):
         cap, _, bp = _ground_at(cfg, pmag)
@@ -166,8 +158,8 @@ def cmd_domain_map(cfg: RunConfig):
                 "member": bp.status == "converged", **cap, "status": bp.status}
 
     rows = [g0_row(x) for x in cfg.run["p_values"]]
-    # an empty q grid makes no G1 call, so its cap is not checked
-    g1 = _g1_points(cfg, p_fixed, kappa, rays=[])[0] if _q_grid(cfg) else []
+    # an empty q grid makes no G1 call; `_cap_columns` has checked its cap
+    g1 = _g1_points(cfg, p_fixed, g1_cap["kappa"], rays=[])[0] if _q_grid(cfg) else []
     rows += [{"domain": "G1", "coordinate": q, "member": bp.status != "none",
               **g1_cap, "status": bp.status} for q, bp in g1]
     cols = ["domain", "coordinate", "member", "alpha", "kappa",
@@ -198,10 +190,9 @@ def cmd_alpha0(cfg: RunConfig):
     p = cfg.vector(cfg.run["p"])
     rows = []
     for frac in cfg.run["kappa_fractions"]:
-        kappa = branches.kappa_from_rule(cfg.params, p, "fraction", frac)
-        cap = _cap_columns(cfg, p, kappa)
-        rep = selfenergy.contraction_bounds(cfg.params, p, kappa,
-                                            lam2=cap["lambda2_proxy"])
+        cap = _cap_columns(cfg, p, "fraction", frac)
+        rep = selfenergy.contraction_bounds(cfg.params, p, cap["kappa"],
+                                            cap["lambda2_proxy"])
         rows.append({
             "kappa_fraction": float(frac), "bound_Q": rep.bound_Q,
             "bound_Gamma": rep.bound_Gamma, "alpha0_Q": rep.alpha0_Q,
@@ -224,8 +215,7 @@ def cmd_oracle_check(cfg: RunConfig):
             "proxy")
     tol = cfg.run["tol"]
     p = cfg.vector(cfg.run["p"])
-    kappa = _kappa_at(cfg, p)
-    cap = _cap_columns(cfg, p, kappa)
+    cap = _cap_columns(cfg, p)
     comparison = oracle.compare_ground(
         cfg.params, p, cfg.measure, cfg.run["kappa"], cfg.run["alpha_ladder"],
         neumann_order=cfg.run["neumann_order"], n_max=cfg.run["n_max"],
@@ -244,7 +234,7 @@ def cmd_oracle_check(cfg: RunConfig):
                                axis=-1)
         q_snap = cfg.measure.points[int(np.argmin(dists))]
         comp = oracle.compare_dispersion(
-            cfg.params, p, cfg.measure, kappa, q_snap,
+            cfg.params, p, cfg.measure, cap["kappa"], q_snap,
             n_max=cfg.run["n_max"], tol=tol,
         )
         rows.append({

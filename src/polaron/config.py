@@ -65,8 +65,15 @@ def _check_schema(cp: configparser.ConfigParser) -> None:
                                  "allowed: " + ", ".join(allowed))
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _floats(text: str) -> list:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    return [_float(tok) for tok in text.replace(",", " ").split()]
 
 
 def _get(section, key, cast, default=None, required=False):
@@ -83,11 +90,11 @@ def _get(section, key, cast, default=None, required=False):
 def _epsilon_from(section) -> EpsilonSpec:
     kind = _get(section, "kind", str, required=True)
     if kind == "constant":
-        return EpsilonSpec.constant(_get(section, "eps0", float, 1.0))
+        return EpsilonSpec.constant(_get(section, "eps0", _float, 1.0))
     if kind == "relativistic":
         return EpsilonSpec.relativistic(
-            _get(section, "mass", float, required=True),
-            _get(section, "shift", float, 0.0),
+            _get(section, "mass", _float, required=True),
+            _get(section, "shift", _float, 0.0),
         )
     if kind == "tabulated":
         path = _get(section, "table-path", str, required=True)
@@ -103,9 +110,9 @@ def _coupling_from(section) -> CouplingSpec:
     kind = _get(section, "kind", str, "separable")
     return CouplingSpec(
         kind=kind,
-        amplitude=_get(section, "amplitude", float, 1.0),
-        width=_get(section, "width", float, 1.0),
-        p_width=_get(section, "p-width", float, None),
+        amplitude=_get(section, "amplitude", _float, 1.0),
+        width=_get(section, "width", _float, 1.0),
+        p_width=_get(section, "p-width", _float, None),
     )
 
 
@@ -128,14 +135,14 @@ def load_config(path) -> RunConfig:
     coupling = _coupling_from(cp["coupling"])
     params = ModelParams(
         d=_get(cp["model"], "dimension", int, required=True),
-        alpha=_get(cp["model"], "alpha", float, required=True),
+        alpha=_get(cp["model"], "alpha", _float, required=True),
         eps=eps,
         coupling=coupling,
-        c0=_get(cp["model"], "c0", float, required=True),
+        c0=_get(cp["model"], "c0", _float, required=True),
     )
 
     qsec = cp["quadrature"] if "quadrature" in cp else {}
-    r_max = _get(qsec, "rmax", float, None)
+    r_max = _get(qsec, "rmax", _float, None)
     if r_max is None:
         r_max = max(coupling.decay_radius(), 4.0)
     quad = QuadratureSpec.continuum(
@@ -146,7 +153,7 @@ def load_config(path) -> RunConfig:
 
     gsec = cp["grid"] if "grid" in cp else {}
     measure = grid_measure(
-        _get(gsec, "lambda", float, 3.0),
+        _get(gsec, "lambda", _float, 3.0),
         _get(gsec, "points-per-axis", int, 5),
         params.d,
     )
@@ -156,15 +163,15 @@ def load_config(path) -> RunConfig:
     typed = {
         "p_values": _get(run, "p-values", _floats, [0.0]),
         "q_values": _get(run, "q-values", _floats, None),
-        "p": _get(run, "p", float, 0.0),
+        "p": _get(run, "p", _float, 0.0),
         "kappa_mode": _get(run, "kappa-mode", str, "fraction"),
-        "kappa": _get(run, "kappa", float, 0.9),
+        "kappa": _get(run, "kappa", _float, 0.9),
         "alpha_ladder": _get(run, "alpha-ladder", _floats, [0.2, 0.1, 0.05]),
-        "tol": _get(run, "tol", float, 1e-10),
+        "tol": _get(run, "tol", _float, 1e-10),
         "neumann_order": _get(run, "neumann-order", int, 1),
         "delta_ladder": _get(run, "delta-ladder", _floats, [0.1, 0.03, 0.01]),
         "direction": _get(run, "direction", str, "x"),
-        "q_max": _get(run, "q-max", float, 2.0),
+        "q_max": _get(run, "q-max", _float, 2.0),
         "q_count": _get(run, "q-count", int, 21),
         "n_max": _get(run, "n-max", int, 2),
         "kappa_fractions": _get(run, "kappa-fractions", _floats, [0.5, 0.7, 0.9]),

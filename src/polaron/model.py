@@ -207,10 +207,10 @@ class ModelParams:
         if int(self.d) != self.d or self.d < 1:
             raise InputError("dimension d must be an integer >= 1")
         self.d = int(self.d)
-        if self.alpha < 0:
-            raise InputError("coupling constant alpha must be >= 0")
-        if self.c0 <= 0:
-            raise InputError("gap constant c0 must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise InputError("coupling constant alpha must be finite and >= 0")
+        if not (math.isfinite(self.c0) and self.c0 > 0):
+            raise InputError("gap constant c0 must be finite and positive")
 
     def _check_vec(self, v, name):
         v = np.asarray(v, dtype=float)

@@ -38,7 +38,6 @@ from . import branches as branches_mod
 from . import roots
 from .errors import InputError, NumericError, ResourceError
 from .model import ModelParams
-from .selfenergy import clipped_proxy_margin, lambda2_proxy_value
 from .quadrature import DiscreteMeasure, QuadratureSpec
 
 __all__ = ["TruncatedHamiltonian", "build", "low_spectrum", "compare_ground",
@@ -282,29 +281,26 @@ def compare_ground(params: ModelParams, p, measure: DiscreteMeasure,
     ladder.  At Neumann order n the gap is O(alpha^(2n+4)): the truncated
     series drops terms of order alpha^(2n+2) inside an alpha^2 prefactor.
 
-    The cap is set per alpha as a fraction of the gap to the two-boson
-    proxy.  The proxy margin is clipped to half the free threshold gap so
-    the comparison window survives the larger rungs of the ladder."""
+    The cap is set per alpha as a fraction of the gap to the clipped
+    two-boson proxy (`branches.cap`), so that the comparison window
+    survives the larger rungs of the ladder."""
     p = params._check_vec(p, "p")
     quad = QuadratureSpec.discrete(measure)
     unit = build(replace(params, alpha=1.0), p, measure, n_max=n_max)
     rows = []
     for alpha in alphas:
         pa = replace(params, alpha=float(alpha))
-        margin = clipped_proxy_margin(pa, p)
-        kappa = branches_mod.kappa_from_rule(pa, p, "fraction", kappa_fraction,
-                                             delta_margin=margin)
+        cap = branches_mod.cap(pa, p, "fraction", kappa_fraction, clipped=True)
         e0 = float(low_spectrum(unit.scaled(pa.alpha), 1)[0])
-        lam1 = branches_mod.lambda1(pa, p, kappa, quad, tol, delta_margin=margin)
+        lam1 = branches_mod.lambda1(pa, p, cap.kappa, quad, tol, clipped=True)
         bp = branches_mod.ground_state(pa, p, lam1, neumann_order, quad, tol)
         if bp.status != "converged":
             raise NumericError(f"solver ground branch missing at alpha={alpha}")
         diff = abs(e0 - bp.xi)
         ratio = diff / alpha ** (2 * neumann_order + 4) if alpha > 0 else math.nan
         rows.append(GroundComparisonRow(
-            alpha=float(alpha), kappa=kappa,
-            lambda2_proxy=lambda2_proxy_value(pa, p, margin), oracle_e0=e0,
-            solver_xi0=bp.xi, diff=diff, diff_scaled=ratio,
+            alpha=float(alpha), kappa=cap.kappa, lambda2_proxy=cap.proxy,
+            oracle_e0=e0, solver_xi0=bp.xi, diff=diff, diff_scaled=ratio,
         ))
     return GroundComparison(p=p, n_max=n_max,
                             neumann_order=neumann_order, rows=rows)

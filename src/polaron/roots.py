@@ -227,7 +227,9 @@ def monotone_newton(fg, x: float, tol: float):
     """Newton's root of a decreasing concave f from an x with f(x) < 0: the
     iterates fall onto the root without crossing it (Ortega & Rheinboldt
     1970).  fg(x) = (f(x), f'(x)).  Stops when |f| <= tol (1 + |x|) or x no
-    longer decreases; returns the last x and f(x)."""
+    longer decreases; returns the last x and f(x).  From f(x) >= 0 no step
+    decreases x, so it returns (x, f(x)) after one evaluation, which is how
+    `branches._dispersion_solve` reads g(kappa) >= 0 at a non-member."""
     f, df = fg(x)
     for _ in range(_MAX_STEPS):
         if abs(f) <= tol * (1.0 + abs(x)):

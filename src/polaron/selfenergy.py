@@ -13,7 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import model as model_mod
 from . import quadrature as quad_mod
 from .errors import DomainError
 from .model import CouplingSpec, EpsilonSpec, ModelParams
@@ -26,9 +25,6 @@ __all__ = [
     "m2",
     "b2_leading",
     "contraction_bounds",
-    "lambda2_proxy_value",
-    "default_proxy_margin",
-    "clipped_proxy_margin",
 ]
 
 DENOM_MARGIN = 1e-6  # minimum allowed distance of xi to the two-boson edge
@@ -101,39 +97,16 @@ def b2_leading(params: ModelParams, p, z: float, q1, q) -> float:
     return -params.alpha * float(params.coupling.evaluate(p - q1 - q, q1)) / den
 
 
-def default_proxy_margin(params: ModelParams) -> float:
-    """Margin keeping the cap below the true two-boson edge: the edge
-    shift is O(alpha^2), so 10 alpha^2 ||h||^2 with a 1e-3 floor."""
-    return max(10.0 * params.alpha**2 * params.coupling.h_norm_sq(params.d), 1e-3)
-
-
-def clipped_proxy_margin(params: ModelParams, p) -> float:
-    """Default margin clipped to half the free gap lambda2_0 - lambda1_0, so
-    that the cap window stays open at the larger couplings of a ladder."""
-    free_gap = model_mod.threshold(params, 2, p) - model_mod.threshold(params, 1, p)
-    return min(default_proxy_margin(params), 0.5 * free_gap)
-
-
-def lambda2_proxy_value(params: ModelParams, p, margin: float | None = None) -> float:
-    """Computable stand-in lambda2_0(p) - margin for the variational
-    two-boson edge, which has no closed expression."""
-    if margin is None:
-        margin = default_proxy_margin(params)
-    return model_mod.threshold(params, 2, p) - margin
-
-
 def contraction_bounds(params: ModelParams, p, kappa: float,
-                       lam2: float | None = None) -> ContractionReport:
+                       lam2: float) -> ContractionReport:
     """Explicit contraction estimates for the many-body elimination:
 
     bound_Q     = alpha ||h|| sqrt(3) [1/(c0 + lam2 - kappa) + 1/(lam2 - kappa)]
     bound_Gamma = alpha (3 + ||h||^2) / (lam2 - kappa)
 
-    alpha0_* solve bound = 1/2.  lam2 defaults to the threshold proxy.
+    alpha0_* solve bound = 1/2.  lam2 is `branches.lambda2_proxy_value`.
     """
     p = params._check_vec(p, "p")
-    if lam2 is None:
-        lam2 = lambda2_proxy_value(params, p)
     gap = lam2 - kappa
     if gap <= 0:
         raise DomainError(f"kappa={kappa} is not below the two-boson proxy {lam2}")

@@ -18,7 +18,6 @@ from polaron import (
 )
 from polaron import branches as br
 from polaron import oracle
-from polaron import selfenergy as se
 from polaron.cli import main as cli_main
 from polaron.friedrichs import FriedrichsSolver
 
@@ -111,13 +110,12 @@ def test_criterion_03_ground_branch_inequality():
         shifts_at_zero = []
         for alpha in (0.05, 0.1, 0.2):
             params = make_params(alpha=alpha)
-            margin = se.clipped_proxy_margin(params, np.zeros(3))
             for pmag in (0.0, 0.4, 0.8):
                 p = np.array([pmag, 0.0, 0.0])
                 kappa = br.kappa_from_rule(params, p, "fraction", 0.9,
-                                           delta_margin=margin)
+                                           clipped=True)
                 lam1 = br.lambda1(params, p, kappa, QUAD_FINE, 1e-10,
-                                  delta_margin=margin)
+                                  clipped=True)
                 bp = br.ground_state(params, p, lam1, 1, QUAD_FINE, 1e-10)
                 assert bp.status == "converged"
                 assert bp.xi < 0.5 * pmag * pmag - 1e-12

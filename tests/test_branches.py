@@ -54,8 +54,8 @@ class TestCapRules:
     def test_proxy_matches_threshold_minus_margin(self):
         params = make_params()
         p = np.array([0.4, 0.0, 0.0])
-        proxy = se.lambda2_proxy_value(params, p)
-        margin = se.default_proxy_margin(params)
+        proxy = br.lambda2_proxy_value(params, p)
+        margin = max(10.0 * params.alpha**2 * params.coupling.h_norm_sq(3), 1e-3)
         assert proxy == pytest.approx(
             threshold(params, 2, p) - margin, abs=1e-12
         )
@@ -65,7 +65,7 @@ class TestCapRules:
         p = np.zeros(3)
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
         lam1 = threshold(params, 1, p)
-        proxy = se.lambda2_proxy_value(params, p)
+        proxy = br.lambda2_proxy_value(params, p)
         assert kappa == pytest.approx(lam1 + 0.9 * (proxy - lam1), abs=1e-12)
 
     def test_absolute_rule(self):
@@ -81,6 +81,44 @@ class TestCapRules:
             br.one_boson_domain(params, p, 3.0, np.zeros((1, 3)), QUAD)
         with pytest.raises(DomainError):
             br.lambda1(params, p, 3.0, QUAD)
+
+    def test_nan_cap_rejected(self):
+        # NaN is not <= the proxy, so no check lets it through
+        params = make_params()
+        p = np.zeros(3)
+        with pytest.raises(DomainError):
+            br.kappa_from_rule(params, p, "absolute", math.nan)
+        with pytest.raises(DomainError):
+            br.dispersion_point(params, p, np.zeros(3), math.nan, QUAD)
+        with pytest.raises(DomainError):
+            br.one_boson_domain(params, p, math.nan, np.zeros((1, 3)), QUAD)
+        with pytest.raises(DomainError):
+            br.lambda1(params, p, math.nan, QUAD)
+
+    @pytest.mark.parametrize("clipped", [False, True])
+    def test_cap_is_kappa_and_its_proxy(self, clipped):
+        params = make_params(alpha=0.15, eps=EpsilonSpec.relativistic(1.0, 0.5))
+        p = np.array([0.4, 0.0, 0.0])
+        cap = br.cap(params, p, "fraction", 0.7, clipped)
+        assert cap == (br.kappa_from_rule(params, p, "fraction", 0.7, clipped),
+                       br.lambda2_proxy_value(params, p, clipped))
+        assert br.cap(params, p, "absolute", cap.kappa, clipped) == cap
+        lam1_0, lam2_0 = threshold(params, 1, p), threshold(params, 2, p)
+        margin = max(10.0 * params.alpha**2 * params.coupling.h_norm_sq(3), 1e-3)
+        # 10 alpha^2 ||h||^2 = 1.25 lies inside the free gap, above its half
+        assert 0.5 * (lam2_0 - lam1_0) < margin < lam2_0 - lam1_0
+        if clipped:
+            margin = 0.5 * (lam2_0 - lam1_0)
+        assert cap.proxy == lam2_0 - margin
+
+    def test_fraction_above_one_rejected(self):
+        params = make_params()
+        with pytest.raises(DomainError, match="exceeds the two-boson proxy"):
+            br.cap(params, np.zeros(3), "fraction", 1.5)
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(InputError, match="unknown kappa rule"):
+            br.cap(make_params(), np.zeros(3), "relative", 0.9)
 
 
 class TestDispersion:
@@ -322,6 +360,15 @@ class TestDomain:
         assert len(calls) == solves
         assert len(dm.boundary) == 2 * solves
 
+    @pytest.mark.parametrize("ray", [[0.0, 0.0, 0.0], [math.inf, 0.0, 0.0]],
+                             ids=["zero", "infinite"])
+    def test_ray_without_direction_rejected(self, ray):
+        params = make_params()
+        kappa = br.kappa_from_rule(params, np.zeros(3), "fraction", 0.9)
+        with pytest.raises(InputError):
+            br.one_boson_domain(params, np.zeros(3), kappa, np.zeros((1, 3)),
+                                QUAD, 1e-10, rays=[np.array([1.0, 0.0, 0.0]), ray])
+
     def test_boundary_symmetric_at_p0(self):
         params = make_params()
         kappa = br.kappa_from_rule(params, np.zeros(3), "fraction", 0.9)
@@ -494,6 +541,10 @@ class TestGround:
         for dlt, gap in res.ladder:
             assert gap == pytest.approx(math.sqrt(2.0) * dlt - 0.5 * dlt * dlt,
                                         abs=1e-7)
+
+    def test_boundary_zero_direction_rejected(self):
+        with pytest.raises(InputError):
+            br.g0_boundary(make_params(), np.zeros(3), QUAD)
 
 
 # (d, p) pairs of the ground-branch property tests

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import polaron
-from polaron import branches, model, selfenergy
+from polaron import branches, cli, model
 from polaron.cli import main
 from polaron.config import load_config
 
@@ -140,7 +141,7 @@ class TestCommands:
         for row in rows:
             p = cfg.vector(float(row[momentum]))
             assert float(row["lambda2_proxy"]) == \
-                selfenergy.lambda2_proxy_value(cfg.params, p)
+                branches.lambda2_proxy_value(cfg.params, p)
 
     def test_dispersion_scan_rows_are_domain_points(self, tmp_path, monkeypatch):
         # each row is the dispersion solve at its grid q, the boundary is
@@ -232,7 +233,7 @@ class TestCommands:
         assert len(rows) == 2
         for row in rows:
             pa = replace(cfg.params, alpha=float(row["alpha"]))
-            expect = model.threshold(pa, 2, p) - selfenergy.clipped_proxy_margin(pa, p)
+            expect = branches.lambda2_proxy_value(pa, p, clipped=True)
             assert float(row["lambda2_proxy"]) == pytest.approx(expect, abs=1e-12)
             assert float(row["lambda2_proxy"]) > float(row["kappa"])
 
@@ -261,6 +262,52 @@ class TestCommands:
         assert run("thresholds", config_path, out, "--tol", "1e-6") == 0
         record = json.loads((out / "thresholds.json").read_text())
         assert float(record["tol"]) == 1e-6
+
+
+@pytest.fixture
+def threshold_calls(monkeypatch):
+    """Counter of `model.threshold` calls by boson number n."""
+    calls = Counter()
+    threshold = model.threshold
+
+    def counted(params, n, p):
+        calls[n] += 1
+        return threshold(params, n, p)
+
+    monkeypatch.setattr(model, "threshold", counted)
+    return calls
+
+
+class TestThresholdCalls:
+    """Each cap is made and checked by one `branches.cap` call, which
+    evaluates each threshold at most once; a solve below a given cap
+    checks it against lambda2_0 alone."""
+
+    def test_ground_row(self, config_path, threshold_calls):
+        cli._ground_at(load_config(config_path), 0.4)
+        assert dict(threshold_calls) == {2: 2, 1: 1}
+
+    def test_alpha0_rows(self, config_path, threshold_calls):
+        rows = cli.cmd_alpha0(load_config(config_path))[1]
+        assert len(rows) == 2
+        assert dict(threshold_calls) == {2: 2, 1: 2}
+
+    def test_compare_ground_rungs(self, config_path, threshold_calls):
+        from polaron import oracle
+
+        cfg = load_config(config_path)
+        comparison = oracle.compare_ground(cfg.params, cfg.vector(0.0), cfg.measure,
+                                           0.9, [0.2, 0.1], tol=1e-9)
+        assert len(comparison.rows) == 2
+        assert dict(threshold_calls) == {2: 4, 1: 4}
+
+    def test_dispersion_point(self, config_path, threshold_calls):
+        cfg = load_config(config_path)
+        p = cfg.vector(0.0)
+        kappa = branches.kappa_from_rule(cfg.params, p, "fraction", 0.9)
+        threshold_calls.clear()
+        branches.dispersion_point(cfg.params, p, cfg.vector(0.3), kappa, cfg.quad)
+        assert dict(threshold_calls) == {2: 1}
 
 
 class TestDeterminism:
@@ -366,6 +413,26 @@ class TestErrors:
         rc = main(["thresholds", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("old, new", [
+        ("\np = 0.0\n", "\np = 0.0\nkappa-mode = absolute\nkappa = nan\n"),
+        ("\nalpha = 0.1\n", "\nalpha = nan\n"),
+        ("\nwidth = 1.0\n", "\nwidth = -inf\n"),
+        ("\nalpha-ladder = 0.2 0.1\n", "\nalpha-ladder = 0.2 inf\n"),
+    ], ids=["kappa", "alpha", "width", "alpha-ladder"])
+    def test_non_finite_value(self, tmp_path, capsys, old, new):
+        # nan and inf are refused as the config is read: no solve runs
+        # below a NaN cap, and no CSV is written
+        path = tmp_path / "bad.ini"
+        assert old in CONFIG
+        path.write_text(CONFIG.replace(old, new))
+        out = tmp_path / "o"
+        rc = main(["dispersion-scan", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InputError"
+        assert "bad value" in record["message"]
+        assert not (out / "dispersion-scan.csv").exists()
 
     @pytest.mark.parametrize("text", [
         CONFIG.replace("\nalpha = 0.1\n", "\nalpha = 0.1\nalpha = 0.2\n"),

@@ -288,6 +288,13 @@ class TestParams:
         with pytest.raises(InputError):
             make_params(alpha=-0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", math.nan), ("alpha", math.inf), ("c0", math.nan), ("c0", math.inf),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be finite"):
+            make_params(**{field: value})
+
     def test_vector_check(self):
         params = make_params(d=3)
         with pytest.raises(InputError):

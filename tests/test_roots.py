@@ -278,3 +278,44 @@ class TestCounted:
             assert search(counted, *args).hex() == search(bare, *args).hex()
             assert seen == list(dict.fromkeys(bare_seen))
             assert counted.calls == len(set(bare_seen))
+
+
+class TestMonotoneNewton:
+    @staticmethod
+    def fg(x):
+        """f(x) = 2 - e^x, decreasing and concave, with its slope; root ln 2."""
+        e = math.exp(x)
+        return 2.0 - e, -e
+
+    @pytest.mark.parametrize("tol", [1e-12, 0.0])
+    @pytest.mark.parametrize("x0", [0.0, -3.0])
+    def test_start_with_f_not_negative_returns_start(self, x0, tol):
+        # f(x0) > 0: the Newton step from x0 does not decrease x, so the
+        # search returns the start after one evaluation
+        fg, seen = traced(self.fg)
+        assert roots.monotone_newton(fg, x0, tol) == (x0, self.fg(x0)[0])
+        assert seen == [x0]
+
+    def test_iterates_fall_onto_the_root(self):
+        fg, seen = traced(self.fg)
+        tol = 1e-10
+        x, f = roots.monotone_newton(fg, 3.0, tol)
+        assert seen[0] == 3.0 and seen[-1] == x and len(seen) > 2
+        assert all(b < a for a, b in zip(seen, seen[1:]))
+        assert min(seen) >= math.log(2.0) - 1e-15
+        assert f == self.fg(x)[0]
+        # the search stops at the first iterate within tol (1 + |x|)
+        assert abs(f) <= tol * (1.0 + abs(x))
+        assert all(abs(self.fg(s)[0]) > tol * (1.0 + abs(s)) for s in seen[:-1])
+
+    def test_zero_tol_stops_when_x_stops_falling(self):
+        # as oracle._least_free calls it: no tolerance stop, so the search
+        # runs until the Newton step no longer decreases x
+        fg, seen = traced(self.fg)
+        x, f = roots.monotone_newton(fg, 3.0, 0.0)
+        assert seen[-1] == x
+        assert all(b < a for a, b in zip(seen, seen[1:]))
+        f_x, df_x = self.fg(x)
+        assert f == f_x
+        assert not x - f_x / df_x < x
+        assert x == pytest.approx(math.log(2.0), rel=1e-15, abs=0.0)

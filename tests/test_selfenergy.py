@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad as scipy_quad
 
-from polaron import CouplingSpec, DomainError, EpsilonSpec, ModelParams, QuadratureSpec
+from polaron import (CouplingSpec, DomainError, EpsilonSpec, ModelParams, QuadratureSpec,
+                     threshold)
+from polaron import branches as br
 from polaron import quadrature
 from polaron import selfenergy as se
 from polaron.quadrature import grid_measure, node_system
@@ -246,9 +248,9 @@ class TestContraction:
     def test_closed_forms(self):
         params = make_params(alpha=0.12)
         p = np.zeros(3)
-        lam2 = se.lambda2_proxy_value(params, p)
+        lam2 = br.lambda2_proxy_value(params, p)
         kappa = 1.1
-        rep = se.contraction_bounds(params, p, kappa)
+        rep = se.contraction_bounds(params, p, kappa, lam2)
         hsq = math.pi**1.5
         gap = lam2 - kappa
         expect_g = params.alpha * (3.0 + hsq) / gap
@@ -261,12 +263,14 @@ class TestContraction:
 
     def test_proxy_margin_floor(self):
         params = make_params(alpha=1e-4)
-        assert se.default_proxy_margin(params) == 1e-3
+        p = np.zeros(3)
+        assert br.lambda2_proxy_value(params, p) == threshold(params, 2, p) - 1e-3
 
     def test_cap_above_proxy_raises(self):
         params = make_params()
         with pytest.raises(DomainError):
-            se.contraction_bounds(params, np.zeros(3), 5.0)
+            se.contraction_bounds(params, np.zeros(3), 5.0,
+                                  br.lambda2_proxy_value(params, np.zeros(3)))
 
 
 def make_modulated():
