@@ -17,7 +17,7 @@ from .errors import DomainError, InputError, NumericError
 from .friedrichs import EDGE_MARGIN, FriedrichsSolver
 from .model import ModelParams
 from .quadrature import QuadratureSpec, axis_of
-from .selfenergy import SelfEnergyTables
+from .selfenergy import NewtonRow, SelfEnergyTables
 
 __all__ = [
     "Cap",
@@ -42,10 +42,11 @@ BOUNDARY_R_MAX = 8.0   # g0_boundary's scan gives up past this |p|
 @dataclass
 class BranchPoint:
     """A solved branch point.  `iterations` counts the evaluations of the
-    scalar function being solved: g(xi) = a_p(xi; q) - xi and its slope at
-    each Newton iterate from min(e1, kappa) for the dispersion, where e1 is
-    the free energy |p - q|^2 / 2 + eps(q), F(xi) = Delta_xi(xi)
-    at each distinct point of the bracket and root for the ground branch."""
+    scalar function being solved: g(xi) = a_p(xi; q) - xi at each Newton
+    iterate from min(e1, kappa) for the dispersion, where e1 is the free
+    energy |p - q|^2 / 2 + eps(q) (its slope, taken only where Newton
+    steps, is not counted), F(xi) = Delta_xi(xi) at each distinct point
+    of the bracket and root for the ground branch."""
 
     q: np.ndarray
     xi: float | None
@@ -82,6 +83,7 @@ class BoundaryResult:
 class Cap(NamedTuple):
     kappa: float
     proxy: float              # the two-boson proxy kappa is checked against
+    lambda2_0: float          # the free two-boson threshold the proxy is below
 
 
 def cap(params: ModelParams, p, mode: str = "fraction", value: float = 0.9,
@@ -111,7 +113,7 @@ def cap(params: ModelParams, p, mode: str = "fraction", value: float = 0.9,
         raise DomainError(
             f"kappa={kappa} exceeds the two-boson proxy {proxy:.6g} at this p"
         )
-    return Cap(kappa, proxy)
+    return Cap(kappa, proxy, lam2_0)
 
 
 def lambda2_proxy_value(params: ModelParams, p, clipped: bool = False) -> float:
@@ -135,8 +137,10 @@ def dispersion_point(params: ModelParams, p, q, kappa: float,
     falls onto the unique root from any start where g <= 0.  At the free
     energy e1 = |p - q|^2 / 2 + eps(q), g(e1) = m(e1) <= 0, so e1 < kappa
     makes q a member without evaluating g at kappa, and Newton starts at
-    min(e1, kappa).  Each evaluation of g and of g'(xi) = m'(xi) - 1 is one
-    row sum over the point's one-row table.
+    min(e1, kappa).  g and g'(xi) = m'(xi) - 1 are read through the
+    point's one-row view `selfenergy.NewtonRow`: g is one pass of
+    quotients and one row sum, and g' divides g's quotients once more,
+    only at an iterate that Newton steps from.
     """
     cap(params, p, "absolute", kappa)
     return _dispersion_solve(params, p, q, kappa, quad, tol)
@@ -144,23 +148,17 @@ def dispersion_point(params: ModelParams, p, q, kappa: float,
 
 def _dispersion_solve(params, p, q, kappa, quad, tol):
     """`dispersion_point` for a caller that has checked the cap at p."""
-    p = params._check_vec(p, "p")
     q = params._check_vec(q, "q")
-    row = SelfEnergyTables(params, p, quad, q[None, :])
-    row._check_xi(kappa)  # a cap too near the row's two-boson edge is refused
-
-    @roots.Counted
-    def g(xi):
-        m, slope = row.m_slopes(xi)
-        return float(row.e1_out[0] + m[0]) - xi, float(slope[0]) - 1.0
-
-    root, g_root = roots.monotone_newton(g, min(float(row.e1_out[0]), kappa), tol)
+    # the row refuses a cap too near its two-boson edge
+    row = NewtonRow(SelfEnergyTables(params, p, quad, q[None, :]), kappa)
+    root, g_root, calls = roots.monotone_newton(row.g, row.slope,
+                                                min(row.e1, kappa), tol)
     resid = abs(g_root)
     if root == kappa and g_root >= 0.0:
-        return BranchPoint(q=q, xi=None, iterations=g.calls, residual=resid,
+        return BranchPoint(q=q, xi=None, iterations=calls, residual=resid,
                            status="none")
     status = "converged" if resid <= tol * (1.0 + abs(root)) else "capped"
-    return BranchPoint(q=q, xi=float(root), iterations=g.calls,
+    return BranchPoint(q=q, xi=float(root), iterations=calls,
                        residual=resid, status=status)
 
 
@@ -177,8 +175,8 @@ def _cap_gap(params, p, kappa, quad, unit):
     tables: smooth, and negative exactly inside the one-boson domain."""
     @roots.Counted
     def gap(r):
-        row = SelfEnergyTables(params, p, quad, (r * unit)[None, :])
-        return float(row.a_values(kappa)[0]) - kappa
+        return NewtonRow(SelfEnergyTables(params, p, quad, (r * unit)[None, :]),
+                         kappa).g(kappa)
     return gap
 
 

@@ -7,13 +7,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import branches, model, selfenergy
-from .config import RunConfig, load_config
+from .config import RunConfig, _float, load_config
 from .errors import InputError, PolaronError
 
 __all__ = ["main"]
@@ -91,12 +92,13 @@ def cmd_thresholds(cfg: RunConfig):
 
     def one(pmag):
         p = cfg.vector(pmag)
-        row = {"p": float(pmag), "alpha": cfg.params.alpha, "tol": tol,
-               "status": "converged"}
-        for n in (1, 2, 3):
-            row[f"lambda{n}_0"] = model.threshold(cfg.params, n, p)
-        row["lambda2_proxy"] = branches.lambda2_proxy_value(cfg.params, p)
-        return row
+        # lambda2_0 and the proxy from one cap; -inf is below any proxy
+        cap = branches.cap(cfg.params, p, "absolute", -math.inf)
+        return {"p": float(pmag), "lambda1_0": model.threshold(cfg.params, 1, p),
+                "lambda2_0": cap.lambda2_0,
+                "lambda3_0": model.threshold(cfg.params, 3, p),
+                "lambda2_proxy": cap.proxy, "alpha": cfg.params.alpha, "tol": tol,
+                "status": "converged"}
 
     rows = [one(x) for x in cfg.run["p_values"]]
     cols = ["p", "lambda1_0", "lambda2_0", "lambda3_0", "lambda2_proxy",
@@ -282,14 +284,18 @@ def main(argv=None) -> int:
                         help="one of the commands listed below")
     parser.add_argument("--config", required=True, help="path to the run config")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", default=None,
                         help="override the [run] tolerance")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
         if args.tol is not None:
-            cfg.run["tol"] = args.tol
+            # refused as the config's tol is: a finite float
+            try:
+                cfg.run["tol"] = _float(args.tol)
+            except ValueError as exc:
+                raise InputError(f"bad value for '--tol': {args.tol!r}") from exc
         columns, rows, fields, *status = _COMMANDS[args.command][0](cfg)
         record = {"config": cfg.raw, "tol": cfg.run["tol"], **fields,
                   "command": args.command, "points": rows}

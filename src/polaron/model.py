@@ -111,6 +111,15 @@ class EpsilonSpec:
             )
         return out
 
+    def radial_value(self, r: float) -> float:
+        """float(radial(r)) at a scalar r >= 0: the same operations in the
+        same order, in scalar arithmetic except for a tabulated eps."""
+        if self.kind == "constant":
+            return float(self.eps0)
+        if self.kind == "relativistic":
+            return math.sqrt(r * r + self.mass**2) + self.shift
+        return float(self.radial(r))
+
     def radial_slope(self, r: float) -> float:
         """d epsilon / d|q| at a scalar r >= 0, one-sided where radial has
         a kink (r = 0 with zero mass, the ends of a table)."""
@@ -263,7 +272,7 @@ def threshold(params: ModelParams, n: int, p) -> float:
     if n == 0:
         return 0.5 * pmag * pmag
     t = collinear_minimizer(params, n, pmag)
-    return 0.5 * (pmag - n * t) ** 2 + n * float(params.eps.radial(t))
+    return 0.5 * (pmag - n * t) ** 2 + n * params.eps.radial_value(t)
 
 
 # ---------------------------------------------------------------------------

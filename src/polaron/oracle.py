@@ -192,15 +192,19 @@ def _least_free(h11: np.ndarray) -> float | None:
         return None
     h00, c_sq = float(h11[0, 0]), c * c
 
-    def fg(x):
+    def f(x):
         r = 1.0 / (d - x)
         t = c_sq * r
-        return h00 - x - float(t.sum()), -1.0 - float(t @ r)
+        return h00 - x - float(t.sum())
 
-    x = min(h00, float(d.min()) - _STANDOFF)
-    if not fg(x)[0] < 0.0:
-        return None
-    return roots.monotone_newton(fg, x, 0.0)[0]
+    def slope(x):
+        r = 1.0 / (d - x)
+        return -1.0 - float((c_sq * r) @ r)
+
+    root, f_root, calls = roots.monotone_newton(
+        f, slope, min(h00, float(d.min()) - _STANDOFF), 0.0)
+    # a single evaluation, not negative: f(x) >= 0 at the start
+    return None if calls == 1 and not f_root < 0.0 else root
 
 
 def low_spectrum(ham: TruncatedHamiltonian, k: int, first: int = 0) -> np.ndarray:

@@ -223,23 +223,28 @@ def minimize(f, a: float, b: float, xatol: float):
     return float(fx), xf
 
 
-def monotone_newton(fg, x: float, tol: float):
+def monotone_newton(f, slope, x: float, tol: float):
     """Newton's root of a decreasing concave f from an x with f(x) < 0: the
     iterates fall onto the root without crossing it (Ortega & Rheinboldt
-    1970).  fg(x) = (f(x), f'(x)).  Stops when |f| <= tol (1 + |x|) or x no
-    longer decreases; returns the last x and f(x).  From f(x) >= 0 no step
-    decreases x, so it returns (x, f(x)) after one evaluation, which is how
+    1970).  Returns (x, f(x), evaluations of f) at the first x where
+    |f| <= tol (1 + |x|), f(x) >= 0 or the step no longer decreases x.
+    slope(x) = f'(x) < 0 is called right after f(x), and only where neither
+    of the first two stops holds: at an x that the search steps from, or,
+    at a rounding stop, the x where x - f/f' rounds to x.  So a start with
+    f(x) >= 0 returns (x, f(x), 1), which is how
     `branches._dispersion_solve` reads g(kappa) >= 0 at a non-member."""
-    f, df = fg(x)
+    fx = f(x)
+    calls = 1
     for _ in range(_MAX_STEPS):
-        if abs(f) <= tol * (1.0 + abs(x)):
+        if abs(fx) <= tol * (1.0 + abs(x)) or not fx < 0.0:
             break
-        step = x - f / df
+        step = x - fx / slope(x)
         if not step < x:
             break
         x = step
-        f, df = fg(x)
-    return x, f
+        fx = f(x)
+        calls += 1
+    return x, fx, calls
 
 
 def line_min(f, grid, values, xatol: float):

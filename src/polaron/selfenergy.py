@@ -18,10 +18,16 @@ from .errors import DomainError
 from .model import CouplingSpec, EpsilonSpec, ModelParams
 from .quadrature import QuadratureSpec
 
+try:  # the unoptimized np.einsum is this call behind a Python wrapper
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _einsum
+
 __all__ = [
     "SelfEnergyPoint",
     "ContractionReport",
     "SelfEnergyTables",
+    "NewtonRow",
     "m2",
     "b2_leading",
     "contraction_bounds",
@@ -192,33 +198,34 @@ class SelfEnergyTables:
     def __init__(self, params: ModelParams, p,
                  quad: QuadratureSpec | quad_mod.NodeSystem, points=None):
         self.params = params
-        self.p = params._check_vec(p, "p")
+        self.p = p = params._check_vec(p, "p")
         if isinstance(quad, quad_mod.NodeSystem):
-            self.ns = quad
+            ns = quad
         else:
-            axis = quad_mod.axis_of(self.p) if points is None else None
-            self.ns = quad_mod.node_system(quad, params.d, axis=axis)
-        self.points = self.ns.out_points if points is None \
+            axis = quad_mod.axis_of(p) if points is None else None
+            ns = quad_mod.node_system(quad, params.d, axis=axis)
+        self.ns = ns
+        self.points = points = ns.out_points if points is None \
             else np.asarray(points, dtype=float)
 
-        self._k = self.p[None, :] - self.points
-        self._k_sq = np.einsum("ij,ij->i", self._k, self._k)
-        self.e1_out = 0.5 * self._k_sq + params.eps(self.points)
-        h_full, self._c_full, self.num_m = _node_terms(params, self.ns)
+        self._k = k = np.subtract(p, points)
+        self._k_sq = _einsum("ij,ij->i", k, k)
+        self.e1_out = e1 = 0.5 * self._k_sq + params.eps(points)
+        h_full, self._c_full, self.num_m = _node_terms(params, ns)
         if self.num_m is None:
-            c = params.coupling.from_sq(self._sq_dist(), self.ns.full_sq)
-            self.num_m = c * c * self.ns.full_weights
+            c = params.coupling.from_sq(self._sq_dist(), ns.full_sq)
+            self.num_m = c * c * ns.full_weights
         # e2 = |k - q'|^2 / 2 + eps(q) + eps(q') = (e1 - k.q') + h(q')
-        e2 = np.einsum("ij,jn->in", self._k, self.ns.full_points_t)
-        np.subtract(self.e1_out[:, None], e2, out=e2)
+        e2 = _einsum("ij,jn->in", k, ns.full_points_t)
+        np.subtract(e1[:, None], e2, out=e2)
         e2 += h_full
         self.e2 = e2
-        self._min_e2 = float(e2.min())
+        self._min_e2 = float(np.minimum.reduce(e2, axis=None))
 
     def _sq_dist(self) -> np.ndarray:
         """|p - q - q'|^2 over all pairs; unoptimized einsum is NumPy's own
         loop, not BLAS, and makes no (rows, Nf) temporary."""
-        s = np.einsum("ij,jn->in", self._k, self.ns.full_points_t)
+        s = _einsum("ij,jn->in", self._k, self.ns.full_points_t)
         s *= -2.0
         s += self._k_sq[:, None]
         s += self.ns.full_sq
@@ -258,15 +265,6 @@ class SelfEnergyTables:
         self._check_xi(xi)
         return -(self.params.alpha**2) * (self.num_m / (self.e2 - xi)).sum(axis=1)
 
-    def m_slopes(self, xi: float):
-        """Self-energy at every evaluation point, equal to m_values(xi) bit
-        for bit, and its xi-derivative -alpha^2 sum w|c|^2 / (e2 - xi)^2."""
-        self._check_xi(xi)
-        den = self.e2 - xi
-        terms = self.num_m / den
-        scale = -(self.params.alpha**2)
-        return scale * terms.sum(axis=1), scale * (terms / den).sum(axis=1)
-
     def a_values(self, xi: float) -> np.ndarray:
         return self.e1_out + self.m_values(xi)
 
@@ -274,3 +272,36 @@ class SelfEnergyTables:
         """Leading kernel between evaluation points and integration nodes."""
         self._check_xi(xi)
         return -self.num_d / (self.e2 - xi)
+
+
+class NewtonRow:
+    """g(xi) = e1 + m(xi) - xi on the first row of `tables`, and its slope
+    g'(xi) = m'(xi) - 1 = -alpha^2 sum w|c|^2 / (e2 - xi)^2 - 1, for a
+    monotone Newton search from a start at or below `cap`, whose iterates
+    only fall: the cap is checked against the two-boson edge once, here.
+    g is float(tables.a_values(xi)[0]) - xi bit for bit: the same
+    elementwise quotients w|c|^2 / (e2 - xi) and the same pairwise row
+    sum, in buffers of the row's length.  slope(xi) is taken at most once
+    after g(xi), at the same xi: it divides g's quotients once more, in
+    place."""
+
+    __slots__ = ("e1", "_e2", "_num", "_scale", "_den", "_terms")
+
+    def __init__(self, tables: SelfEnergyTables, cap: float):
+        tables._check_xi(cap)
+        self.e1 = float(tables.e1_out[0])
+        self._e2 = tables.e2[0]
+        num = tables.num_m
+        self._num = num if num.ndim == 1 else num[0]  # per row if p-modulated
+        self._scale = -(tables.params.alpha**2)
+        self._den = np.empty_like(self._e2)
+        self._terms = np.empty_like(self._e2)
+
+    def g(self, xi: float) -> float:
+        np.subtract(self._e2, xi, out=self._den)
+        np.divide(self._num, self._den, out=self._terms)
+        return self.e1 + self._scale * float(np.add.reduce(self._terms)) - xi
+
+    def slope(self, xi: float) -> float:
+        terms = np.divide(self._terms, self._den, out=self._terms)
+        return self._scale * float(np.add.reduce(terms)) - 1.0

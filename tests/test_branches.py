@@ -101,7 +101,8 @@ class TestCapRules:
         p = np.array([0.4, 0.0, 0.0])
         cap = br.cap(params, p, "fraction", 0.7, clipped)
         assert cap == (br.kappa_from_rule(params, p, "fraction", 0.7, clipped),
-                       br.lambda2_proxy_value(params, p, clipped))
+                       br.lambda2_proxy_value(params, p, clipped),
+                       threshold(params, 2, p))
         assert br.cap(params, p, "absolute", cap.kappa, clipped) == cap
         lam1_0, lam2_0 = threshold(params, 1, p), threshold(params, 2, p)
         margin = max(10.0 * params.alpha**2 * params.coupling.h_norm_sq(3), 1e-3)
@@ -195,16 +196,16 @@ class TestDispersionProperties:
         q = p - np.array(k[:d])
         kappa = br.kappa_from_rule(params, p, "fraction", fraction)
         seen, e1 = [], []
-        m_slopes = se.SelfEnergyTables.m_slopes
+        g = se.NewtonRow.g
 
         def recorded(self, xi):
-            m, slope = m_slopes(self, xi)
-            seen.append((xi, float(self.e1_out[0] + m[0]) - xi))
-            e1.append(float(self.e1_out[0]))
-            return m, slope
+            value = g(self, xi)
+            seen.append((xi, value))
+            e1.append(self.e1)
+            return value
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(se.SelfEnergyTables, "m_slopes", recorded)
+            mp.setattr(se.NewtonRow, "g", recorded)
             bp = br.dispersion_point(params, p, q, kappa, QUAD, 1e-10)
         assume(bp.status != "none")
         assert bp.status == "converged"
@@ -250,6 +251,115 @@ class TestDispersionProperties:
         assert a.status == b.status
         if a.xi is not None:
             assert b.xi == pytest.approx(a.xi, rel=1e-12, abs=0)
+
+
+def row_model(d, eps_kind, modulated):
+    eps = {"constant": EpsilonSpec.constant(1.0),
+           "relativistic": EpsilonSpec.relativistic(1.0, 0.5),
+           "tabulated": EpsilonSpec.tabulated(
+               np.linspace(0.0, 4.0, 9),
+               np.sqrt(np.linspace(0.0, 4.0, 9) ** 2 + 1.0) + 0.25)}[eps_kind]
+    coupling = (CouplingSpec(kind="p-modulated", amplitude=1.0, width=1.0, p_width=1.5)
+                if modulated else CouplingSpec(amplitude=1.0, width=1.0))
+    return ModelParams(d=d, alpha=0.1, eps=eps, coupling=coupling, c0=0.5)
+
+
+ROW_RULES = {"continuum": lambda d: QUAD,
+             "lattice": lambda d: QuadratureSpec.discrete(
+                 quadrature.grid_measure(2.0, 5, d))}
+
+
+def reference_slope(tables, xi):
+    """g'(xi) on the table's first row: -alpha^2 sum w|c|^2 / (e2 - xi)^2 - 1."""
+    den = tables.e2 - xi
+    return float(-(tables.params.alpha**2) * ((tables.num_m / den) / den).sum(axis=1)[0]) - 1.0
+
+
+def reference_solve(params, p, q, kappa, quad, tol):
+    """(xi, residual, status, iterations) of the dispersion solve, written
+    from the table's m_values (through a_values) and `reference_slope`:
+    Newton on g(xi) = a(xi) - xi from min(e1, kappa), each g counted."""
+    row = se.SelfEnergyTables(params, p, quad, q[None, :])
+    row.m_values(kappa)  # refuses a cap too near the two-boson edge
+
+    def g(xi):
+        return float(row.a_values(xi)[0]) - xi
+
+    x = min(float(row.e1_out[0]), kappa)
+    gx, calls = g(x), 1
+    while abs(gx) > tol * (1.0 + abs(x)):
+        step = x - gx / reference_slope(row, x)
+        if not step < x:
+            break
+        x, gx, calls = step, g(step), calls + 1
+    if x == kappa and gx >= 0.0:
+        return None, abs(gx), "none", calls
+    status = "converged" if abs(gx) <= tol * (1.0 + abs(x)) else "capped"
+    return x, abs(gx), status, calls
+
+
+class TestRowBits:
+    """The dispersion solve on the one-row Newton view gives what the same
+    Newton search gives on the table's m_values, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]),
+           eps_kind=st.sampled_from(["constant", "relativistic", "tabulated"]),
+           modulated=st.booleans(), rule=st.sampled_from(sorted(ROW_RULES)),
+           p=st.lists(coords, min_size=3, max_size=3),
+           k=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+           fraction=st.floats(0.3, 0.95), tol=st.sampled_from([1e-10, 1e-13, 0.0]))
+    def test_solve_matches_reference(self, d, eps_kind, modulated, rule, p, k,
+                                     fraction, tol):
+        params = row_model(d, eps_kind, modulated)
+        quad = ROW_RULES[rule](d)
+        p = np.array(p[:d])
+        q = p - np.array(k[:d])
+        kappa = br.kappa_from_rule(params, p, "fraction", fraction)
+        try:
+            ref = reference_solve(params, p, q, kappa, quad, tol)
+        except DomainError:
+            with pytest.raises(DomainError):
+                br.dispersion_point(params, p, q, kappa, quad, tol)
+            return
+        bp = br.dispersion_point(params, p, q, kappa, quad, tol)
+        xi, resid, status, calls = ref
+        assert (bp.xi is None) == (xi is None)
+        if xi is not None:
+            assert bp.xi.hex() == xi.hex()
+        assert bp.residual.hex() == resid.hex()
+        assert bp.status == status
+        assert bp.iterations == calls
+
+    @settings(max_examples=120, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]),
+           eps_kind=st.sampled_from(["constant", "relativistic", "tabulated"]),
+           modulated=st.booleans(), rule=st.sampled_from(sorted(ROW_RULES)),
+           p=st.lists(coords, min_size=3, max_size=3),
+           k=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+           below=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4))
+    def test_g_is_a_minus_xi(self, d, eps_kind, modulated, rule, p, k, below):
+        # g(xi) == float(a_values(xi)[0]) - xi at each xi at or below the
+        # cap, in any order, and the slope after it is the table's
+        # -alpha^2 sum w|c|^2 / (e2 - xi)^2 - 1; g again gives its value
+        params = row_model(d, eps_kind, modulated)
+        p = np.array(p[:d])
+        q = p - np.array(k[:d])
+        tables = se.SelfEnergyTables(params, p, ROW_RULES[rule](d), q[None, :])
+        cap = tables.min_e2() - se.DENOM_MARGIN
+        row = se.NewtonRow(tables, cap)
+        assert row.e1 == float(tables.e1_out[0])
+        for xi in (cap - b for b in below):
+            g = row.g(xi)
+            assert g.hex() == (float(tables.a_values(xi)[0]) - xi).hex()
+            assert row.slope(xi).hex() == reference_slope(tables, xi).hex()
+            assert row.g(xi).hex() == g.hex()
+
+    def test_cap_near_the_edge_refused(self):
+        params = row_model(1, "constant", False)
+        tables = se.SelfEnergyTables(params, np.array([0.3]), QUAD, np.array([[0.1]]))
+        with pytest.raises(DomainError, match="two-boson edge"):
+            se.NewtonRow(tables, tables.min_e2())
 
 
 class TestNewtonStart:
@@ -659,11 +769,13 @@ def cap_gap_rays(solve):
         params = make_params()
         p = np.array([0.3, 0.2, 0.0])
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
-        seen = record_calls(monkeypatch, se.SelfEnergyTables, "a_values",
-                            lambda self, xi: tuple(self.points.ravel()))
+        seen = record_calls(monkeypatch, se.SelfEnergyTables, "__init__",
+                            lambda self, params, p, quad, points: tuple(np.ravel(points)))
         gaps = keep_counted(monkeypatch, "_cap_gap.<locals>.gap")
         solve(params, p, kappa)
-        return seen, sum(g.calls for g in gaps)
+        # the probe q = 0 is solved on its own row; the ray rows are at r u
+        # with r > 0
+        return [q for q in seen if any(q)], sum(g.calls for g in gaps)
     return run
 
 
@@ -734,31 +846,32 @@ class TestIterations:
 
     def test_count_every_evaluation(self, monkeypatch):
         # iterations = evaluations of the solved scalar function; in a
-        # dispersion solve each is one Newton row evaluation of g and g'
-        # (an m_slopes call on the point's one-row table), the membership
-        # test at kappa included; in a ground solve one determinant
-        # F(xi) = Delta_xi(xi), with the bracketing and the final residual
-        calls = {"g": 0, "delta": 0}
-        m_slopes, delta = se.SelfEnergyTables.m_slopes, FriedrichsSolver.delta
+        # dispersion solve each is one evaluation of g on the point's
+        # one-row view (NewtonRow.g), the membership test at kappa
+        # included, and no xi is evaluated twice; in a ground solve one
+        # determinant F(xi) = Delta_xi(xi), with the bracketing and the
+        # final residual
+        calls = {"g": [], "delta": 0}
+        g, delta = se.NewtonRow.g, FriedrichsSolver.delta
 
         def counted_g(self, xi):
-            calls["g"] += 1
-            return m_slopes(self, xi)
+            calls["g"].append(xi)
+            return g(self, xi)
 
         def counted_delta(self, z, order=1):
             calls["delta"] += 1
             return delta(self, z, order)
 
-        monkeypatch.setattr(se.SelfEnergyTables, "m_slopes", counted_g)
+        monkeypatch.setattr(se.NewtonRow, "g", counted_g)
         monkeypatch.setattr(FriedrichsSolver, "delta", counted_delta)
         params = make_params(d=1)
         p = np.array([0.3])
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
         for q, status in ((0.2, "converged"), (3.0, "none")):
-            calls["g"] = 0
+            calls["g"] = []
             bp = br.dispersion_point(params, p, np.array([q]), kappa, QUAD, 1e-10)
             assert bp.status == status
-            assert bp.iterations == calls["g"]
+            assert bp.iterations == len(calls["g"]) == len(set(calls["g"]))
         lam1 = br.lambda1(params, p, kappa, QUAD, 1e-10)
         bp = br.ground_state(params, p, lam1, 1, QUAD, 1e-10)
         assert bp.status == "converged"

@@ -301,6 +301,13 @@ class TestThresholdCalls:
         assert len(comparison.rows) == 2
         assert dict(threshold_calls) == {2: 4, 1: 4}
 
+    def test_thresholds_rows(self, config_path, threshold_calls):
+        # lambda2_0 and the proxy come from one cap: one threshold(2) per row
+        rows = cli.cmd_thresholds(load_config(config_path))[1]
+        n = len(rows)
+        assert n == 2
+        assert dict(threshold_calls) == {1: n, 2: n, 3: n}
+
     def test_dispersion_point(self, config_path, threshold_calls):
         cfg = load_config(config_path)
         p = cfg.vector(0.0)
@@ -432,6 +439,19 @@ class TestErrors:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "InputError"
         assert "bad value" in record["message"]
+        assert not (out / "dispersion-scan.csv").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "abc"])
+    def test_bad_tol_option(self, config_path, tmp_path, capsys, tol):
+        # --tol is refused as the config's tol is: before this check, nan
+        # labelled every row capped and wrote "tol": NaN to the record
+        out = tmp_path / "o"
+        rc = main(["dispersion-scan", "--config", str(config_path), "--out", str(out),
+                   f"--tol={tol}"])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InputError"
+        assert "bad value for '--tol'" in record["message"]
         assert not (out / "dispersion-scan.csv").exists()
 
     @pytest.mark.parametrize("text", [

@@ -282,40 +282,65 @@ class TestCounted:
 
 class TestMonotoneNewton:
     @staticmethod
-    def fg(x):
-        """f(x) = 2 - e^x, decreasing and concave, with its slope; root ln 2."""
-        e = math.exp(x)
-        return 2.0 - e, -e
+    def f(x):
+        """f(x) = 2 - e^x, decreasing and concave; root ln 2."""
+        return 2.0 - math.exp(x)
+
+    @staticmethod
+    def slope(x):
+        return -math.exp(x)
 
     @pytest.mark.parametrize("tol", [1e-12, 0.0])
     @pytest.mark.parametrize("x0", [0.0, -3.0])
     def test_start_with_f_not_negative_returns_start(self, x0, tol):
         # f(x0) > 0: the Newton step from x0 does not decrease x, so the
-        # search returns the start after one evaluation
-        fg, seen = traced(self.fg)
-        assert roots.monotone_newton(fg, x0, tol) == (x0, self.fg(x0)[0])
+        # search returns the start after one evaluation, and needs no slope
+        f, seen = traced(self.f)
+        slope, slopes = traced(self.slope)
+        assert roots.monotone_newton(f, slope, x0, tol) == (x0, self.f(x0), 1)
         assert seen == [x0]
+        assert slopes == []
 
     def test_iterates_fall_onto_the_root(self):
-        fg, seen = traced(self.fg)
+        f, seen = traced(self.f)
         tol = 1e-10
-        x, f = roots.monotone_newton(fg, 3.0, tol)
+        x, fx, calls = roots.monotone_newton(f, self.slope, 3.0, tol)
         assert seen[0] == 3.0 and seen[-1] == x and len(seen) > 2
+        assert calls == len(seen)
         assert all(b < a for a, b in zip(seen, seen[1:]))
         assert min(seen) >= math.log(2.0) - 1e-15
-        assert f == self.fg(x)[0]
+        assert fx == self.f(x)
         # the search stops at the first iterate within tol (1 + |x|)
-        assert abs(f) <= tol * (1.0 + abs(x))
-        assert all(abs(self.fg(s)[0]) > tol * (1.0 + abs(s)) for s in seen[:-1])
+        assert abs(fx) <= tol * (1.0 + abs(x))
+        assert all(abs(self.f(s)) > tol * (1.0 + abs(s)) for s in seen[:-1])
+
+    def test_slope_only_where_it_steps(self):
+        # slope(x) right after f(x) at every iterate but the last, where
+        # the tolerance stops the search: never at the returned x
+        order = []
+
+        def f(t):
+            order.append(("f", t))
+            return self.f(t)
+
+        def slope(t):
+            order.append(("slope", t))
+            return self.slope(t)
+
+        x, fx, calls = roots.monotone_newton(f, slope, 3.0, 1e-10)
+        fs = [t for name, t in order if name == "f"]
+        assert len(fs) == calls > 2
+        assert order[-1] == ("f", x)
+        assert order[:-1] == [(name, t) for t in fs[:-1] for name in ("f", "slope")]
+        assert ("slope", x) not in order
 
     def test_zero_tol_stops_when_x_stops_falling(self):
         # as oracle._least_free calls it: no tolerance stop, so the search
         # runs until the Newton step no longer decreases x
-        fg, seen = traced(self.fg)
-        x, f = roots.monotone_newton(fg, 3.0, 0.0)
-        assert seen[-1] == x
+        f, seen = traced(self.f)
+        x, fx, calls = roots.monotone_newton(f, self.slope, 3.0, 0.0)
+        assert seen[-1] == x and calls == len(seen)
         assert all(b < a for a, b in zip(seen, seen[1:]))
-        f_x, df_x = self.fg(x)
-        assert f == f_x
-        assert not x - f_x / df_x < x
+        assert fx == self.f(x)
+        assert not x - fx / self.slope(x) < x
         assert x == pytest.approx(math.log(2.0), rel=1e-15, abs=0.0)
