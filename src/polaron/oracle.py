@@ -24,6 +24,18 @@ inequality gives g_j(lambda_j(h11)) <= 0: the spectrum at n_max = 1 bounds
 each root from above, and the slope bound puts the root within |g_j(s)| of
 any s where g_j(s) < 0.  h11 is an arrow matrix, so its least eigenvalue,
 where root 0 starts, is also the root of a secular equation (`_least_free`).
+
+The ground level alone goes one step further, onto the vacuum.  Pairs never
+touch the vacuum row, so S(sigma) = [[h00 - sigma, c^T], [c, M(sigma)]] with
+c = h11[0, 1:] and M(sigma) = S(sigma)[1:, 1:]; dM/dsigma <= -I.  Where one
+Cholesky factorization certifies M(s0) positive definite at the start s0,
+M stays so for every sigma <= s0, and Haynsworth's inertia formula counts
+the eigenvalues of H below such a sigma as [f(sigma) < 0], with the secular
+function f(sigma) = h00 - sigma - c^T M(sigma)^-1 c (Golub, SIAM Rev. 15,
+1973).  f is concave with f' = -1 - |x|^2 - |(D - sigma)^-1 B^T x|^2 <= -1,
+x = M(sigma)^-1 c, so monotone Newton falls from s0 onto the ground energy:
+one complement and one linear solve per sigma, no eigensolve
+(`_secular_ground`).
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from .quadrature import DiscreteMeasure, QuadratureSpec
 __all__ = ["TruncatedHamiltonian", "build", "low_spectrum", "compare_ground",
            "compare_dispersion", "GroundComparison", "DispersionComparison"]
 
-_DIM_BUDGET = 20_000  # max matrix dimension
+_BYTE_BUDGET = 2**30  # max bytes of the blocks and of one sigma's work (`_bytes_needed`)
 _DENSE_BYTES = 256 * 2**20  # max size of the dense matrix of the fallback
 # no root search starts closer than this to D_min, where (D - sigma)^-1
 # blows up; eigenvalues above D_min - _STANDOFF come from the dense fallback
@@ -139,9 +151,10 @@ def build(params: ModelParams, p, measure: DiscreteMeasure,
     amp = math.sqrt(measure.weight)
 
     n2 = n_pts * (n_pts + 1) // 2 if n_max == 2 else 0
-    dim = 1 + n_pts + n2
-    if dim > _DIM_BUDGET:
-        raise ResourceError(f"truncated basis of dimension {dim} exceeds the budget")
+    need = _bytes_needed(1 + n_pts, n2)
+    if need > _BYTE_BUDGET:
+        raise ResourceError(f"truncated oracle on {n_pts} lattice points needs {need} B, "
+                            f"over the budget of {_BYTE_BUDGET} B")
 
     k = p[None, :] - q
     k_sq, q_sq, eps = np.sum(k * k, axis=-1), np.sum(q * q, axis=-1), params.eps(q)
@@ -169,6 +182,18 @@ def build(params: ModelParams, p, measure: DiscreteMeasure,
                                 pair_diag=e2, pair_rows=np.stack([1 + kk, 1 + ll], axis=1),
                                 pair_amps=amps)
     return unit.scaled(params.alpha)
+
+
+def _bytes_needed(n1: int, n2: int) -> int:
+    """Bytes of a matrix with n1 = 1 + N vacuum and one-boson modes and n2
+    pairs and of one sigma's work on it, counted before `build` allocates.
+    The matrix holds h11, n1^2 floats, and 13 words per pair: its energy,
+    two rows and two amplitudes, and `_schur_terms`' four flat indices and
+    four products.  One sigma adds 4 words per pair, `schur`'s products
+    over D - sigma, and three n1^2 arrays: `schur`'s bincount sums, the
+    complement, and the linear solve's (or eigensolve's) copy of it.  The
+    build's own temporaries peak below this count."""
+    return 8 * (4 * n1 * n1 + 17 * n2)
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
@@ -207,6 +232,50 @@ def _least_free(h11: np.ndarray) -> float | None:
     return None if calls == 1 and not f_root < 0.0 else root
 
 
+def _positive_definite(m: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(m, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"linear solver failed: {exc}") from exc
+
+
+def _secular_ground(ham: TruncatedHamiltonian, s0: float) -> float | None:
+    """Least eigenvalue of the n_max = 2 matrix as the root of the vacuum's
+    secular function f(sigma) = h00 - sigma - c^T M(sigma)^-1 c (see the
+    module docstring), by monotone Newton from s0 = lambda_0(h11) < D_min,
+    where f(s0) <= 0 by Weyl's inequality; None where the one-boson block
+    M(s0) of S(s0) is not positive definite.  Each sigma takes one `schur`
+    and one linear solve for x = M(sigma)^-1 c; the slope
+    -1 - |x|^2 - |(D - sigma)^-1 B^T x|^2 reuses that x."""
+    c = ham.h11[0, 1:]
+    start = ham.schur(s0)
+    if not _positive_definite(start[1:, 1:]):
+        return None
+    ra, rb = ham.pair_rows.T - 1
+    aa, ab = ham.pair_amps.T.copy()
+    x = None
+
+    def f(sigma):
+        nonlocal x
+        s = start if sigma == s0 else ham.schur(sigma)
+        x = _solve(s[1:, 1:], c)
+        return float(s[0, 0]) - float(c @ x)
+
+    def slope(sigma):
+        bx = (aa * x[ra] + ab * x[rb]) / (ham.pair_diag - sigma)
+        return -1.0 - float(x @ x) - float(bx @ bx)
+
+    return roots.monotone_newton(f, slope, s0, 0.0)[0]
+
+
 def low_spectrum(ham: TruncatedHamiltonian, k: int, first: int = 0) -> np.ndarray:
     """Eigenvalues first, ..., k - 1 of the truncated matrix, indexed
     from 0 in ascending order.  Root j starts at s = min(lambda_j(h11), D_min - _STANDOFF),
@@ -220,7 +289,15 @@ def low_spectrum(ham: TruncatedHamiltonian, k: int, first: int = 0) -> np.ndarra
     of h11.  The spectra of S are shared by sigma.  With n_max = 1 the
     matrix is h11.  A request that reaches D_min - _STANDOFF goes to a
     dense eigensolver, which raises ResourceError when the matrix would
-    exceed _DENSE_BYTES."""
+    exceed _DENSE_BYTES.
+
+    The ground level alone (k = 1, n_max = 2) is the root of the vacuum's
+    secular function f, by monotone Newton from lambda_0(h11), with no
+    eigensolve (`_secular_ground`).  It falls back to the search on g_0
+    above where `_least_free` gives no start (a zero coupling), where
+    the start is not below D_min - _STANDOFF, and where one Cholesky
+    factorization does not certify M(s0) positive definite (strong
+    coupling)."""
     dim = ham.dim
     if not 0 <= first < k <= dim:
         raise InputError(f"need 0 <= first < k <= {dim}")
@@ -229,6 +306,10 @@ def low_spectrum(ham: TruncatedHamiltonian, k: int, first: int = 0) -> np.ndarra
     if ham.pair_diag.size == 0:
         return free[first:k]
     top = float(ham.pair_diag.min()) - _STANDOFF
+    if least is not None and least < top:
+        ground = _secular_ground(ham, least)
+        if ground is not None:
+            return np.array([ground])
     spectrum = roots.Counted(lambda sigma: _eigvalsh(ham.schur(sigma)))
     # lambda_{k-1}(h11) < top gives g_{k-1}(top) < 0 without the probe
     if (k > free.size or free[k - 1] >= top) and np.count_nonzero(spectrum(top) < 0.0) < k:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -74,9 +75,35 @@ class TestBuild:
         assert a == pytest.approx(b, abs=1e-13)
 
     def test_budget(self):
-        params = make_params()
-        with pytest.raises(ResourceError):
-            oracle.build(params, np.zeros(1), grid_measure(3.0, 400, 1), 2)
+        # a 1-D lattice of 40,000 points needs an h11 of 12.8 GB; the byte
+        # budget refuses it before any block is allocated
+        params, m = make_params(), grid_measure(3.0, 40_000, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                oracle.build(params, np.zeros(1), m, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("coupling", ["separable", "p-modulated"])
+    @pytest.mark.parametrize("d, n_pts", [(1, 300), (2, 12), (3, 5)])
+    def test_budget_counts_the_peak(self, d, n_pts, coupling):
+        # the bytes counted before the build cover its traced peak, and the
+        # peak of one sigma's complement and linear solve on the blocks
+        params = replace(make_params(d=d), coupling=CouplingSpec(
+            kind=coupling, width=1.2, p_width=0.8 if coupling == "p-modulated" else None))
+        p, m = np.full(d, 0.1), grid_measure(2.0, n_pts, d)
+        tracemalloc.start()
+        try:
+            ham = oracle.build(params, p, m, 2)
+            s = ham.schur(0.0)
+            oracle._solve(s[1:, 1:], ham.h11[0, 1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= oracle._bytes_needed(ham.h11.shape[0], ham.pair_diag.size)
 
     @pytest.mark.parametrize("n_max", [1, 2])
     def test_scaled_equals_build(self, n_max):
@@ -245,6 +272,49 @@ class TestSchurRoots:
         tol = roots.XTOL + roots.RTOL * abs(s)
         assert np.linalg.eigvalsh(ham.schur(s))[0] <= 0.5 * tol
 
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]), eps=st.sampled_from(["constant", "relativistic"]),
+           alpha=st.just(0.0) | st.floats(0.0, 0.3),
+           p=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def test_secular_ground_matches_dense(self, d, eps, alpha, p):
+        # the ground level is the dense least eigenvalue; where the start
+        # lies below D_min - _STANDOFF with M(s0) positive definite it comes
+        # from the vacuum's secular Newton, whose iterates fall from s0 with
+        # slope at most -1 and whose f(s0) is at most a root tolerance
+        ham, free, d_min = schur_root_case(d, eps, alpha, p)
+        runs, newton = [], roots.monotone_newton
+
+        def traced(f, slope, x, tol):
+            xs, fs, slopes = [], [], []
+
+            def f_t(s):
+                xs.append(s)
+                fs.append(f(s))
+                return fs[-1]
+
+            def slope_t(s):
+                slopes.append(slope(s))
+                return slopes[-1]
+
+            runs.append((xs, fs, slopes))
+            return newton(f_t, slope_t, x, tol)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(roots, "monotone_newton", traced)
+            e0 = oracle.low_spectrum(ham, 1)[0]
+        assert abs(e0 - np.linalg.eigvalsh(ham.matrix)[0]) <= 1e-12
+        s0 = oracle._least_free(ham.h11)
+        secular = (s0 is not None and s0 < d_min - oracle._STANDOFF
+                   and np.linalg.eigvalsh(ham.schur(s0)[1:, 1:])[0] > 0.0)
+        # `_least_free` runs its Newton where every coupling is nonzero
+        assert len(runs) == int(ham.h11[0, 1:].all()) + int(secular)
+        if secular:
+            xs, fs, slopes = runs[-1]
+            assert xs[0] == s0 and xs[-1] == e0
+            assert all(b < a for a, b in zip(xs, xs[1:]))
+            assert all(g <= -1.0 for g in slopes)
+            assert fs[0] <= roots.XTOL + roots.RTOL * abs(s0)
+
     def test_secular_fallbacks_match_dense(self):
         # a zero coupling, and a vacuum above the least one-boson energy at a
         # coupling too weak to pull the secular root _STANDOFF below it: the
@@ -258,57 +328,66 @@ class TestSchurRoots:
 
 
 # the oracle-matched 4^3 comparisons at two seeds of the benchmark, rounded:
-# ground momentum, dispersion lattice momentum q, the offset p - q, and the
-# sigma of the window's root
-MATCHED_CASES = [((0.053, 0.021, -0.085), (-0.75, -0.75, 0.75), (-0.078, 0.085, 0.053), 4),
-                 ((0.038, -0.035, -0.114), (-0.75, -0.75, -0.75), (0.011, 0.246, -0.090), 4)]
+# ground momentum, dispersion lattice momentum q, the offset p - q, the
+# sigma of the window's root, and the linear solves of each ground rung
+MATCHED_CASES = [((0.053, 0.021, -0.085), (-0.75, -0.75, 0.75), (-0.078, 0.085, 0.053), 4,
+                  (4, 3, 3)),
+                 ((0.038, -0.035, -0.114), (-0.75, -0.75, -0.75), (0.011, 0.246, -0.090), 4,
+                  (4, 3, 4))]
 
 
 class TestSolveCounts:
-    """Eigensolves per call, counted by patching `_eigvalsh`: one on h11
-    where the secular equation does not give its least eigenvalue, then
-    each sigma of the root search on S; builds per comparison."""
+    """Dense factorizations per call, counted by patching `_eigvalsh`,
+    `_positive_definite` and `_solve`: as (eigensolves, Cholesky
+    factorizations, linear solves).  An eigensolve of h11 where the
+    secular equation does not give its least eigenvalue, then one of S at
+    each sigma of the root search; the secular ground level instead takes
+    one Cholesky at its start and one solve at each sigma.  Builds per
+    comparison."""
 
     @staticmethod
     def record(monkeypatch):
-        solves, calls = [0], []
+        counts, calls = [0, 0, 0], []
 
-        def counted(m):
-            solves[0] += 1
-            return eigvalsh(m)
+        def counted(i, fn):
+            def wrapped(*args):
+                counts[i] += 1
+                return fn(*args)
+            return wrapped
 
         def recorded(name, fn):
             def wrapped(*args, **kwargs):
-                solves[0] = 0
+                counts[:] = [0, 0, 0]
                 out = fn(*args, **kwargs)
-                calls.append((name, solves[0]))
+                calls.append((name, *counts))
                 return out
             monkeypatch.setattr(oracle, name, wrapped)
 
-        eigvalsh = oracle._eigvalsh
-        monkeypatch.setattr(oracle, "_eigvalsh", counted)
+        for i, name in enumerate(("_eigvalsh", "_positive_definite", "_solve")):
+            monkeypatch.setattr(oracle, name, counted(i, getattr(oracle, name)))
         for name in ("build", "low_spectrum", "_count_below"):
             recorded(name, getattr(oracle, name))
         return calls
 
-    @pytest.mark.parametrize("p_ground, q, offset, window", MATCHED_CASES,
+    @pytest.mark.parametrize("p_ground, q, offset, window, ground", MATCHED_CASES,
                              ids=["seed1", "seed7"])
-    def test_matched_4cubed_pass(self, monkeypatch, p_ground, q, offset, window):
+    def test_matched_4cubed_pass(self, monkeypatch, p_ground, q, offset, window, ground):
         params, m = make_params(d=3), grid_measure(3.0, 4, 3)
         p_disp = np.add(q, offset)
         kappa = branches.kappa_from_rule(params, p_disp, "fraction", 0.9)
         calls = self.record(monkeypatch)
         oracle.compare_ground(params, np.array(p_ground), m, 0.9, (0.2, 0.1, 0.05))
         comp = oracle.compare_dispersion(params, p_disp, m, kappa, np.array(q))
-        # one build per ladder; each ground root starts at the secular root
-        # of h11, with no eigensolve of h11, and takes 4, 3 and 3 sigma.  The
+        # one build per ladder; each ground rung starts at the secular root
+        # of h11, certifies it with one Cholesky and takes one solve per
+        # sigma of the vacuum's secular Newton, with no eigensolve.  The
         # window's ends take one inertia count each; its one root, index 1,
         # takes an eigensolve of h11 and its sigma, and the ground root below
         # the window is not solved.  No probe at D_min - _STANDOFF.
         assert comp.window_count == 1
-        assert calls == [("build", 0), ("low_spectrum", 4), ("low_spectrum", 3),
-                         ("low_spectrum", 3), ("build", 0), ("_count_below", 1),
-                         ("_count_below", 1), ("low_spectrum", 1 + window)]
+        assert calls == [("build", 0, 0, 0), *[("low_spectrum", 0, 1, n) for n in ground],
+                         ("build", 0, 0, 0), ("_count_below", 1, 0, 0),
+                         ("_count_below", 1, 0, 0), ("low_spectrum", 1 + window, 0, 0)]
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_free_start_is_the_root(self, monkeypatch, k):
@@ -319,8 +398,23 @@ class TestSolveCounts:
                            grid_measure(3.0, 4, 3)).scaled(0.0)
         calls = self.record(monkeypatch)
         vals = oracle.low_spectrum(ham, k)
-        assert calls == [("low_spectrum", 1 + k)]
+        assert calls == [("low_spectrum", 1 + k, 0, 0)]
         assert np.array_equal(vals, np.sort(ham.h11.diagonal())[:k])
+
+    @pytest.mark.parametrize("d, alpha, p, eigensolves", [
+        (3, 2.0, (0.2, 0.2, 0.2), 8), (1, 3.0, (0.0,), 7)], ids=["4cubed", "d1"])
+    def test_strong_coupling_falls_back(self, monkeypatch, d, alpha, p, eigensolves):
+        # the secular start lies below D_min - _STANDOFF, but M(s0) is not
+        # positive definite: the start's Cholesky fails, no solve is made,
+        # and the ground level comes from the root search on g_0
+        lattice = {1: (3.0, 7), 3: (3.0, 4)}[d]
+        ham = oracle.build(make_params(d=d, alpha=alpha), np.array(p), grid_measure(*lattice, d))
+        least = oracle._least_free(ham.h11)
+        assert least is not None and least < ham.pair_diag.min() - oracle._STANDOFF
+        calls = self.record(monkeypatch)
+        e0 = oracle.low_spectrum(ham, 1)[0]
+        assert calls == [("low_spectrum", eigensolves, 1, 0)]
+        assert abs(e0 - np.linalg.eigvalsh(ham.matrix)[0]) <= 1e-12
 
     def test_ladder_builds_once(self, monkeypatch):
         params, m = make_params(d=3), grid_measure(3.0, 4, 3)
@@ -329,7 +423,7 @@ class TestSolveCounts:
                   for a in alphas]
         calls = self.record(monkeypatch)
         comp = oracle.compare_ground(params, p, m, 0.9, alphas)
-        assert [name for name, _ in calls].count("build") == 1
+        assert [name for name, *_ in calls].count("build") == 1
         assert [r.oracle_e0 for r in comp.rows] == expect
 
 
@@ -364,13 +458,34 @@ class TestSparse:
             assert oracle._count_below(ham, sigma) == np.count_nonzero(dense < sigma)
 
     def test_eigensolver_error_is_numeric_error(self, monkeypatch):
+        # the ground level alone takes no eigensolve, so three levels
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         ham = oracle.build(make_params(), np.zeros(1), grid_measure(3.0, 9, 1), 2)
         with pytest.raises(NumericError):
+            oracle.low_spectrum(ham, 3)
+
+    def test_solver_error_is_numeric_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", fail)
+        ham = oracle.build(make_params(), np.zeros(1), grid_measure(3.0, 9, 1), 2)
+        with pytest.raises(NumericError):
             oracle.low_spectrum(ham, 1)
+
+    def test_failed_start_factorization_falls_back(self, monkeypatch):
+        # a Cholesky that fails is no error: the ground level comes from
+        # the root search on g_0
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        ham = oracle.build(make_params(), np.zeros(1), grid_measure(3.0, 9, 1), 2)
+        dense = np.linalg.eigvalsh(ham.matrix)[0]
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        assert abs(oracle.low_spectrum(ham, 1)[0] - dense) <= 1e-12
 
     def test_three_lowest_match_dense_d1(self):
         ham = oracle.build(make_params(), np.zeros(1), grid_measure(3.0, 9, 1), 2)
