@@ -138,9 +138,10 @@ def dispersion_point(params: ModelParams, p, q, kappa: float,
     energy e1 = |p - q|^2 / 2 + eps(q), g(e1) = m(e1) <= 0, so e1 < kappa
     makes q a member without evaluating g at kappa, and Newton starts at
     min(e1, kappa).  g and g'(xi) = m'(xi) - 1 are read through the
-    point's one-row view `selfenergy.NewtonRow`: g is one pass of
-    quotients and one row sum, and g' divides g's quotients once more,
-    only at an iterate that Newton steps from.
+    point's own row `selfenergy.NewtonRow`, built on 1-D arrays with no
+    table and pinned to its row of a `SelfEnergyTables` bit for bit: g is
+    one pass of quotients and one row sum, and g' divides g's quotients
+    once more, only at an iterate that Newton steps from.
     """
     cap(params, p, "absolute", kappa)
     return _dispersion_solve(params, p, q, kappa, quad, tol)
@@ -150,7 +151,7 @@ def _dispersion_solve(params, p, q, kappa, quad, tol):
     """`dispersion_point` for a caller that has checked the cap at p."""
     q = params._check_vec(q, "q")
     # the row refuses a cap too near its two-boson edge
-    row = NewtonRow(SelfEnergyTables(params, p, quad, q[None, :]), kappa)
+    row = NewtonRow(params, p, quad, q, kappa)
     root, g_root, calls = roots.monotone_newton(row.g, row.slope,
                                                 min(row.e1, kappa), tol)
     resid = abs(g_root)
@@ -171,12 +172,12 @@ def _unit(v, name):
 
 
 def _cap_gap(params, p, kappa, quad, unit):
-    """r -> a_p(kappa; r u) - kappa along the unit ray u, counted, by one-row
-    tables: smooth, and negative exactly inside the one-boson domain."""
+    """r -> a_p(kappa; r u) - kappa along the unit ray u, counted, each from
+    the point's own `NewtonRow` (its row of a table, bit for bit): smooth,
+    and negative exactly inside the one-boson domain."""
     @roots.Counted
     def gap(r):
-        return NewtonRow(SelfEnergyTables(params, p, quad, (r * unit)[None, :]),
-                         kappa).g(kappa)
+        return NewtonRow(params, p, quad, r * unit, kappa).g(kappa)
     return gap
 
 

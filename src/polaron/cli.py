@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import branches, model, selfenergy
-from .config import RunConfig, _float, load_config
+from .config import RunConfig, _nonnegative, load_config
 from .errors import InputError, PolaronError
 
 __all__ = ["main"]
@@ -37,9 +37,10 @@ def _write_outputs(out_dir: Path, command: str, columns, rows, record):
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(row.get(c)) for c in columns])
+    # serialized whole and written in one call: json.dump writes each token
+    text = json.dumps(record, indent=1, default=_fmt, sort_keys=True)
     with open(out_dir / f"{command}.json", "w") as fh:
-        json.dump(record, fh, indent=1, default=_fmt, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _cap_columns(cfg: RunConfig, p, mode=None, value=None) -> dict:
@@ -291,9 +292,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.tol is not None:
-            # refused as the config's tol is: a finite float
+            # refused as the config's tol is: a finite float >= 0
             try:
-                cfg.run["tol"] = _float(args.tol)
+                cfg.run["tol"] = _nonnegative(args.tol)
             except ValueError as exc:
                 raise InputError(f"bad value for '--tol': {args.tol!r}") from exc
         columns, rows, fields, *status = _COMMANDS[args.command][0](cfg)

@@ -53,13 +53,13 @@ _SCHEMA = {
 }
 
 
-def _check_schema(cp: configparser.ConfigParser) -> None:
-    for name in cp.sections():
+def _check_schema(raw: dict) -> None:
+    for name, section in raw.items():
         if name not in _SCHEMA:
             raise InputError(f"unknown config section [{name}]; allowed: "
                              + ", ".join(_SCHEMA))
         allowed = _SCHEMA[name]
-        for key in cp[name]:
+        for key in section:
             if key not in allowed:
                 raise InputError(f"unknown config key {key!r} in [{name}]; "
                                  "allowed: " + ", ".join(allowed))
@@ -76,10 +76,36 @@ def _floats(text: str) -> list:
     return [_float(tok) for tok in text.replace(",", " ").split()]
 
 
-def _get(section, key, cast, default=None, required=False):
+def _nonnegative(text: str) -> float:
+    """A finite float >= 0: a tolerance."""
+    value = _float(text)
+    if not value >= 0.0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
+def _count(text: str) -> int:
+    """An int >= 0: a grid size, an order or a seed."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
+def _positives(text: str) -> list:
+    """Finite floats > 0: distances inside a boundary."""
+    values = _floats(text)
+    if not all(v > 0.0 for v in values):
+        raise ValueError(f"{text!r} holds a value <= 0")
+    return values
+
+
+def _get(raw, name, key, cast, default=None, required=False):
+    """Section `name` of the read config `raw`, key `key`, cast."""
+    section = raw.get(name, {})
     if key not in section:
         if required:
-            raise InputError(f"missing config key {key!r} in [{section.name}]")
+            raise InputError(f"missing config key {key!r} in [{name}]")
         return default
     try:
         return cast(section[key])
@@ -87,17 +113,17 @@ def _get(section, key, cast, default=None, required=False):
         raise InputError(f"bad value for {key!r}: {section[key]!r}") from exc
 
 
-def _epsilon_from(section) -> EpsilonSpec:
-    kind = _get(section, "kind", str, required=True)
+def _epsilon_from(raw) -> EpsilonSpec:
+    kind = _get(raw, "epsilon", "kind", str, required=True)
     if kind == "constant":
-        return EpsilonSpec.constant(_get(section, "eps0", _float, 1.0))
+        return EpsilonSpec.constant(_get(raw, "epsilon", "eps0", _float, 1.0))
     if kind == "relativistic":
         return EpsilonSpec.relativistic(
-            _get(section, "mass", _float, required=True),
-            _get(section, "shift", _float, 0.0),
+            _get(raw, "epsilon", "mass", _float, required=True),
+            _get(raw, "epsilon", "shift", _float, 0.0),
         )
     if kind == "tabulated":
-        path = _get(section, "table-path", str, required=True)
+        path = _get(raw, "epsilon", "table-path", str, required=True)
         try:
             table = np.loadtxt(path, delimiter=",", ndmin=2)
         except (OSError, ValueError) as exc:
@@ -106,13 +132,12 @@ def _epsilon_from(section) -> EpsilonSpec:
     raise InputError(f"unknown epsilon kind {kind!r}")
 
 
-def _coupling_from(section) -> CouplingSpec:
-    kind = _get(section, "kind", str, "separable")
+def _coupling_from(raw) -> CouplingSpec:
     return CouplingSpec(
-        kind=kind,
-        amplitude=_get(section, "amplitude", _float, 1.0),
-        width=_get(section, "width", _float, 1.0),
-        p_width=_get(section, "p-width", _float, None),
+        kind=_get(raw, "coupling", "kind", str, "separable"),
+        amplitude=_get(raw, "coupling", "amplitude", _float, 1.0),
+        width=_get(raw, "coupling", "width", _float, 1.0),
+        p_width=_get(raw, "coupling", "p-width", _float, None),
     )
 
 
@@ -126,58 +151,59 @@ def load_config(path) -> RunConfig:
         cp.read(path)
     except configparser.Error as exc:
         raise InputError(f"cannot parse the config {path}: {exc}") from exc
-    _check_schema(cp)
+    # each section read once, as plain strings: the lookups below and the
+    # record's "config" field
+    raw = {name: dict(cp[name]) for name in cp.sections()}
+    _check_schema(raw)
     for name in ("model", "epsilon", "coupling"):
-        if name not in cp:
+        if name not in raw:
             raise InputError(f"config is missing the [{name}] section")
 
-    eps = _epsilon_from(cp["epsilon"])
-    coupling = _coupling_from(cp["coupling"])
+    eps = _epsilon_from(raw)
+    coupling = _coupling_from(raw)
     params = ModelParams(
-        d=_get(cp["model"], "dimension", int, required=True),
-        alpha=_get(cp["model"], "alpha", _float, required=True),
+        d=_get(raw, "model", "dimension", int, required=True),
+        alpha=_get(raw, "model", "alpha", _float, required=True),
         eps=eps,
         coupling=coupling,
-        c0=_get(cp["model"], "c0", _float, required=True),
+        c0=_get(raw, "model", "c0", _float, required=True),
     )
 
-    qsec = cp["quadrature"] if "quadrature" in cp else {}
-    r_max = _get(qsec, "rmax", _float, None)
+    r_max = _get(raw, "quadrature", "rmax", _float, None)
     if r_max is None:
         r_max = max(coupling.decay_radius(), 4.0)
     quad = QuadratureSpec.continuum(
-        n_radial=_get(qsec, "radial-nodes", int, 64),
-        angular_degree=_get(qsec, "angular-degree", int, 17),
+        n_radial=_get(raw, "quadrature", "radial-nodes", int, 64),
+        angular_degree=_get(raw, "quadrature", "angular-degree", int, 17),
         r_max=r_max,
     )
 
-    gsec = cp["grid"] if "grid" in cp else {}
     measure = grid_measure(
-        _get(gsec, "lambda", _float, 3.0),
-        _get(gsec, "points-per-axis", int, 5),
+        _get(raw, "grid", "lambda", _float, 3.0),
+        _get(raw, "grid", "points-per-axis", int, 5),
         params.d,
     )
 
-    run = cp["run"] if "run" in cp else {}
+    def run(key, cast, default):
+        return _get(raw, "run", key, cast, default)
+
     # typed views with defaults
     typed = {
-        "p_values": _get(run, "p-values", _floats, [0.0]),
-        "q_values": _get(run, "q-values", _floats, None),
-        "p": _get(run, "p", _float, 0.0),
-        "kappa_mode": _get(run, "kappa-mode", str, "fraction"),
-        "kappa": _get(run, "kappa", _float, 0.9),
-        "alpha_ladder": _get(run, "alpha-ladder", _floats, [0.2, 0.1, 0.05]),
-        "tol": _get(run, "tol", _float, 1e-10),
-        "neumann_order": _get(run, "neumann-order", int, 1),
-        "delta_ladder": _get(run, "delta-ladder", _floats, [0.1, 0.03, 0.01]),
-        "direction": _get(run, "direction", str, "x"),
-        "q_max": _get(run, "q-max", _float, 2.0),
-        "q_count": _get(run, "q-count", int, 21),
-        "n_max": _get(run, "n-max", int, 2),
-        "kappa_fractions": _get(run, "kappa-fractions", _floats, [0.5, 0.7, 0.9]),
-        "oracle_q": _get(run, "oracle-q", _floats, []),
-        "seed": _get(run, "seed", int, 0),
+        "p_values": run("p-values", _floats, [0.0]),
+        "q_values": run("q-values", _floats, None),
+        "p": run("p", _float, 0.0),
+        "kappa_mode": run("kappa-mode", str, "fraction"),
+        "kappa": run("kappa", _float, 0.9),
+        "alpha_ladder": run("alpha-ladder", _floats, [0.2, 0.1, 0.05]),
+        "tol": run("tol", _nonnegative, 1e-10),
+        "neumann_order": run("neumann-order", _count, 1),
+        "delta_ladder": run("delta-ladder", _positives, [0.1, 0.03, 0.01]),
+        "direction": run("direction", str, "x"),
+        "q_max": run("q-max", _float, 2.0),
+        "q_count": run("q-count", _count, 21),
+        "n_max": run("n-max", int, 2),
+        "kappa_fractions": run("kappa-fractions", _floats, [0.5, 0.7, 0.9]),
+        "oracle_q": run("oracle-q", _floats, []),
+        "seed": run("seed", _count, 0),
     }
-
-    raw = {name: dict(cp[name]) for name in cp.sections()}
     return RunConfig(params=params, quad=quad, measure=measure, run=typed, raw=raw)

@@ -191,8 +191,9 @@ class SelfEnergyTables:
     Without `points` the evaluation set is the rule's own; for d=3
     continuum rules it is reduced to the azimuthal half-plane of the p
     axis.  Given points, shape (N, d), are evaluated on the unrotated
-    rule; a pointwise evaluation is a one-row table.  `quad` may also be
-    the node system `ns` of another table, whose nodes are then shared.
+    rule (a dispersion solve builds `NewtonRow`, its one row, instead).
+    `quad` may also be the node system `ns` of another table, whose nodes
+    are then shared.
     """
 
     def __init__(self, params: ModelParams, p,
@@ -251,18 +252,9 @@ class SelfEnergyTables:
     def min_e2(self) -> float:
         return self._min_e2
 
-    def _check_xi(self, xi):
-        # against the cap min_e2 - DENOM_MARGIN as callers form it:
-        # min_e2 - xi may round below the margin at xi equal to that cap
-        if xi > self._min_e2 - DENOM_MARGIN:
-            raise DomainError(
-                f"xi={xi} within {DENOM_MARGIN:.1g} of the two-boson edge "
-                f"{self._min_e2:.6g} on this grid"
-            )
-
     def m_values(self, xi: float) -> np.ndarray:
         """Self-energy at every evaluation point."""
-        self._check_xi(xi)
+        _check_below_edge(xi, self._min_e2)
         return -(self.params.alpha**2) * (self.num_m / (self.e2 - xi)).sum(axis=1)
 
     def a_values(self, xi: float) -> np.ndarray:
@@ -270,36 +262,68 @@ class SelfEnergyTables:
 
     def d_matrix(self, xi: float) -> np.ndarray:
         """Leading kernel between evaluation points and integration nodes."""
-        self._check_xi(xi)
+        _check_below_edge(xi, self._min_e2)
         return -self.num_d / (self.e2 - xi)
 
 
+def _check_below_edge(xi, min_e2):
+    # against the cap min_e2 - DENOM_MARGIN as callers form it:
+    # min_e2 - xi may round below the margin at xi equal to that cap
+    if xi > min_e2 - DENOM_MARGIN:
+        raise DomainError(
+            f"xi={xi} within {DENOM_MARGIN:.1g} of the two-boson edge "
+            f"{min_e2:.6g} on this grid"
+        )
+
+
 class NewtonRow:
-    """g(xi) = e1 + m(xi) - xi on the first row of `tables`, and its slope
+    """g(xi) = e1 + m(xi) - xi at one point q, and its slope
     g'(xi) = m'(xi) - 1 = -alpha^2 sum w|c|^2 / (e2 - xi)^2 - 1, for a
     monotone Newton search from a start at or below `cap`, whose iterates
     only fall: the cap is checked against the two-boson edge once, here.
-    g is float(tables.a_values(xi)[0]) - xi bit for bit: the same
-    elementwise quotients w|c|^2 / (e2 - xi) and the same pairwise row
-    sum, in buffers of the row's length.  slope(xi) is taken at most once
-    after g(xi), at the same xi: it divides g's quotients once more, in
-    place."""
 
-    __slots__ = ("e1", "_e2", "_num", "_scale", "_den", "_terms")
+    The row is built on 1-D arrays from (params, p, quad or node system,
+    q), with the operations of `SelfEnergyTables` on one of its rows:
+    k = p - q, e1 = |k|^2 / 2 + eps(q), e2 = (e1 - k.q') + h(q'), and for a
+    p-modulated coupling num_m = w|c|^2 from |k|^2 - 2 k.q' + |q'|^2.  So e1,
+    e2, min_e2, num_m and g(xi) = float(a_values(xi)[i]) - xi equal row i of
+    any table holding q on the same nodes, bit for bit: the same
+    elementwise quotients w|c|^2 / (e2 - xi) and the same pairwise row sum,
+    in buffers of the row's length.  slope(xi) is taken at most once after
+    g(xi), at the same xi: it divides g's quotients once more, in place."""
 
-    def __init__(self, tables: SelfEnergyTables, cap: float):
-        tables._check_xi(cap)
-        self.e1 = float(tables.e1_out[0])
-        self._e2 = tables.e2[0]
-        num = tables.num_m
-        self._num = num if num.ndim == 1 else num[0]  # per row if p-modulated
-        self._scale = -(tables.params.alpha**2)
-        self._den = np.empty_like(self._e2)
-        self._terms = np.empty_like(self._e2)
+    __slots__ = ("e1", "e2", "min_e2", "num_m", "_scale", "_den", "_terms")
+
+    def __init__(self, params: ModelParams, p,
+                 quad: QuadratureSpec | quad_mod.NodeSystem, q, cap: float):
+        p = params._check_vec(p, "p")
+        q = np.asarray(q, dtype=float)
+        ns = quad if isinstance(quad, quad_mod.NodeSystem) \
+            else quad_mod.node_system(quad, params.d)
+        k = np.subtract(p, q)
+        k_sq = _einsum("i,i->", k, k)
+        self.e1 = e1 = 0.5 * float(k_sq) + float(params.eps(q))
+        h_full, _, num = _node_terms(params, ns)
+        kq = _einsum("j,jn->n", k, ns.full_points_t)
+        if num is None:
+            s = np.multiply(kq, -2.0)
+            s += k_sq
+            s += ns.full_sq
+            c = params.coupling.from_sq(s, ns.full_sq)
+            num = c * c * ns.full_weights
+        # e2 = |k - q'|^2 / 2 + eps(q) + eps(q') = (e1 - k.q') + h(q')
+        self.e2 = e2 = np.subtract(e1, kq, out=kq)
+        e2 += h_full
+        self.min_e2 = float(np.minimum.reduce(e2))
+        _check_below_edge(cap, self.min_e2)
+        self.num_m = num
+        self._scale = -(params.alpha**2)
+        self._den = np.empty_like(e2)
+        self._terms = np.empty_like(e2)
 
     def g(self, xi: float) -> float:
-        np.subtract(self._e2, xi, out=self._den)
-        np.divide(self._num, self._den, out=self._terms)
+        np.subtract(self.e2, xi, out=self._den)
+        np.divide(self.num_m, self._den, out=self._terms)
         return self.e1 + self._scale * float(np.add.reduce(self._terms)) - xi
 
     def slope(self, xi: float) -> float:

@@ -269,10 +269,10 @@ ROW_RULES = {"continuum": lambda d: QUAD,
                  quadrature.grid_measure(2.0, 5, d))}
 
 
-def reference_slope(tables, xi):
-    """g'(xi) on the table's first row: -alpha^2 sum w|c|^2 / (e2 - xi)^2 - 1."""
+def reference_slope(tables, xi, i=0):
+    """g'(xi) on the table's row i: -alpha^2 sum w|c|^2 / (e2 - xi)^2 - 1."""
     den = tables.e2 - xi
-    return float(-(tables.params.alpha**2) * ((tables.num_m / den) / den).sum(axis=1)[0]) - 1.0
+    return float(-(tables.params.alpha**2) * ((tables.num_m / den) / den).sum(axis=1)[i]) - 1.0
 
 
 def reference_solve(params, p, q, kappa, quad, tol):
@@ -299,8 +299,8 @@ def reference_solve(params, p, q, kappa, quad, tol):
 
 
 class TestRowBits:
-    """The dispersion solve on the one-row Newton view gives what the same
-    Newton search gives on the table's m_values, bit for bit."""
+    """The dispersion solve on the point's own Newton row gives what the
+    same Newton search gives on the table's m_values, bit for bit."""
 
     @settings(max_examples=120, deadline=None)
     @given(d=st.sampled_from([1, 2, 3]),
@@ -343,11 +343,12 @@ class TestRowBits:
         # cap, in any order, and the slope after it is the table's
         # -alpha^2 sum w|c|^2 / (e2 - xi)^2 - 1; g again gives its value
         params = row_model(d, eps_kind, modulated)
+        quad = ROW_RULES[rule](d)
         p = np.array(p[:d])
         q = p - np.array(k[:d])
-        tables = se.SelfEnergyTables(params, p, ROW_RULES[rule](d), q[None, :])
+        tables = se.SelfEnergyTables(params, p, quad, q[None, :])
         cap = tables.min_e2() - se.DENOM_MARGIN
-        row = se.NewtonRow(tables, cap)
+        row = se.NewtonRow(params, p, quad, q, cap)
         assert row.e1 == float(tables.e1_out[0])
         for xi in (cap - b for b in below):
             g = row.g(xi)
@@ -355,11 +356,53 @@ class TestRowBits:
             assert row.slope(xi).hex() == reference_slope(tables, xi).hex()
             assert row.g(xi).hex() == g.hex()
 
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]),
+           eps_kind=st.sampled_from(["constant", "relativistic", "tabulated"]),
+           modulated=st.booleans(), rule=st.sampled_from(sorted(ROW_RULES)),
+           p=st.lists(coords, min_size=3, max_size=3),
+           ks=st.lists(st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+                       min_size=2, max_size=5),
+           i=st.integers(0, 4), below=st.floats(0.0, 3.0),
+           tol=st.sampled_from([1e-10, 0.0]))
+    def test_row_is_its_table_row(self, d, eps_kind, modulated, rule, p, ks, i,
+                                  below, tol):
+        # the row built on its own equals row i of a table over several
+        # points: e1, e2, min_e2, the numerators, g and the slope, and a
+        # Newton search on each gives the same iterates
+        params = row_model(d, eps_kind, modulated)
+        quad = ROW_RULES[rule](d)
+        p = np.array(p[:d])
+        qs = p - np.array(ks)[:, :d]
+        i %= len(qs)
+        tables = se.SelfEnergyTables(params, p, quad, qs)
+        cap = tables.min_e2() - se.DENOM_MARGIN
+        row = se.NewtonRow(params, p, quad, qs[i], cap)
+        assert row.e1.hex() == float(tables.e1_out[i]).hex()
+        assert row.e2.tobytes() == tables.e2[i].tobytes()
+        assert row.min_e2.hex() == float(np.minimum.reduce(tables.e2[i])).hex()
+        num_m = np.broadcast_to(tables.num_m, tables.e2.shape)[i]  # shared if separable
+        assert row.num_m.tobytes() == num_m.tobytes()
+        xi = cap - below
+        assert row.g(xi).hex() == (float(tables.a_values(xi)[i]) - xi).hex()
+        assert row.slope(xi).hex() == reference_slope(tables, xi, i).hex()
+
+        def table_g(x):
+            return float(tables.a_values(x)[i]) - x
+
+        start = min(row.e1, cap)
+        solved = roots.monotone_newton(row.g, row.slope, start, tol)
+        reference = roots.monotone_newton(
+            table_g, lambda x: reference_slope(tables, x, i), start, tol)
+        assert [v.hex() for v in solved[:2]] == [v.hex() for v in reference[:2]]
+        assert solved[2] == reference[2]
+
     def test_cap_near_the_edge_refused(self):
         params = row_model(1, "constant", False)
-        tables = se.SelfEnergyTables(params, np.array([0.3]), QUAD, np.array([[0.1]]))
+        p, q = np.array([0.3]), np.array([0.1])
+        tables = se.SelfEnergyTables(params, p, QUAD, q[None, :])
         with pytest.raises(DomainError, match="two-boson edge"):
-            se.NewtonRow(tables, tables.min_e2())
+            se.NewtonRow(params, p, QUAD, q, tables.min_e2())
 
 
 class TestNewtonStart:
@@ -763,14 +806,14 @@ def ground_solve(d, p, quad=QUAD):
 
 
 def cap_gap_rays(solve):
-    """Each one-row table's point (r u) on the cap-gap rays of one solve,
-    and the calls of their counted ray functions."""
+    """Each Newton row's point (r u) on the cap-gap rays of one solve, and
+    the calls of their counted ray functions."""
     def run(monkeypatch):
         params = make_params()
         p = np.array([0.3, 0.2, 0.0])
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
-        seen = record_calls(monkeypatch, se.SelfEnergyTables, "__init__",
-                            lambda self, params, p, quad, points: tuple(np.ravel(points)))
+        seen = record_calls(monkeypatch, se.NewtonRow, "__init__",
+                            lambda self, params, p, quad, q, cap: tuple(np.ravel(q)))
         gaps = keep_counted(monkeypatch, "_cap_gap.<locals>.gap")
         solve(params, p, kappa)
         # the probe q = 0 is solved on its own row; the ray rows are at r u
@@ -847,7 +890,7 @@ class TestIterations:
     def test_count_every_evaluation(self, monkeypatch):
         # iterations = evaluations of the solved scalar function; in a
         # dispersion solve each is one evaluation of g on the point's
-        # one-row view (NewtonRow.g), the membership test at kappa
+        # Newton row (NewtonRow.g), the membership test at kappa
         # included, and no xi is evaluated twice; in a ground solve one
         # determinant F(xi) = Delta_xi(xi), with the bracketing and the
         # final residual

@@ -441,10 +441,11 @@ class TestErrors:
         assert "bad value" in record["message"]
         assert not (out / "dispersion-scan.csv").exists()
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "abc"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "abc", "-1"])
     def test_bad_tol_option(self, config_path, tmp_path, capsys, tol):
         # --tol is refused as the config's tol is: before this check, nan
-        # labelled every row capped and wrote "tol": NaN to the record
+        # labelled every row capped and wrote "tol": NaN to the record, and
+        # -1 labelled every row capped with residual 0
         out = tmp_path / "o"
         rc = main(["dispersion-scan", "--config", str(config_path), "--out", str(out),
                    f"--tol={tol}"])
@@ -453,6 +454,37 @@ class TestErrors:
         assert record["error"] == "InputError"
         assert "bad value for '--tol'" in record["message"]
         assert not (out / "dispersion-scan.csv").exists()
+
+    @pytest.mark.parametrize("command, old, new", [
+        ("dispersion-scan", "\ntol = 1e-9\n", "\ntol = -1e-9\n"),
+        ("oracle-check", "\ntol = 1e-9\n", "\ntol = 1e-9\nneumann-order = -1\n"),
+        ("dispersion-scan", "\nq-count = 7\n", "\nq-count = -3\n"),
+        ("ground-scan", "\ntol = 1e-9\n", "\ntol = 1e-9\ndelta-ladder = 0.1 -0.1\n"),
+        ("validate", "\ntol = 1e-9\n", "\ntol = 1e-9\nseed = -1\n"),
+    ], ids=["tol", "neumann-order", "q-count", "delta-ladder", "seed"])
+    def test_out_of_range_run_value(self, tmp_path, capsys, command, old, new):
+        # each was taken before this check: a negative tol labelled every
+        # dispersion row capped, order -1 ran as order 0 with diff_scaled
+        # over alpha^2, a negative count or seed raised numpy's ValueError,
+        # and a negative delta put a ladder point past r* as converged
+        path = tmp_path / "bad.ini"
+        assert old in CONFIG
+        path.write_text(CONFIG.replace(old, new))
+        out = tmp_path / "o"
+        rc = main([command, "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InputError"
+        key = new.strip().splitlines()[-1].split(" = ")[0]
+        assert record["message"].startswith(f"bad value for {key!r}")
+        assert not (out / f"{command}.csv").exists()
+
+    def test_zero_tol_is_legal(self, tmp_path):
+        path = tmp_path / "zero.ini"
+        path.write_text(CONFIG.replace("\ntol = 1e-9\n", "\ntol = 0\n"))
+        assert load_config(path).run["tol"] == 0.0
+        assert main(["thresholds", "--config", str(path), "--out", str(tmp_path),
+                     "--tol=0"]) == 0
 
     @pytest.mark.parametrize("text", [
         CONFIG.replace("\nalpha = 0.1\n", "\nalpha = 0.1\nalpha = 0.2\n"),
