@@ -221,9 +221,10 @@ def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
     kappa + g(kappa), where g(kappa) = a_p(kappa; t u) - kappa >= 0 is the
     solve's residual.  It is continuous at the domain's edges, where
     xi -> kappa and g(kappa) -> 0, and rises away from the domain, so the
-    search sees no flat region.  The bracket is the first sample outside
-    the domain on each side of the free minimizer t0, doubling the step
-    from 1.  `clipped` checks kappa against the clipped proxy."""
+    search sees no flat region.  `roots.min_beyond` brackets it by the
+    first sample outside the domain (xi >= kappa) on each side of the free
+    minimizer t0, doubling the step from 1.  `clipped` checks kappa
+    against the clipped proxy."""
     p = params._check_vec(p, "p")
     cap(params, p, "absolute", kappa, clipped)
     axis = axis_of(p)
@@ -234,35 +235,29 @@ def lambda1(params: ModelParams, p, kappa: float, quad: QuadratureSpec,
         bp = _dispersion_solve(params, p, t * axis, kappa, quad, tol)
         return kappa + bp.residual if bp.status == "none" else bp.xi
 
-    def excess(t):
-        return xi_at(t) - kappa
-
-    if not excess(t0) < 0.0:
+    if not xi_at(t0) < kappa:
         raise DomainError(
             "one-boson domain is empty along the axis; raise kappa"
         )
-    hi = roots.bracket_beyond(excess, t0, t0 + 1.0)[1]
-    lo = roots.bracket_beyond(excess, t0, t0 - 1.0)[1]
-    return roots.minimize(xi_at, lo, hi, roots.MIN_XATOL)[0]
+    return roots.min_beyond(xi_at, t0, kappa, roots.MIN_XATOL)[0]
 
 
 def _ground_determinant(params, p, neumann_order, quad, tol, lam1):
     """(F, hi) at p: F(xi) = Delta_xi(xi), counted, read from the tables at
     p, and hi = lam1 - max(tol, EDGE_MARGIN), the top of its search range.
-    F is None when hi is not below the continuum edge of the operator at hi,
-    which is built at order 0: the edge does not read the kernel matrix.
-    F(hi) reuses that operator and its a(hi), with the kernel matrix added."""
+    F is None when hi is not below the continuum edge of the operator at hi.
+    F(hi) reuses that operator; the edge does not read the kernel matrix,
+    which each operator builds on its first determinant of order >= 1."""
     tables = SelfEnergyTables(params, p, quad)
     e0 = 0.5 * float(p @ p)
 
-    def operator(xi, order=neumann_order):
-        return FriedrichsSolver.from_tables(tables, xi, e0, order)
+    def operator(xi):
+        return FriedrichsSolver.from_tables(tables, xi, e0)
 
     hi = lam1 - max(tol, EDGE_MARGIN)
-    top = operator(hi, 0)
+    top = operator(hi)
     if hi >= top.edge()[0]:
         return None, hi
-    top.dmat = tables.d_matrix(hi) if neumann_order >= 1 else None
     return roots.Counted(
         lambda xi: (top if xi == hi else operator(xi)).delta(xi, neumann_order)), hi
 
@@ -275,9 +270,11 @@ def ground_state(params: ModelParams, p, lam1: float, neumann_order: int,
     e_p(xi) is the discrete Friedrichs eigenvalue of the reduced operator
     at trial energy xi: the unique root below the continuum edge of the
     determinant Delta_xi(z).  So xi0 is the root of F(xi) = Delta_xi(xi),
-    found by Brent's method; F decreases in xi.  The edge is searched once,
+    found by Brent's method; F decreases in xi.  The edge is found once,
     at hi = lam1 - max(tol, EDGE_MARGIN), with the edge stand-off
-    `friedrichs.EDGE_MARGIN` = 1e-9: a(xi; q) - xi grows as xi falls, so
+    `friedrichs.EDGE_MARGIN` = 1e-9, by `FriedrichsSolver.edge`: the least
+    of a over the evaluation set and along the p axis, where it is refined
+    from the evaluation set's argmin.  a(xi; q) - xi grows as xi falls, so
     every xi below hi is below its edge too.  Status is 'none' when hi is
     not below the edge or F(hi) >= 0 (p outside the ground domain).
     `iterations` counts the points where F is evaluated, none of them

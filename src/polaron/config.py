@@ -4,6 +4,7 @@ model, the integration rules and the scan parameters."""
 from __future__ import annotations
 
 import configparser
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,9 +126,14 @@ def _epsilon_from(raw) -> EpsilonSpec:
     if kind == "tabulated":
         path = _get(raw, "epsilon", "table-path", str, required=True)
         try:
-            table = np.loadtxt(path, delimiter=",", ndmin=2)
-        except (OSError, ValueError) as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # loadtxt's "no data"
+                table = np.loadtxt(path, delimiter=",", ndmin=2)
+        except (OSError, ValueError, UserWarning) as exc:
             raise InputError(f"cannot read the epsilon table {path!r}: {exc}") from exc
+        if table.shape[1] != 2:
+            raise InputError(f"the epsilon table {path!r} has {table.shape[1]} columns, "
+                             "not two (|q|, eps)")
         return EpsilonSpec.tabulated(table[:, 0], table[:, 1])
     raise InputError(f"unknown epsilon kind {kind!r}")
 

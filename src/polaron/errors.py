@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the memory budget
+above which a computation is refused with ResourceError."""
+
+BYTE_BUDGET = 2**30  # max bytes counted by oracle._bytes_needed or selfenergy._PAIR_ARRAYS
 
 
 class PolaronError(Exception):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from . import quadrature as quad_mod
 from . import roots
 from .errors import DomainError, NumericError
 from .quadrature import QuadratureSpec
-from .selfenergy import SelfEnergyTables
+from .selfenergy import NewtonRow, SelfEnergyTables
 
 __all__ = [
     "FriedrichsSolver",
@@ -23,10 +24,8 @@ __all__ = [
 ]
 
 EDGE_MARGIN = 1e-9     # stand-off of the eigenvalue search from the continuum edge
-_EDGE_SPAN = 10.0      # half-width of the 81-point on-axis edge grid beyond |p|
 NORM_PROBES = (0.0, 0.5, 1.0, 1.5, 2.0)  # on-axis |q| of the kernel norm sample
 GRAD_MARGIN = 1e-10    # least |a'| at the level set of im_delta_edge
-MIN_STEP = 1e-4        # second-difference step of check_minimum
 
 
 @dataclass
@@ -49,46 +48,43 @@ class FriedrichsSolver:
     quadrature node system: the level e0, the coupling alpha, the channel
     function v and the multiplication operator a on the evaluation set,
     and the kernel matrix between the evaluation set and the integration
-    nodes (None for the rank-one model).
+    nodes, built by `kernel()` on first use (kernel None: the rank-one
+    model).
 
-    a_at and v_at evaluate a and v at any points (N, d); the continuum
-    edge is searched on the line t -> t * axis, |t| <= span.  dker is the
+    a_line(t) and v_line(t) evaluate a and v at the one point t * axis,
+    the line on which the continuum edge is refined.  dker is the
     two-point kernel the matrix samples, which the Neumann kernels need
     off the nodes; operators from tables have none.
     """
 
-    def __init__(self, e0, alpha, ns, v_out, a_out, dmat, a_at, v_at, axis,
-                 span, dker=None):
+    def __init__(self, e0, alpha, ns, v_out, a_out, kernel, a_line, v_line, axis,
+                 dker=None):
         self.e0 = float(e0)
         self.alpha = float(alpha)
         self.ns = ns
         self.v = np.asarray(v_out, dtype=float)
         self.a = np.asarray(a_out, dtype=float)
-        self.dmat = dmat
-        self.a_at = a_at
-        self.v_at = v_at
+        self._kernel = kernel
+        self.a_line = a_line
+        self.v_line = v_line
         self.axis = axis
-        self.span = float(span)
         self.dker = dker
         self._edge = None
 
     @classmethod
-    def from_tables(cls, tables: SelfEnergyTables, xi: float, e0: float,
-                    order: int) -> "FriedrichsSolver":
-        """The reduced operator at trial energy xi, read from the tables;
-        off the evaluation set a and v come from one-row tables on the
-        same node system.  The kernel matrix is built for order >= 1."""
+    def from_tables(cls, tables: SelfEnergyTables, xi: float,
+                    e0: float) -> "FriedrichsSolver":
+        """The reduced operator at trial energy xi, read from the tables.
+        On the p axis, a is read from the point's own `NewtonRow` (its row
+        of a table, bit for bit) and v from the coupling; the kernel
+        matrix is the tables' `d_matrix(xi)`."""
         params, p, ns = tables.params, tables.p, tables.ns
-
-        def row(points):
-            return SelfEnergyTables(params, p, ns, points)
-
+        axis = quad_mod.axis_of(p)
         return cls(e0, params.alpha, ns, tables.v_out, tables.a_values(xi),
-                   tables.d_matrix(xi) if order >= 1 else None,
-                   a_at=lambda pts: row(pts).a_values(xi),
-                   v_at=lambda pts: row(pts).v_out,
-                   axis=quad_mod.axis_of(p),
-                   span=_EDGE_SPAN + float(np.linalg.norm(p)))
+                   lambda: tables.d_matrix(xi),
+                   lambda t: NewtonRow(params, p, ns, t * axis, xi).a(xi),
+                   lambda t: float(params.coupling.evaluate(p - t * axis, t * axis)),
+                   axis)
 
     @classmethod
     def from_functions(cls, e0, alpha, v, a, quad: QuadratureSpec, d: int,
@@ -99,35 +95,32 @@ class FriedrichsSolver:
         about which a d=3 continuum rule is reduced."""
         axis = np.eye(d)[-1]
         ns = quad_mod.node_system(quad, d, axis=axis)
-
-        def a_at(pts):
-            return np.asarray(a(pts), dtype=float)
-
-        def v_at(pts):
-            return np.asarray(v(pts), dtype=float)
-
-        dmat = None
-        if dker is not None:
-            dmat = np.asarray(dker(ns.out_points, ns.full_points), dtype=float)
-        return cls(e0, alpha, ns, v_at(ns.out_points), a_at(ns.out_points),
-                   dmat, a_at, v_at, axis, _EDGE_SPAN, dker=dker)
+        kernel = None if dker is None else \
+            lambda: np.asarray(dker(ns.out_points, ns.full_points), dtype=float)
+        return cls(e0, alpha, ns, v(ns.out_points), a(ns.out_points), kernel,
+                   lambda t: float(a(np.outer([t], axis))[0]),
+                   lambda t: float(v(np.outer([t], axis))[0]), axis, dker=dker)
 
     @property
     def d(self) -> int:
         return self.ns.full_points.shape[1]
 
-    def _a_line(self, t) -> np.ndarray:
-        return self.a_at(np.outer(np.atleast_1d(t), self.axis))
+    @cached_property
+    def dmat(self):
+        """The kernel matrix, built on first use."""
+        return None if self._kernel is None else self._kernel()
 
     def edge(self):
         """(a_bar, t_bar): the continuum edge, the least of a over the
-        evaluation set and over the on-axis line, whose grid minimum is
-        refined between its neighbours to the argmin tolerance
-        roots.MIN_XATOL; and the on-axis argmin.  Found on first use."""
+        evaluation set and over the on-axis line, and the on-axis argmin.
+        The line minimum is refined by `roots.min_beyond` from t0, the
+        projection onto the axis of the evaluation set's argmin, at level
+        a_line(t0), to the argmin tolerance roots.MIN_XATOL.  Found on
+        first use."""
         if self._edge is None:
-            grid = np.linspace(-self.span, self.span, 81)
-            a_min, t_bar = roots.line_min(lambda t: float(self._a_line(t)[0]),
-                                          grid, self._a_line(grid), roots.MIN_XATOL)
+            t0 = float(self.ns.out_points[np.argmin(self.a)] @ self.axis)
+            a_min, t_bar = roots.min_beyond(self.a_line, t0, self.a_line(t0),
+                                            roots.MIN_XATOL)
             self._edge = (min(a_min, float(self.a.min())), t_bar)
         return self._edge
 
@@ -146,7 +139,7 @@ class FriedrichsSolver:
         den = self.a - z
         s = float((self.ns.out_weights * self.v * self.v / den).sum())
         corr = 0.0
-        if self.dmat is not None and order >= 1:
+        if order >= 1 and self.dmat is not None:
             a2 = self.alpha**2
             phi = self.v / den
             x = phi
@@ -190,7 +183,7 @@ class FriedrichsSolver:
         """
         if n < 1:
             raise DomainError("kernel order must be >= 1")
-        if self.dmat is None:
+        if self._kernel is None:
             evaluate = lambda P, Q: np.zeros((np.atleast_2d(P).shape[0],
                                               np.atleast_2d(Q).shape[0]))
             return NeumannKernel(order=n, evaluate=evaluate, norm_sample=0.0)
@@ -232,39 +225,17 @@ class FriedrichsSolver:
         if self.d not in _SPHERE_AREA:
             raise DomainError("im_delta_edge supports d in {1, 2, 3}")
 
-        def a_at(t):
-            return float(self._a_line(t)[0])
-
         r_lo = max(t_bar, 0.0)
         try:
-            r = roots.root_beyond(roots.Counted(lambda t: a_at(t) - x),
+            r = roots.root_beyond(roots.Counted(lambda t: self.a_line(t) - x),
                                   r_lo, r_lo + 1.0)
         except NumericError as exc:
             raise DomainError(f"level a(r)=x={x} not reached within the search range") from exc
         step = 1e-7 * (1.0 + abs(r))
-        aprime = a_at(r + step) - a_at(max(r - step, 0.0))
+        aprime = self.a_line(r + step) - self.a_line(max(r - step, 0.0))
         aprime /= (r + step - max(r - step, 0.0))
         if abs(aprime) < GRAD_MARGIN:
             raise DomainError(f"|a'({r})| = {abs(aprime):.3g} too small; x is too close to the edge")
-        v_r = float(self.v_at(np.outer([r], self.axis))[0])
+        v_r = self.v_line(r)
         area = _SPHERE_AREA[self.d] * r ** (self.d - 1) if self.d > 1 else _SPHERE_AREA[1]
         return self.alpha**2 * math.pi * area * v_r * v_r / abs(aprime)
-
-    def check_minimum(self) -> bool:
-        """Sampled nondegeneracy of the edge minimum: positive second
-        difference, at step MIN_STEP, along the axis and along a transverse
-        direction."""
-        step = MIN_STEP
-        _, t_bar = self.edge()
-        along = self._a_line([t_bar - step, t_bar, t_bar + step])
-        ok = along[0] + along[2] - 2.0 * along[1] > 0.0
-        if self.d > 1:
-            perp = np.zeros(self.d)
-            perp[0] = 1.0 if abs(self.axis[0]) < 0.9 else 0.0
-            if not perp.any():
-                perp[1] = 1.0
-            base = t_bar * self.axis
-            pts = np.stack([base - step * perp, base, base + step * perp])
-            tv = self.a_at(pts)
-            ok = ok and (tv[0] + tv[2] - 2.0 * tv[1] > 0.0)
-        return bool(ok)

@@ -67,6 +67,10 @@ class EpsilonSpec:
             self.values = np.asarray(self.values, dtype=float)
             if self.knots.ndim != 1 or self.knots.shape != self.values.shape:
                 raise InputError("knots and values must be 1-d arrays of the same length")
+            if self.knots.size < 2:
+                raise InputError("tabulated epsilon needs at least 2 knots")
+            if not (np.isfinite(self.knots).all() and np.isfinite(self.values).all()):
+                raise InputError("knots and values must be finite")
             if np.any(np.diff(self.knots) <= 0):
                 raise InputError("knots must be strictly increasing")
 

@@ -48,14 +48,13 @@ import numpy as np
 
 from . import branches as branches_mod
 from . import roots
-from .errors import InputError, NumericError, ResourceError
+from .errors import BYTE_BUDGET, InputError, NumericError, ResourceError
 from .model import ModelParams
 from .quadrature import DiscreteMeasure, QuadratureSpec
 
 __all__ = ["TruncatedHamiltonian", "build", "low_spectrum", "compare_ground",
            "compare_dispersion", "GroundComparison", "DispersionComparison"]
 
-_BYTE_BUDGET = 2**30  # max bytes of the blocks and of one sigma's work (`_bytes_needed`)
 _DENSE_BYTES = 256 * 2**20  # max size of the dense matrix of the fallback
 # no root search starts closer than this to D_min, where (D - sigma)^-1
 # blows up; eigenvalues above D_min - _STANDOFF come from the dense fallback
@@ -93,11 +92,6 @@ class TruncatedHamiltonian:
         m[self.pair_rows[:, 1], pairs] += self.pair_amps[:, 1]
         m[n1:, :n1] = m[:n1, n1:].T
         return m
-
-    def asymmetry(self) -> float:
-        m = self.matrix
-        scale = max(1.0, float(np.abs(m).max()))
-        return float(np.abs(m - m.T).max()) / scale
 
     @cached_property
     def _schur_terms(self):
@@ -152,9 +146,9 @@ def build(params: ModelParams, p, measure: DiscreteMeasure,
 
     n2 = n_pts * (n_pts + 1) // 2 if n_max == 2 else 0
     need = _bytes_needed(1 + n_pts, n2)
-    if need > _BYTE_BUDGET:
+    if need > BYTE_BUDGET:
         raise ResourceError(f"truncated oracle on {n_pts} lattice points needs {need} B, "
-                            f"over the budget of {_BYTE_BUDGET} B")
+                            f"over the budget of {BYTE_BUDGET} B")
 
     k = p[None, :] - q
     k_sq, q_sq, eps = np.sum(k * k, axis=-1), np.sum(q * q, axis=-1), params.eps(q)

@@ -45,9 +45,6 @@ class DiscreteMeasure:
     def d(self) -> int:
         return self.points.shape[1]
 
-    def total_weight(self) -> float:
-        return self.weight * self.points.shape[0]
-
     @cached_property
     def node_system(self) -> NodeSystem:
         """The lattice as a node system, built on first use."""

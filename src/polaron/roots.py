@@ -1,8 +1,8 @@
 """One-dimensional searches shared by the branch and Friedrichs solvers:
 Brent's root at the package's fixed tolerances, on a given bracket or
 outward from a point by doubling steps, the doubling bracket itself,
-Brent's bounded minimum, monotone Newton and a grid-then-refine line
-minimum.
+Brent's bounded minimum, on a given interval or on the doubling bracket
+on each side of a point, and monotone Newton.
 
 `root` and `minimize` are Brent's algorithms (Brent 1973, *Algorithms for
 Minimization without Derivatives*) ported step for step, with the same
@@ -15,12 +15,10 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 from .errors import NumericError
 
 __all__ = ["Counted", "root", "bracket_beyond", "root_beyond", "minimize",
-           "monotone_newton", "line_min"]
+           "min_beyond", "monotone_newton"]
 
 XTOL = 1e-14
 RTOL = 4 * sys.float_info.epsilon
@@ -223,6 +221,18 @@ def minimize(f, a: float, b: float, xatol: float):
     return float(fx), xf
 
 
+def min_beyond(f, x0: float, level: float, xatol: float):
+    """(min f, argmin) by `minimize` on [lo, hi], the first samples
+    x0 - 2^k and x0 + 2^k, k = 0, 1, ..., where f >= level, each found by
+    `bracket_beyond`."""
+    def excess(x):
+        return f(x) - level
+
+    hi = bracket_beyond(excess, x0, x0 + 1.0)[1]
+    lo = bracket_beyond(excess, x0, x0 - 1.0)[1]
+    return minimize(f, lo, hi, xatol)
+
+
 def monotone_newton(f, slope, x: float, tol: float):
     """Newton's root of a decreasing concave f from an x with f(x) < 0: the
     iterates fall onto the root without crossing it (Ortega & Rheinboldt
@@ -246,9 +256,3 @@ def monotone_newton(f, slope, x: float, tol: float):
         calls += 1
     return x, fx, calls
 
-
-def line_min(f, grid, values, xatol: float):
-    """(min f, argmin) over the span of grid: the argmin of the sampled
-    values, refined by `minimize` between its neighbouring grid points."""
-    i = int(np.argmin(values))
-    return minimize(f, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], xatol)

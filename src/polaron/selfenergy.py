@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quadrature as quad_mod
-from .errors import DomainError
+from .errors import BYTE_BUDGET, DomainError, ResourceError
 from .model import CouplingSpec, EpsilonSpec, ModelParams
 from .quadrature import QuadratureSpec
 
@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 DENOM_MARGIN = 1e-6  # minimum allowed distance of xi to the two-boson edge
+# (rows, Nf) arrays at a ground solve's peak: e2, num_d, the kernel matrix at
+# hi, and d_matrix's e2 - xi and quotient (numpy reuses -num_d's buffer) at
+# another xi; a p-modulated coupling adds num_m
+_PAIR_ARRAYS = 5
 _TERMS_BOUND = 4     # models whose node terms one node system keeps
 _EPS_FIELDS = operator.attrgetter(*EpsilonSpec.__dataclass_fields__)
 _COUPLING_FIELDS = operator.attrgetter(*CouplingSpec.__dataclass_fields__)
@@ -191,9 +195,12 @@ class SelfEnergyTables:
     Without `points` the evaluation set is the rule's own; for d=3
     continuum rules it is reduced to the azimuthal half-plane of the p
     axis.  Given points, shape (N, d), are evaluated on the unrotated
-    rule (a dispersion solve builds `NewtonRow`, its one row, instead).
+    rule (a dispersion solve and the Friedrichs operator's axis build
+    `NewtonRow`, one row, instead).
     `quad` may also be the node system `ns` of another table, whose nodes
-    are then shared.
+    are then shared.  A table whose pair arrays at a ground solve's peak
+    (`_PAIR_ARRAYS`) would exceed BYTE_BUDGET is refused with
+    ResourceError before the first of them is built.
     """
 
     def __init__(self, params: ModelParams, p,
@@ -208,6 +215,11 @@ class SelfEnergyTables:
         self.ns = ns
         self.points = points = ns.out_points if points is None \
             else np.asarray(points, dtype=float)
+        pairs = points.shape[0] * ns.full_points.shape[0]
+        need = 8 * pairs * (_PAIR_ARRAYS + (params.coupling.kind != "separable"))
+        if need > BYTE_BUDGET:
+            raise ResourceError(f"self-energy tables of {pairs} pairs need {need} B, "
+                                f"over the budget of {BYTE_BUDGET} B")
 
         self._k = k = np.subtract(p, points)
         self._k_sq = _einsum("ij,ij->i", k, k)
@@ -277,20 +289,21 @@ def _check_below_edge(xi, min_e2):
 
 
 class NewtonRow:
-    """g(xi) = e1 + m(xi) - xi at one point q, and its slope
-    g'(xi) = m'(xi) - 1 = -alpha^2 sum w|c|^2 / (e2 - xi)^2 - 1, for a
-    monotone Newton search from a start at or below `cap`, whose iterates
-    only fall: the cap is checked against the two-boson edge once, here.
+    """a(xi) = e1 + m(xi) and g(xi) = a(xi) - xi at one point q, and the
+    slope g'(xi) = m'(xi) - 1 = -alpha^2 sum w|c|^2 / (e2 - xi)^2 - 1, for
+    a monotone Newton search from a start at or below `cap`, whose iterates
+    only fall, or for a at one xi <= cap: the cap is checked against the
+    two-boson edge once, here.
 
     The row is built on 1-D arrays from (params, p, quad or node system,
     q), with the operations of `SelfEnergyTables` on one of its rows:
     k = p - q, e1 = |k|^2 / 2 + eps(q), e2 = (e1 - k.q') + h(q'), and for a
     p-modulated coupling num_m = w|c|^2 from |k|^2 - 2 k.q' + |q'|^2.  So e1,
-    e2, min_e2, num_m and g(xi) = float(a_values(xi)[i]) - xi equal row i of
-    any table holding q on the same nodes, bit for bit: the same
-    elementwise quotients w|c|^2 / (e2 - xi) and the same pairwise row sum,
-    in buffers of the row's length.  slope(xi) is taken at most once after
-    g(xi), at the same xi: it divides g's quotients once more, in place."""
+    e2, min_e2, num_m and a(xi) = float(a_values(xi)[i]) equal row i of any
+    table holding q on the same nodes, bit for bit: the same elementwise
+    quotients w|c|^2 / (e2 - xi) and the same pairwise row sum, in buffers
+    of the row's length.  slope(xi) is taken at most once after g(xi), at
+    the same xi: it divides g's quotients once more, in place."""
 
     __slots__ = ("e1", "e2", "min_e2", "num_m", "_scale", "_den", "_terms")
 
@@ -321,10 +334,13 @@ class NewtonRow:
         self._den = np.empty_like(e2)
         self._terms = np.empty_like(e2)
 
-    def g(self, xi: float) -> float:
+    def a(self, xi: float) -> float:
         np.subtract(self.e2, xi, out=self._den)
         np.divide(self.num_m, self._den, out=self._terms)
-        return self.e1 + self._scale * float(np.add.reduce(self._terms)) - xi
+        return self.e1 + self._scale * float(np.add.reduce(self._terms))
+
+    def g(self, xi: float) -> float:
+        return self.a(xi) - xi
 
     def slope(self, xi: float) -> float:
         terms = np.divide(self._terms, self._den, out=self._terms)

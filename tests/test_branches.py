@@ -718,7 +718,7 @@ class TestGroundProperties:
         e0 = 0.5 * float(p @ p)
 
         def f(xi):
-            return FriedrichsSolver.from_tables(tables, xi, e0, order).delta(xi, order)
+            return FriedrichsSolver.from_tables(tables, xi, e0).delta(xi, order)
 
         values = [f(xi) for xi in np.linspace(lam1 - 1.0, lam1 - 1e-10, 41)]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -754,7 +754,7 @@ class TestGroundProperties:
         hi = lam1 - 1e-9
 
         def f(xi):
-            return FriedrichsSolver.from_tables(tables, xi, e0, order).delta(xi, order)
+            return FriedrichsSolver.from_tables(tables, xi, e0).delta(xi, order)
 
         values = [f(xi) for xi in np.linspace(min(e0, hi) - 1.0, hi, 41)]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -844,7 +844,7 @@ def eigenvalue_points(monkeypatch):
     kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
     xi = br.lambda1(params, p, kappa, QUAD, 1e-10) - 0.01
     solver = FriedrichsSolver.from_tables(se.SelfEnergyTables(params, p, QUAD),
-                                          xi, 0.5 * float(p @ p), 1)
+                                          xi, 0.5 * float(p @ p))
     seen = record_calls(monkeypatch, FriedrichsSolver, "delta",
                         lambda self, z, *_: z)
     dets = keep_counted(monkeypatch, "ground_eigenvalue.<locals>.det")
@@ -922,8 +922,8 @@ class TestIterations:
 
     @pytest.mark.parametrize("d, p", [(1, [0.3]), (3, [0.3, 0.2, 0.0])])
     def test_ground_state_builds_nodes_once(self, monkeypatch, d, p):
-        # the tables and the edge line share one node system, so the outer
-        # loop never rebuilds it
+        # the tables and the edge's on-axis rows share one node system, so
+        # the outer loop never rebuilds it
         params = make_params(d=d)
         p = np.array(p)
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
@@ -943,8 +943,9 @@ class TestIterations:
         assert len(builds) <= 2
 
     def test_ground_state_builds_d_matrix_once_per_evaluation(self, monkeypatch):
-        # the operator at hi that only serves the edge check has order 0,
-        # so it builds no kernel matrix: one d_matrix per evaluation of F
+        # an operator builds its kernel matrix on its first determinant of
+        # order >= 1, never for the edge check: one d_matrix per evaluation
+        # of F, and none at order 0
         params = make_params()
         p = np.array([0.0, 0.0, 0.3])
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
@@ -960,6 +961,9 @@ class TestIterations:
         bp = br.ground_state(params, p, lam1, 1, QUAD, 1e-10)
         assert bp.status == "converged"
         assert len(builds) == bp.iterations
+        builds.clear()
+        assert br.ground_state(params, p, lam1, 0, QUAD, 1e-10).status == "converged"
+        assert builds == []
 
 
 class TestGamma:

@@ -520,6 +520,28 @@ class TestErrors:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InputError"
 
+    @pytest.mark.parametrize("table, message", [
+        ("0.0,1.0\n", "at least 2 knots"),
+        ("0.0\n1.0\n", "1 columns"),
+        ("0.0,1.0\nnan,2.0\n", "finite"),
+        ("0.0,1.0\n1.0,inf\n", "finite"),
+        ("", "no data"),
+    ], ids=["one-row", "one-column", "nan-knot", "inf-value", "empty"])
+    def test_malformed_table(self, tmp_path, capsys, table, message):
+        # a malformed table is an input error, refused before any command runs
+        csv = tmp_path / "eps.csv"
+        csv.write_text(table)
+        path = tmp_path / "bad.ini"
+        path.write_text(CONFIG.replace(
+            "kind = constant\neps0 = 1.0", f"kind = tabulated\ntable-path = {csv}"))
+        out = tmp_path / "o"
+        rc = main(["thresholds", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InputError"
+        assert message in record["message"]
+        assert not (out / "thresholds.csv").exists()
+
     def test_oracle_check_needs_fraction_cap(self, tmp_path, capsys):
         path = tmp_path / "abs.ini"
         path.write_text(CONFIG.replace(

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq
 
-from polaron import CouplingSpec, DomainError, EpsilonSpec, ModelParams, QuadratureSpec
+from polaron import (CouplingSpec, DomainError, EpsilonSpec, ModelParams, QuadratureSpec,
+                     threshold)
+from polaron import roots
 from polaron.friedrichs import FriedrichsSolver
-from polaron.quadrature import grid_measure, node_system
+from polaron.quadrature import axis_of, grid_measure, node_system
 from polaron.selfenergy import SelfEnergyTables
 
 QUAD = QuadratureSpec.continuum(48, 13, r_max=7.0)
@@ -48,8 +52,51 @@ class TestEdge:
         assert a_bar == pytest.approx(1.0, abs=1e-10)
         assert q_bar0 == pytest.approx(0.0, abs=1e-5)
 
-    def test_check_minimum(self):
-        assert radial_solver().check_minimum()
+
+def scan_line_min(tables, xi, axis, span):
+    """Least a on the line t * axis, |t| <= span, by nested grids of
+    multi-row tables: 161 points, then 21 points over the two cells about
+    the least sample, nine times."""
+    def a(ts):
+        return SelfEnergyTables(tables.params, tables.p, tables.ns,
+                                np.outer(ts, axis)).a_values(xi)
+
+    ts = np.linspace(-span, span, 161)
+    for _ in range(9):
+        i = int(np.argmin(a(ts)))
+        h = ts[1] - ts[0]
+        ts = np.linspace(ts[i] - h, ts[i] + h, 21)
+    return float(a(ts).min())
+
+
+class TestEdgeOfTables:
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]), rule=st.sampled_from(["24x9", "4^d", "5^d"]),
+           relativistic=st.booleans(), modulated=st.booleans(),
+           alpha=st.floats(0.0, 0.2), p=st.lists(st.floats(-1.2, 1.2), min_size=3, max_size=3),
+           below=st.floats(0.01, 1.0))
+    def test_edge_is_the_least_a_on_the_axis(self, d, rule, relativistic, modulated,
+                                             alpha, p, below):
+        # the edge, refined from the evaluation set's argmin, is the least
+        # of a over a fine scan of the whole axis, to the value error of
+        # the argmin tolerance, and never above a on the evaluation set
+        quad = QuadratureSpec.continuum(24, 9, r_max=6.0) if rule == "24x9" else \
+            QuadratureSpec.discrete(grid_measure(3.0, int(rule[0]), d))
+        params = ModelParams(
+            d=d, alpha=alpha, c0=0.5,
+            eps=EpsilonSpec.relativistic(1.0, 0.5) if relativistic else EpsilonSpec.constant(1.0),
+            coupling=CouplingSpec(kind="p-modulated" if modulated else "separable",
+                                  amplitude=1.0, width=1.0,
+                                  p_width=0.8 if modulated else None))
+        p = np.array(p[:d])
+        xi = threshold(params, 1, p) - below
+        tables = SelfEnergyTables(params, p, quad)
+        op = FriedrichsSolver.from_tables(tables, xi, 0.5 * float(p @ p))
+        a_bar = op.edge()[0]
+        ref = min(scan_line_min(tables, xi, axis_of(p), 10.0 + float(np.linalg.norm(p))),
+                  float(op.a.min()))
+        assert a_bar == pytest.approx(ref, abs=10.0 * roots.MIN_XATOL**2, rel=0.0)
+        assert a_bar <= op.a.min()
 
 
 class TestDelta:
@@ -227,7 +274,7 @@ class TestConstructorsAgree:
         e0 = 0.5 * float(p @ p)
         xi = e0 - 0.05
         tables = SelfEnergyTables(params, p, quad)
-        ops = [FriedrichsSolver.from_tables(tables, xi, e0, 2),
+        ops = [FriedrichsSolver.from_tables(tables, xi, e0),
                self.from_callables(params, p, xi, quad)]
         for n in (0, 1, 2):
             for z in (xi, xi - 0.5):

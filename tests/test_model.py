@@ -69,6 +69,12 @@ class TestEpsilon:
             EpsilonSpec.tabulated([0.0, 1.0], [1.0])
         with pytest.raises(InputError):
             EpsilonSpec.tabulated([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(InputError, match="at least 2 knots"):
+            EpsilonSpec.tabulated([0.0], [1.0])
+        with pytest.raises(InputError, match="finite"):
+            EpsilonSpec.tabulated([0.0, math.nan], [1.0, 2.0])
+        with pytest.raises(InputError, match="finite"):
+            EpsilonSpec.tabulated([0.0, 1.0], [1.0, math.inf])
 
 
 class TestRadialSlope:

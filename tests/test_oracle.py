@@ -35,7 +35,8 @@ class TestBuild:
         params = make_params(d=2, alpha=0.3)
         m = grid_measure(2.0, 4, 2)
         ham = oracle.build(params, np.array([0.4, 0.1]), m, n_max=2)
-        assert ham.asymmetry() <= 1e-12
+        m = ham.matrix
+        assert np.array_equal(m, m.T)
 
     def test_free_diagonal_at_alpha0(self):
         params = make_params(alpha=0.0)

@@ -228,20 +228,51 @@ class TestMinimize:
             roots.minimize(lambda x: x * x, a, b, 1e-8)
 
 
-class TestLineMin:
-    @pytest.mark.parametrize("t0, f0, expect", [
-        (0.3, 2.0, 0.3),     # between grid points
-        (-6.0, 1.0, -5.0),   # left of the grid: the minimum is its first point
-    ])
-    def test_parabola(self, t0, f0, expect):
+class TestMinBeyond:
+    # bounded Brent stops within sqrt(eps) |t| + xatol / 3 of the minimum
+    def test_parabola_between_steps(self):
         def f(t):
-            return (t - t0) ** 2 + f0
+            return (t - 0.3) ** 2 + 2.0
 
-        grid = np.linspace(-5.0, 5.0, 81)
-        f_min, t_min = roots.line_min(f, grid, [f(t) for t in grid], 1e-10)
-        # bounded Brent stops within sqrt(eps) |t| + xatol / 3 of the minimum
-        assert t_min == pytest.approx(expect, abs=1e-6)
-        assert f_min == pytest.approx(f(expect), abs=1e-6)
+        f_min, t_min = roots.min_beyond(f, 0.0, f(0.0), 1e-10)
+        assert t_min == pytest.approx(0.3, abs=1e-6)
+        assert f_min == pytest.approx(2.0, abs=1e-6)
+
+    def test_start_at_the_minimum(self):
+        f = roots.Counted(lambda t: (t - 1.5) ** 2 + 1.0)
+        f_min, t_min = roots.min_beyond(f, 1.5, 1.0, 1e-10)
+        assert t_min == pytest.approx(1.5, abs=1e-6)
+        assert f_min == pytest.approx(1.0, abs=1e-12)
+        # the bracket is the first step on each side, and every sample in it
+        assert min(f.values) == 0.5 and max(f.values) == 2.5
+
+    def test_minimum_several_doublings_away(self):
+        bare, seen = traced(lambda t: (t - 20.0) ** 2)
+        f_min, t_min = roots.min_beyond(roots.Counted(bare), 0.0, 400.0, 1e-10)
+        assert t_min == pytest.approx(20.0, abs=1e-6)
+        assert f_min == pytest.approx(0.0, abs=1e-10)
+        # f(64) = 1936 is the first sample on the right at the level, f(-1)
+        # = 441 the first on the left; the minimum searches only between
+        assert seen[:8] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, -1.0]
+        assert all(-1.0 <= t <= 64.0 for t in seen)
+
+    def test_level_below_the_start(self):
+        # lambda1's use: the bracket ends where f first reaches a level
+        # above f(x0), here at 34 (f = 196) and 10 (f = 100)
+        bare, seen = traced(lambda t: (t - 20.0) ** 2)
+        f_min, t_min = roots.min_beyond(roots.Counted(bare), 18.0, 50.0, 1e-10)
+        assert t_min == pytest.approx(20.0, abs=1e-6)
+        assert seen[:8] == [19.0, 20.0, 22.0, 26.0, 34.0, 17.0, 16.0, 14.0]
+        assert seen[8] == 10.0
+        assert all(10.0 <= t <= 34.0 for t in seen)
+
+    def test_flat_function(self):
+        # the level is met at the first step on each side
+        f = roots.Counted(lambda t: 1.0)
+        f_min, t_min = roots.min_beyond(f, 0.5, 1.0, 1e-10)
+        assert f_min == 1.0
+        assert -0.5 <= t_min <= 1.5
+        assert min(f.values) == -0.5 and max(f.values) == 1.5
 
 
 class TestCounted:

@@ -13,6 +13,7 @@ from polaron import (CouplingSpec, DomainError, EpsilonSpec, ModelParams, Quadra
 from polaron import branches as br
 from polaron import quadrature
 from polaron import selfenergy as se
+from polaron.errors import ResourceError
 from polaron.quadrature import grid_measure, node_system
 from references import d2_leading
 
@@ -228,6 +229,27 @@ class TestTables:
             # e1 plus m2's value is the table's effective energy
             assert float(row.e1_out[0]) + point.m == pytest.approx(
                 a_all[i], rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("kind", ["separable", "p-modulated"])
+    def test_budget(self, kind):
+        # the 128 x 23 rule in d = 3 pairs 1,536 evaluation points with
+        # 36,864 nodes: 2.3 GB (2.7 GB p-modulated) of pair arrays at a
+        # ground solve's peak, refused before any is allocated.  The node
+        # system, the rule's and not the table's, is built untraced first
+        quad = QuadratureSpec.continuum(128, 23, r_max=6.0)
+        coupling = CouplingSpec(kind=kind, amplitude=1.0, width=1.0,
+                                p_width=0.8 if kind == "p-modulated" else None)
+        params = replace(make_params(), coupling=coupling)
+        p = np.array([0.0, 0.0, 0.3])
+        node_system(quad, 3, axis=quadrature.axis_of(p))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="budget"):
+                br.ground_state(params, p, 1.0, 1, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_d_matrix_is_d2_leading(self):
         params = make_params()
