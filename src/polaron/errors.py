@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all modules, and the memory budget
 above which a computation is refused with ResourceError."""
 
-BYTE_BUDGET = 2**30  # max bytes counted by oracle._bytes_needed or selfenergy._PAIR_ARRAYS
+# max bytes counted before a build: by oracle._bytes_needed, by
+# selfenergy._PAIR_ARRAYS and by quadrature._continuum_words
+BYTE_BUDGET = 2**30
 
 
 class PolaronError(Exception):

@@ -60,6 +60,10 @@ class EpsilonSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "relativistic", "tabulated"):
             raise InputError(f"unknown epsilon kind {self.kind!r}")
+        fields = {"constant": ("eps0",), "relativistic": ("mass", "shift")}
+        for name in fields.get(self.kind, ()):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"epsilon {name} must be finite")
         if self.kind == "tabulated":
             if self.knots is None or self.values is None:
                 raise InputError("tabulated epsilon needs knots and values")
@@ -87,15 +91,19 @@ class EpsilonSpec:
         return cls(kind="tabulated", knots=knots, values=values)
 
     def _interp(self):
-        interp = getattr(self, "_interp_cache", None)
-        if interp is None:
+        """The PCHIP through the table, rebuilt when the bytes of the knots
+        or the values differ from those it was built from (a table changed
+        in place)."""
+        key = self.knots.tobytes(), self.values.tobytes()
+        if getattr(self, "_interp_key", None) != key:
             from scipy.interpolate import PchipInterpolator
 
             interp = PchipInterpolator(self.knots, self.values, extrapolate=True)
             self._interp_cache = interp
             self._slope = interp.derivative()
             self._end_slope = float(self._slope(self.knots[-1]))
-        return interp
+            self._interp_key = key
+        return self._interp_cache
 
     def radial(self, r):
         """epsilon as a function of |q|; r is a scalar or ndarray >= 0."""
@@ -169,10 +177,13 @@ class CouplingSpec:
     def __post_init__(self):
         if self.kind not in ("separable", "p-modulated"):
             raise InputError(f"unknown coupling kind {self.kind!r}")
-        if self.width <= 0:
-            raise InputError("coupling width must be positive")
-        if self.kind == "p-modulated" and (self.p_width is None or self.p_width <= 0):
-            raise InputError("p-modulated coupling needs a positive p_width")
+        if not math.isfinite(self.amplitude):
+            raise InputError("coupling amplitude must be finite")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise InputError("coupling width must be finite and positive")
+        if self.kind == "p-modulated" and not (
+                self.p_width is not None and math.isfinite(self.p_width) and self.p_width > 0):
+            raise InputError("p-modulated coupling needs a finite, positive p_width")
 
     def from_sq(self, p_sq, q_sq):
         """c(p; q) from broadcastable arrays of squared norms |p|^2, |q|^2."""

@@ -177,22 +177,45 @@ def _node_terms(params, ns):
     return ns.terms[key]
 
 
+def _sq_dist(kq, k_sq, ns):
+    """|k - q'|^2 = |k|^2 - 2 k.q' + |q'|^2 on every pair, from the
+    products kq = k.q' of shape (..., Nf), in a new array."""
+    s = np.multiply(kq, -2.0)
+    s += k_sq
+    s += ns.full_sq
+    return s
+
+
+def _pairs(params, ns, k, k_sq, e1):
+    """(e2, num_m, c(q')) for k = p - q of shape (..., d), with |k|^2 and
+    e1 = |k|^2 / 2 + eps(q) given so that they broadcast against (..., Nf).
+
+    e2 = |k - q'|^2 / 2 + eps(q) + eps(q') = (e1 - k.q') + h(q'), where
+    h(q') = |q'|^2 / 2 + eps(q') and k.q' is summed coordinate by coordinate
+    over the (d, Nf) copy of the nodes by unoptimized einsum, NumPy's own
+    loop, not BLAS.  num_m = w|c(p - q - q'; q')|^2 and c(q') are the node
+    terms of a separable coupling (`_node_terms`); a p-modulated coupling
+    reads its numerators from `_sq_dist`, and c(q') is None.  Each entry
+    comes from its own q and q' alone, so the row at q has the same bits
+    whether k is one point (d,) or one row of a table (N, d).
+    """
+    h, c, num = _node_terms(params, ns)
+    kq = _einsum("...j,jn->...n", k, ns.full_points_t)
+    if num is None:
+        c_pq = params.coupling.from_sq(_sq_dist(kq, k_sq, ns), ns.full_sq)
+        num = c_pq * c_pq * ns.full_weights
+    e2 = np.subtract(e1, kq, out=kq)
+    e2 += h
+    return e2, num, c
+
+
 class SelfEnergyTables:
     """Self-energy, effective energy and leading kernel at a set of
-    evaluation points, from cached pairwise arrays on a node system.
+    evaluation points, from the pair arrays of `_pairs`.
 
-    The two-boson energies e2 and the numerators w|c|^2 do not depend on
-    xi, so sweeping xi (dispersion and ground-branch solves) costs one
-    elementwise division per sweep point.  With k = p - q, e2 = (e1 - k.q')
-    + h(q'), where e1 = |k|^2 / 2 + eps(q) and h(q') = |q'|^2 / 2 + eps(q'),
-    and k.q' is summed coordinate by coordinate over the node system's
-    (d, Nf) copy of its nodes; each entry comes from its own q and q'
-    alone, so a one-row table at q equals its row of a larger table on
-    the same nodes bit for bit.  h(q'), and c(q') and num_m = w|c(q')|^2
-    (shape (Nf,)) for a separable coupling, depend on no row:
-    `_node_terms` caches them.  A p-modulated coupling reads its values
-    from |p - q - q'|^2 = |k|^2 - 2 k.q' + |q'|^2.
-    Without `points` the evaluation set is the rule's own; for d=3
+    e2 and the numerators do not depend on xi, so sweeping xi (dispersion
+    and ground-branch solves) costs one elementwise division per sweep
+    point.  Without `points` the evaluation set is the rule's own; for d=3
     continuum rules it is reduced to the azimuthal half-plane of the p
     axis.  Given points, shape (N, d), are evaluated on the unrotated
     rule (a dispersion solve and the Friedrichs operator's axis build
@@ -222,27 +245,10 @@ class SelfEnergyTables:
                                 f"over the budget of {BYTE_BUDGET} B")
 
         self._k = k = np.subtract(p, points)
-        self._k_sq = _einsum("ij,ij->i", k, k)
-        self.e1_out = e1 = 0.5 * self._k_sq + params.eps(points)
-        h_full, self._c_full, self.num_m = _node_terms(params, ns)
-        if self.num_m is None:
-            c = params.coupling.from_sq(self._sq_dist(), ns.full_sq)
-            self.num_m = c * c * ns.full_weights
-        # e2 = |k - q'|^2 / 2 + eps(q) + eps(q') = (e1 - k.q') + h(q')
-        e2 = _einsum("ij,jn->in", k, ns.full_points_t)
-        np.subtract(e1[:, None], e2, out=e2)
-        e2 += h_full
-        self.e2 = e2
-        self._min_e2 = float(np.minimum.reduce(e2, axis=None))
-
-    def _sq_dist(self) -> np.ndarray:
-        """|p - q - q'|^2 over all pairs; unoptimized einsum is NumPy's own
-        loop, not BLAS, and makes no (rows, Nf) temporary."""
-        s = _einsum("ij,jn->in", self._k, self.ns.full_points_t)
-        s *= -2.0
-        s += self._k_sq[:, None]
-        s += self.ns.full_sq
-        return s
+        self._k_sq = k_sq = _einsum("ij,ij->i", k, k)[:, None]
+        self.e1 = e1 = 0.5 * k_sq[:, 0] + params.eps(points)
+        self.e2, self.num_m, self._c_full = _pairs(params, ns, k, k_sq, e1[:, None])
+        self.min_e2 = float(np.minimum.reduce(self.e2, axis=None))
 
     @cached_property
     def num_d(self) -> np.ndarray:
@@ -252,7 +258,8 @@ class SelfEnergyTables:
         q_sq = np.sum(self.points * self.points, axis=-1)[:, None]
         if self._c_full is not None:
             return np.multiply(self._c_full, c.from_sq(0.0, q_sq))
-        s = self._sq_dist()
+        s = _sq_dist(_einsum("...j,jn->...n", self._k, self.ns.full_points_t),
+                     self._k_sq, self.ns)
         return np.multiply(c.from_sq(s, self.ns.full_sq), c.from_sq(s, q_sq), out=s)
 
     @cached_property
@@ -261,20 +268,17 @@ class SelfEnergyTables:
         return self.params.coupling.evaluate(self.p[None, :] - self.points,
                                              self.points)
 
-    def min_e2(self) -> float:
-        return self._min_e2
-
     def m_values(self, xi: float) -> np.ndarray:
         """Self-energy at every evaluation point."""
-        _check_below_edge(xi, self._min_e2)
+        _check_below_edge(xi, self.min_e2)
         return -(self.params.alpha**2) * (self.num_m / (self.e2 - xi)).sum(axis=1)
 
     def a_values(self, xi: float) -> np.ndarray:
-        return self.e1_out + self.m_values(xi)
+        return self.e1 + self.m_values(xi)
 
     def d_matrix(self, xi: float) -> np.ndarray:
         """Leading kernel between evaluation points and integration nodes."""
-        _check_below_edge(xi, self._min_e2)
+        _check_below_edge(xi, self.min_e2)
         return -self.num_d / (self.e2 - xi)
 
 
@@ -295,15 +299,13 @@ class NewtonRow:
     only fall, or for a at one xi <= cap: the cap is checked against the
     two-boson edge once, here.
 
-    The row is built on 1-D arrays from (params, p, quad or node system,
-    q), with the operations of `SelfEnergyTables` on one of its rows:
-    k = p - q, e1 = |k|^2 / 2 + eps(q), e2 = (e1 - k.q') + h(q'), and for a
-    p-modulated coupling num_m = w|c|^2 from |k|^2 - 2 k.q' + |q'|^2.  So e1,
-    e2, min_e2, num_m and a(xi) = float(a_values(xi)[i]) equal row i of any
-    table holding q on the same nodes, bit for bit: the same elementwise
-    quotients w|c|^2 / (e2 - xi) and the same pairwise row sum, in buffers
-    of the row's length.  slope(xi) is taken at most once after g(xi), at
-    the same xi: it divides g's quotients once more, in place."""
+    The row keeps k = p - q, |k|^2 and e1 as scalars and takes e2 and num_m
+    from `_pairs` on 1-D arrays, so e1, e2, min_e2, num_m and
+    a(xi) = float(a_values(xi)[i]) equal row i of any table holding q on
+    the same nodes, bit for bit: the same elementwise quotients
+    w|c|^2 / (e2 - xi) and the same pairwise row sum, in buffers of the
+    row's length.  slope(xi) is taken at most once after g(xi), at the same
+    xi: it divides g's quotients once more, in place."""
 
     __slots__ = ("e1", "e2", "min_e2", "num_m", "_scale", "_den", "_terms")
 
@@ -316,23 +318,12 @@ class NewtonRow:
         k = np.subtract(p, q)
         k_sq = _einsum("i,i->", k, k)
         self.e1 = e1 = 0.5 * float(k_sq) + float(params.eps(q))
-        h_full, _, num = _node_terms(params, ns)
-        kq = _einsum("j,jn->n", k, ns.full_points_t)
-        if num is None:
-            s = np.multiply(kq, -2.0)
-            s += k_sq
-            s += ns.full_sq
-            c = params.coupling.from_sq(s, ns.full_sq)
-            num = c * c * ns.full_weights
-        # e2 = |k - q'|^2 / 2 + eps(q) + eps(q') = (e1 - k.q') + h(q')
-        self.e2 = e2 = np.subtract(e1, kq, out=kq)
-        e2 += h_full
-        self.min_e2 = float(np.minimum.reduce(e2))
+        self.e2, self.num_m, _ = _pairs(params, ns, k, k_sq, e1)
+        self.min_e2 = float(np.minimum.reduce(self.e2))
         _check_below_edge(cap, self.min_e2)
-        self.num_m = num
         self._scale = -(params.alpha**2)
-        self._den = np.empty_like(e2)
-        self._terms = np.empty_like(e2)
+        self._den = np.empty_like(self.e2)
+        self._terms = np.empty_like(self.e2)
 
     def a(self, xi: float) -> float:
         np.subtract(self.e2, xi, out=self._den)

@@ -285,7 +285,7 @@ def reference_solve(params, p, q, kappa, quad, tol):
     def g(xi):
         return float(row.a_values(xi)[0]) - xi
 
-    x = min(float(row.e1_out[0]), kappa)
+    x = min(float(row.e1[0]), kappa)
     gx, calls = g(x), 1
     while abs(gx) > tol * (1.0 + abs(x)):
         step = x - gx / reference_slope(row, x)
@@ -347,9 +347,9 @@ class TestRowBits:
         p = np.array(p[:d])
         q = p - np.array(k[:d])
         tables = se.SelfEnergyTables(params, p, quad, q[None, :])
-        cap = tables.min_e2() - se.DENOM_MARGIN
+        cap = tables.min_e2 - se.DENOM_MARGIN
         row = se.NewtonRow(params, p, quad, q, cap)
-        assert row.e1 == float(tables.e1_out[0])
+        assert row.e1 == float(tables.e1[0])
         for xi in (cap - b for b in below):
             g = row.g(xi)
             assert g.hex() == (float(tables.a_values(xi)[0]) - xi).hex()
@@ -376,9 +376,9 @@ class TestRowBits:
         qs = p - np.array(ks)[:, :d]
         i %= len(qs)
         tables = se.SelfEnergyTables(params, p, quad, qs)
-        cap = tables.min_e2() - se.DENOM_MARGIN
+        cap = tables.min_e2 - se.DENOM_MARGIN
         row = se.NewtonRow(params, p, quad, qs[i], cap)
-        assert row.e1.hex() == float(tables.e1_out[i]).hex()
+        assert row.e1.hex() == float(tables.e1[i]).hex()
         assert row.e2.tobytes() == tables.e2[i].tobytes()
         assert row.min_e2.hex() == float(np.minimum.reduce(tables.e2[i])).hex()
         num_m = np.broadcast_to(tables.num_m, tables.e2.shape)[i]  # shared if separable
@@ -402,7 +402,7 @@ class TestRowBits:
         p, q = np.array([0.3]), np.array([0.1])
         tables = se.SelfEnergyTables(params, p, QUAD, q[None, :])
         with pytest.raises(DomainError, match="two-boson edge"):
-            se.NewtonRow(params, p, QUAD, q, tables.min_e2())
+            se.NewtonRow(params, p, QUAD, q, tables.min_e2)
 
 
 class TestNewtonStart:
@@ -435,7 +435,7 @@ class TestNewtonStart:
         p = np.array([0.3, -0.2, 0.1][:d])
         q = np.array([-0.1, 0.2, 0.4][:d])
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
-        e1 = float(se.SelfEnergyTables(params, p, QUAD, q[None, :]).e1_out[0])
+        e1 = float(se.SelfEnergyTables(params, p, QUAD, q[None, :]).e1[0])
         assert e1 < kappa
         bp = br.dispersion_point(params, p, q, kappa, QUAD, 1e-10)
         assert bp.status == "converged"
@@ -448,8 +448,8 @@ class TestNewtonStart:
         params = make_params()
         p = q = np.zeros(3)
         row = se.SelfEnergyTables(params, p, QUAD, q[None, :])
-        kappa = row.min_e2() - 0.5 * se.DENOM_MARGIN
-        assert float(row.e1_out[0]) < kappa
+        kappa = row.min_e2 - 0.5 * se.DENOM_MARGIN
+        assert float(row.e1[0]) < kappa
         with pytest.raises(DomainError):
             br._dispersion_solve(params, p, q, kappa, QUAD, 1e-10)
 

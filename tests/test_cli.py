@@ -441,6 +441,19 @@ class TestErrors:
         assert "bad value" in record["message"]
         assert not (out / "dispersion-scan.csv").exists()
 
+    def test_continuum_rule_over_budget(self, tmp_path, capsys):
+        # leggauss(20000) would form a 3.2 GB companion matrix: refused
+        # before the node system is built, and no CSV is written
+        path = tmp_path / "big.ini"
+        path.write_text(CONFIG.replace("radial-nodes = 24", "radial-nodes = 20000"))
+        out = tmp_path / "o"
+        rc = main(["dispersion-scan", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ResourceError"
+        assert "budget" in record["message"]
+        assert not (out / "dispersion-scan.csv").exists()
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "abc", "-1"])
     def test_bad_tol_option(self, config_path, tmp_path, capsys, tol):
         # --tol is refused as the config's tol is: before this check, nan

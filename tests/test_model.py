@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from polaron import (
     EpsilonSpec,
     InputError,
     ModelParams,
+    QuadratureSpec,
     free_energy,
     threshold,
     validate_model,
 )
 from polaron.model import collinear_minimizer
+from polaron.selfenergy import NewtonRow
 
 
 def make_params(d=3, alpha=0.1, eps=None, coupling=None, c0=0.5):
@@ -75,6 +78,34 @@ class TestEpsilon:
             EpsilonSpec.tabulated([0.0, math.nan], [1.0, 2.0])
         with pytest.raises(InputError, match="finite"):
             EpsilonSpec.tabulated([0.0, 1.0], [1.0, math.inf])
+        with pytest.raises(InputError, match="eps0 must be finite"):
+            EpsilonSpec.constant(math.nan)
+        with pytest.raises(InputError, match="mass must be finite"):
+            EpsilonSpec.relativistic(math.nan, 0.0)
+        with pytest.raises(InputError, match="shift must be finite"):
+            EpsilonSpec.relativistic(1.0, math.inf)
+
+    def test_table_changed_in_place(self):
+        # the interpolator is rebuilt from the table's current bytes: every
+        # reader equals a spec built afresh from the changed table
+        eps = EpsilonSpec.tabulated([0.0, 1.0, 2.0, 4.0], [1.0, 1.2, 1.7, 3.0])
+        params = ModelParams(d=1, alpha=0.1, eps=eps, coupling=CouplingSpec(), c0=0.5)
+        quad = QuadratureSpec.continuum(24, 9, r_max=6.0)
+        p, q = np.array([2.5]), np.array([0.7])
+        r = np.linspace(0.0, 5.0, 21)
+        for arr, i, value in ((eps.values, 1, 1.25), (eps.knots, 2, 2.5)):
+            # build the interpolator and the node terms before the change
+            eps.radial(r)
+            NewtonRow(params, p, quad, q, 0.0)
+            arr[i] = value
+            fresh = EpsilonSpec.tabulated(eps.knots.copy(), eps.values.copy())
+            assert eps.radial(r).tobytes() == fresh.radial(r).tobytes()
+            for x in r:
+                assert eps.radial_slope(x).hex() == fresh.radial_slope(x).hex()
+            fresh_params = replace(params, eps=fresh)
+            assert threshold(params, 1, p).hex() == threshold(fresh_params, 1, p).hex()
+            row = NewtonRow(params, p, quad, q, 0.0)
+            assert row.e2.tobytes() == NewtonRow(fresh_params, p, quad, q, 0.0).e2.tobytes()
 
 
 class TestRadialSlope:
@@ -166,6 +197,12 @@ class TestCoupling:
             CouplingSpec(kind="other")
         with pytest.raises(InputError):
             CouplingSpec(width=0.0)
+        with pytest.raises(InputError, match="width must be finite"):
+            CouplingSpec(width=math.nan)
+        with pytest.raises(InputError, match="amplitude must be finite"):
+            CouplingSpec(amplitude=math.nan)
+        with pytest.raises(InputError, match="p_width"):
+            CouplingSpec(kind="p-modulated", p_width=math.inf)
 
 
 class TestFreeEnergy:

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from polaron import EpsilonSpec, InputError, QuadratureSpec, grid_measure
 from polaron import quadrature
-from polaron.errors import ResourceError
+from polaron.errors import BYTE_BUDGET, ResourceError
 from polaron.quadrature import node_system
 from references import integrate
 
@@ -35,6 +36,8 @@ class TestGridMeasure:
             grid_measure(-1.0, 5, 1)
         with pytest.raises(InputError):
             grid_measure(1.0, 0, 1)
+        with pytest.raises(InputError, match="finite"):
+            grid_measure(math.nan, 5, 1)
 
 
 class TestContinuum:
@@ -61,6 +64,34 @@ class TestContinuum:
         spec = QuadratureSpec.continuum(16, 7)
         with pytest.raises(InputError):
             integrate(gauss, spec, 4)
+
+    def test_invalid(self):
+        with pytest.raises(InputError):
+            QuadratureSpec.continuum(n_radial=4)
+        with pytest.raises(InputError):
+            QuadratureSpec.continuum(r_max=0.0)
+        for r_max in (math.nan, math.inf):
+            with pytest.raises(InputError, match="r_max must be finite"):
+                QuadratureSpec.continuum(r_max=r_max)
+
+    @pytest.mark.parametrize("d, n_radial, degree", [(1, 20000, 9), (3, 64, 5000)])
+    def test_budget(self, d, n_radial, degree):
+        # 6.4 GB counted for the radial rule in d = 1 (its 3.2 GB companion
+        # matrix and the eigensolver's copy), and 8e8 nodes in d = 3: both
+        # refused before anything is allocated
+        spec = QuadratureSpec.continuum(n_radial, degree, r_max=6.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="budget"):
+                node_system(spec, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_rules_in_use_are_admitted(self):
+        # the largest rule of the tests, the README and the benchmark
+        assert quadrature._continuum_words(128, 23, 3) * 8 < BYTE_BUDGET
 
 
 class TestNodeSystem:

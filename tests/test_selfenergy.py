@@ -114,7 +114,7 @@ class TestM2Properties:
         params = make_params(d=d, alpha=alpha)
         p = np.array([0.4, 0.0, 0.0])[:d]
         row = se.SelfEnergyTables(params, p, QUAD, np.array(q[:d])[None, :])
-        top = row.min_e2() - se.DENOM_MARGIN - gap
+        top = row.min_e2 - se.DENOM_MARGIN - gap
         g = [float(row.a_values(xi)[0]) - xi for xi in (top - 2 * h, top - h, top)]
         assert g[0] > g[1] > g[2]
         assert g[0] - 2.0 * g[1] + g[2] < 0.0
@@ -148,7 +148,7 @@ class TestM2Properties:
         params = make_params()
         tab = se.SelfEnergyTables(params, np.zeros(3), QUAD)
         with pytest.raises(DomainError):
-            tab.m_values(tab.min_e2())
+            tab.m_values(tab.min_e2)
 
 
 class TestKernels:
@@ -227,7 +227,7 @@ class TestTables:
             assert point.m == pytest.approx(m_all[i], rel=1e-15, abs=0)
             assert point.quad_error == 0.0
             # e1 plus m2's value is the table's effective energy
-            assert float(row.e1_out[0]) + point.m == pytest.approx(
+            assert float(row.e1[0]) + point.m == pytest.approx(
                 a_all[i], rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("kind", ["separable", "p-modulated"])
