@@ -69,14 +69,19 @@ class EpsilonSpec:
                 raise InputError("tabulated epsilon needs knots and values")
             self.knots = np.asarray(self.knots, dtype=float)
             self.values = np.asarray(self.values, dtype=float)
-            if self.knots.ndim != 1 or self.knots.shape != self.values.shape:
-                raise InputError("knots and values must be 1-d arrays of the same length")
-            if self.knots.size < 2:
-                raise InputError("tabulated epsilon needs at least 2 knots")
-            if not (np.isfinite(self.knots).all() and np.isfinite(self.values).all()):
-                raise InputError("knots and values must be finite")
-            if np.any(np.diff(self.knots) <= 0):
-                raise InputError("knots must be strictly increasing")
+            self._check_table()
+
+    def _check_table(self):
+        """Refuse a table the PCHIP cannot take, with InputError: at
+        construction and before each rebuild of a table changed in place."""
+        if self.knots.ndim != 1 or self.knots.shape != self.values.shape:
+            raise InputError("knots and values must be 1-d arrays of the same length")
+        if self.knots.size < 2:
+            raise InputError("tabulated epsilon needs at least 2 knots")
+        if not (np.isfinite(self.knots).all() and np.isfinite(self.values).all()):
+            raise InputError("knots and values must be finite")
+        if np.any(np.diff(self.knots) <= 0):
+            raise InputError("knots must be strictly increasing")
 
     @classmethod
     def constant(cls, eps0: float) -> "EpsilonSpec":
@@ -93,10 +98,12 @@ class EpsilonSpec:
     def _interp(self):
         """The PCHIP through the table, rebuilt when the bytes of the knots
         or the values differ from those it was built from (a table changed
-        in place)."""
+        in place), after the construction's table checks."""
         key = self.knots.tobytes(), self.values.tobytes()
         if getattr(self, "_interp_key", None) != key:
             from scipy.interpolate import PchipInterpolator
+
+            self._check_table()
 
             interp = PchipInterpolator(self.knots, self.values, extrapolate=True)
             self._interp_cache = interp

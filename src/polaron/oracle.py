@@ -36,6 +36,18 @@ function f(sigma) = h00 - sigma - c^T M(sigma)^-1 c (Golub, SIAM Rev. 15,
 x = M(sigma)^-1 c, so monotone Newton falls from s0 onto the ground energy:
 one complement and one linear solve per sigma, no eigensolve
 (`_secular_ground`).
+
+A dispersion window [lo, kappa) with kappa below D_min goes without
+eigensolves beyond its two inertia counts where they put exactly one
+eigenvalue j of H in it.  The count at kappa reads the spectrum of
+S(kappa), so g_j(kappa) < 0 is known, and the slope bound brackets the
+root by [max(lo, kappa + g_j(kappa)), kappa].  Newton on g_j runs from the
+bracket's lower end with the value and slope of an inverse-iteration
+Rayleigh quotient (Ruhe, SIAM J. Numer. Anal. 10, 1973): one complement
+and one linear solve per sigma.  Its stop is certified by a residual: a
+unit v with |S(sigma) v| <= r puts an eigenvalue of S(sigma) within r of
+0, so an eigenvalue of H within r of sigma, and the only one in [lo,
+kappa) is j (`_window_root`).
 """
 
 from __future__ import annotations
@@ -59,6 +71,7 @@ _DENSE_BYTES = 256 * 2**20  # max size of the dense matrix of the fallback
 # no root search starts closer than this to D_min, where (D - sigma)^-1
 # blows up; eigenvalues above D_min - _STANDOFF come from the dense fallback
 _STANDOFF = 1e-9
+_WINDOW_STEPS = 16  # Newton steps of `_window_root` before the fallback
 
 
 @dataclass
@@ -325,12 +338,64 @@ def low_spectrum(ham: TruncatedHamiltonian, k: int, first: int = 0) -> np.ndarra
     return np.array([root(j) for j in range(first, k)])
 
 
-def _count_below(ham: TruncatedHamiltonian, sigma: float) -> int:
-    """Number of eigenvalues below sigma, by Sylvester's law of inertia:
-    the inertia of H - sigma is that of the diagonal two-boson block
-    D - sigma plus that of its Schur complement S(sigma)."""
+def _count_below(ham: TruncatedHamiltonian, sigma: float) -> tuple[int, np.ndarray]:
+    """Number of eigenvalues below sigma, by Sylvester's law of inertia,
+    and the spectrum g(sigma) of S(sigma) it is read from, ascending: the
+    inertia of H - sigma is that of the diagonal two-boson block D - sigma
+    plus that of its Schur complement S(sigma).  `compare_dispersion`
+    starts its window root from the spectrum at the window's top."""
+    spectrum = _eigvalsh(ham.schur(sigma))
     return (int(np.count_nonzero(ham.pair_diag < sigma))
-            + int(np.count_nonzero(_eigvalsh(ham.schur(sigma)) < 0.0)))
+            + int(np.count_nonzero(spectrum < 0.0))), spectrum
+
+
+def _window_root(ham: TruncatedHamiltonian, j: int, lo: float, kappa: float,
+                 spectrum: np.ndarray) -> float | None:
+    """Eigenvalue j of the matrix, the one eigenvalue in [lo, kappa) by the
+    inertia counts, from the spectrum of S(kappa) and no eigensolve; None
+    where the search does not certify it.  With kappa < D_min - _STANDOFF,
+    g_j(kappa) = spectrum[j] < 0 and the slope bound brackets the root by
+    [max(lo, kappa + g_j(kappa)), kappa].  Newton on g_j starts at the
+    bracket's lower end with v = (1, ..., 1).  Each sigma takes one `schur`
+    and one linear solve, v <- S(sigma)^-1 v normalized (inverse
+    iteration); rho = v^T S(sigma) v stands for g_j(sigma) and
+    -1 - |(D - sigma)^-1 B^T v|^2, the Hellmann-Feynman slope of
+    `_secular_ground` with v for x, for its slope.  The search stops where
+    the residual r = |S(sigma) v| is within XTOL + RTOL |sigma|, and so is
+    the step, as |rho| <= r and the slope is at most -1.  Then S(sigma) has
+    an eigenvalue within r of 0, and by the slope bound the matrix has one
+    within r of sigma; where [sigma - r, sigma + r] lies in [lo, kappa), it
+    is eigenvalue j.  kappa at or above D_min - _STANDOFF, a solve that
+    fails or is not finite, an iterate outside the bracket, a residual
+    interval outside the window and _WINDOW_STEPS steps give None."""
+    if ham.pair_diag.size and kappa >= float(ham.pair_diag.min()) - _STANDOFF:
+        return None
+    lower = max(lo, kappa + float(spectrum[j]))
+    ra, rb = ham.pair_rows.T
+    aa, ab = ham.pair_amps.T.copy()
+    sigma, v = lower, np.ones(ham.h11.shape[0])
+    for _ in range(_WINDOW_STEPS):
+        s = ham.schur(sigma)
+        try:
+            u = _solve(s, v)
+        except NumericError:
+            return None
+        # scaled by its largest entry first, so that no square overflows
+        scale = float(np.abs(u).max())
+        if not math.isfinite(scale):
+            return None
+        v = u / scale
+        v /= np.linalg.norm(v)
+        sv = s @ v
+        bv = (aa * v[ra] + ab * v[rb]) / (ham.pair_diag - sigma)
+        step = float(v @ sv) / (1.0 + float(bv @ bv))
+        r = float(np.linalg.norm(sv))
+        if r <= roots.XTOL + roots.RTOL * abs(sigma):
+            return sigma + step if lo <= sigma - r and sigma + r < kappa else None
+        sigma += step
+        if not lower <= sigma <= kappa:
+            return None
+    return None
 
 
 @dataclass
@@ -401,10 +466,13 @@ def compare_dispersion(params: ModelParams, p, measure: DiscreteMeasure,
                        tol: float = 1e-10) -> DispersionComparison:
     """Match the solved one-boson dispersion at a grid momentum against
     the nearest truncated-oracle eigenvalue inside the window
-    (lambda1 estimate - tol, kappa).  Only the eigenvalues inside it are
+    [lambda1 estimate - tol, kappa).  Only the eigenvalues inside it are
     computed: the matrix inertia at each end of the window gives their
     indices n_lo, ..., n_hi - 1, and each is a root of the Schur
-    complement's eigenvalues (see `low_spectrum`)."""
+    complement's eigenvalues.  One eigenvalue alone, below D_min -
+    _STANDOFF, comes from `_window_root`'s Newton, started from the
+    spectrum of the count at kappa, with no eigensolve; several, or one
+    that `_window_root` does not certify, come from `low_spectrum`."""
     p = params._check_vec(p, "p")
     q = params._check_vec(q, "q")
     dists = np.linalg.norm(measure.points - q[None, :], axis=-1)
@@ -417,12 +485,13 @@ def compare_dispersion(params: ModelParams, p, measure: DiscreteMeasure,
     lam1 = branches_mod.lambda1(params, p, kappa, quad, tol)
     ham = build(params, p, measure, n_max=n_max)
     window = (lam1 - tol, kappa)
-    n_lo, n_hi = (_count_below(ham, end) for end in window)
+    (n_lo, _), (n_hi, top) = (_count_below(ham, end) for end in window)
     if n_hi <= n_lo:
         return DispersionComparison(q=q, solver_xi=bp.xi, nearest_eigenvalue=None,
                                     gap=None, window=window, window_count=0,
                                     matched=False)
-    inside = low_spectrum(ham, n_hi, first=n_lo)
+    root = _window_root(ham, n_lo, *window, top) if n_hi == n_lo + 1 else None
+    inside = low_spectrum(ham, n_hi, first=n_lo) if root is None else np.array([root])
     nearest = float(inside[np.argmin(np.abs(inside - bp.xi))])
     return DispersionComparison(q=q, solver_xi=bp.xi, nearest_eigenvalue=nearest,
                                 gap=abs(nearest - bp.xi), window=window,

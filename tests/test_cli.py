@@ -334,6 +334,30 @@ class TestDeterminism:
         for name in ("oracle-check.csv", "oracle-check.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_oracle_check_wide_window_values(self, config_path, tmp_path, monkeypatch):
+        # this config's dispersion window holds 7 eigenvalues, so
+        # `low_spectrum`'s root search gives them and `_window_root` does not
+        # run; the row's values are pinned bit for bit
+        from polaron import oracle
+
+        comps, compare = [], oracle.compare_dispersion
+
+        def recorded(*args, **kwargs):
+            comps.append(compare(*args, **kwargs))
+            return comps[-1]
+
+        def refuse(*args):
+            raise AssertionError("the one-eigenvalue window root ran")
+
+        monkeypatch.setattr(oracle, "compare_dispersion", recorded)
+        monkeypatch.setattr(oracle, "_window_root", refuse)
+        assert run("oracle-check", config_path, tmp_path) == 0
+        assert [c.window_count for c in comps] == [7]
+        with open(tmp_path / "oracle-check.csv") as fh:
+            (row,) = [r for r in csv.DictReader(fh) if r["kind"] == "dispersion"]
+        assert [float(row[k]).hex() for k in ("oracle", "solver", "diff")] == [
+            "0x1.f880f13483fd7p-1", "0x1.f8730c4ab390ep-1", "0x1.bc9d3a0d92000p-14"]
+
 
 class TestImports:
     def test_commands_load_no_scipy_solvers(self, config_path, tmp_path):

@@ -107,6 +107,25 @@ class TestEpsilon:
             row = NewtonRow(params, p, quad, q, 0.0)
             assert row.e2.tobytes() == NewtonRow(fresh_params, p, quad, q, 0.0).e2.tobytes()
 
+    @pytest.mark.parametrize("name, i, value, message", [
+        ("knots", 2, 0.5, "strictly increasing"), ("values", 1, math.nan, "finite")])
+    def test_table_made_invalid_in_place(self, name, i, value, message):
+        # the rebuild runs the construction's table checks: a table changed
+        # in place into one the constructor refuses raises InputError on
+        # every reader, until the table is valid again
+        eps = EpsilonSpec.tabulated([0.0, 1.0, 2.0, 4.0], [1.0, 1.2, 1.7, 3.0])
+        before = eps.radial(np.array([1.5]))
+        arr = getattr(eps, name)
+        old, arr[i] = arr[i], value
+        with pytest.raises(InputError, match=message):
+            EpsilonSpec.tabulated(eps.knots.copy(), eps.values.copy())
+        for read in (lambda: eps.radial(np.array([1.5])), lambda: eps.radial_slope(1.5),
+                     lambda: eps.radial_value(1.5)):
+            with pytest.raises(InputError, match=message):
+                read()
+        arr[i] = old
+        assert eps.radial(np.array([1.5])).tobytes() == before.tobytes()
+
 
 class TestRadialSlope:
     def test_against_central_difference(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polaron import CouplingSpec, EpsilonSpec, InputError, ModelParams, grid_measure
 from polaron import branches, oracle, roots
-from polaron.errors import NumericError, ResourceError
+from polaron.errors import DomainError, NumericError, ResourceError
 
 from references import oracle_blocks_per_pair, schur_per_sigma, sparse_matrix
 
@@ -216,13 +216,21 @@ def lattice_4cubed_case():
     return params, p, m, kappa, q
 
 
-def schur_root_case(d, eps, alpha, p):
-    """A small lattice Hamiltonian, its n_max = 1 spectrum and D_min."""
+# (half-width, points per axis) of a small lattice in each dimension
+SMALL_LATTICES = {1: (3.0, 7), 2: (2.0, 4), 3: (2.0, 3)}
+
+
+def small_params(d, eps, alpha):
     params = make_params(d=d, alpha=alpha)
     if eps == "relativistic":
         params = replace(params, eps=EpsilonSpec.relativistic(1.0, 0.5))
-    lattice = {1: (3.0, 7), 2: (2.0, 4), 3: (2.0, 3)}[d]
-    ham = oracle.build(params, np.array(p[:d]), grid_measure(*lattice, d), 2)
+    return params
+
+
+def schur_root_case(d, eps, alpha, p):
+    """A small lattice Hamiltonian, its n_max = 1 spectrum and D_min."""
+    ham = oracle.build(small_params(d, eps, alpha), np.array(p[:d]),
+                       grid_measure(*SMALL_LATTICES[d], d), 2)
     return ham, np.linalg.eigvalsh(ham.h11), float(ham.pair_diag.min())
 
 
@@ -330,7 +338,8 @@ class TestSchurRoots:
 
 # the oracle-matched 4^3 comparisons at two seeds of the benchmark, rounded:
 # ground momentum, dispersion lattice momentum q, the offset p - q, the
-# sigma of the window's root, and the linear solves of each ground rung
+# linear solves of the window's root, one per sigma, and the linear solves
+# of each ground rung
 MATCHED_CASES = [((0.053, 0.021, -0.085), (-0.75, -0.75, 0.75), (-0.078, 0.085, 0.053), 4,
                   (4, 3, 3)),
                  ((0.038, -0.035, -0.114), (-0.75, -0.75, -0.75), (0.011, 0.246, -0.090), 4,
@@ -343,8 +352,8 @@ class TestSolveCounts:
     factorizations, linear solves).  An eigensolve of h11 where the
     secular equation does not give its least eigenvalue, then one of S at
     each sigma of the root search; the secular ground level instead takes
-    one Cholesky at its start and one solve at each sigma.  Builds per
-    comparison."""
+    one Cholesky at its start and one solve at each sigma, and a window's
+    one eigenvalue one solve at each sigma.  Builds per comparison."""
 
     @staticmethod
     def record(monkeypatch):
@@ -366,7 +375,7 @@ class TestSolveCounts:
 
         for i, name in enumerate(("_eigvalsh", "_positive_definite", "_solve")):
             monkeypatch.setattr(oracle, name, counted(i, getattr(oracle, name)))
-        for name in ("build", "low_spectrum", "_count_below"):
+        for name in ("build", "low_spectrum", "_count_below", "_window_root"):
             recorded(name, getattr(oracle, name))
         return calls
 
@@ -383,12 +392,13 @@ class TestSolveCounts:
         # of h11, certifies it with one Cholesky and takes one solve per
         # sigma of the vacuum's secular Newton, with no eigensolve.  The
         # window's ends take one inertia count each; its one root, index 1,
-        # takes an eigensolve of h11 and its sigma, and the ground root below
-        # the window is not solved.  No probe at D_min - _STANDOFF.
+        # takes one solve per sigma of the inverse-iteration Newton from the
+        # top count's spectrum, with no eigensolve and no `low_spectrum`,
+        # and the ground root below the window is not solved
         assert comp.window_count == 1
         assert calls == [("build", 0, 0, 0), *[("low_spectrum", 0, 1, n) for n in ground],
                          ("build", 0, 0, 0), ("_count_below", 1, 0, 0),
-                         ("_count_below", 1, 0, 0), ("low_spectrum", 1 + window, 0, 0)]
+                         ("_count_below", 1, 0, 0), ("_window_root", 0, 0, window)]
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_free_start_is_the_root(self, monkeypatch, k):
@@ -428,6 +438,136 @@ class TestSolveCounts:
         assert [r.oracle_e0 for r in comp.rows] == expect
 
 
+def window_case(d, eps, alpha, offset, on_axis):
+    """A small lattice dispersion case: q is the lattice point nearest the
+    origin and p = q + offset, or p on the first axis and q the lattice
+    point nearest it."""
+    m = grid_measure(*SMALL_LATTICES[d], d)
+    if on_axis:
+        p = np.zeros(d)
+        p[0] = offset[0]
+        q = m.points[np.argmin(np.linalg.norm(m.points - p, axis=1))]
+    else:
+        q = m.points[np.argmin(np.linalg.norm(m.points, axis=1))]
+        p = q + np.array(offset[:d])
+    return small_params(d, eps, alpha), p, m, q
+
+
+class TestWindowRoot:
+    """`compare_dispersion`'s eigenvalues in its window [lambda1 - tol,
+    kappa).  Where the inertia counts put one there and kappa lies below
+    D_min - _STANDOFF, `_window_root` solves it with no eigensolve beyond
+    the two counts; otherwise, or where it certifies no root, it comes
+    from `low_spectrum`.  Which path ran is read from counters patched
+    onto `_eigvalsh`, `_window_root` and `low_spectrum`."""
+
+    @staticmethod
+    def compare(mp, params, p, m, kappa, q, n_max):
+        """The comparison, the eigensolves it made, each `_window_root`
+        result and the number of `low_spectrum` calls."""
+        log = {"eigensolves": 0, "roots": [], "low_spectrum": 0}
+        eigvalsh, window_root, low_spectrum = (
+            oracle._eigvalsh, oracle._window_root, oracle.low_spectrum)
+
+        def counted_eigvalsh(*args):
+            log["eigensolves"] += 1
+            return eigvalsh(*args)
+
+        def recorded_root(*args):
+            log["roots"].append(window_root(*args))
+            return log["roots"][-1]
+
+        def counted_low_spectrum(*args, **kwargs):
+            log["low_spectrum"] += 1
+            return low_spectrum(*args, **kwargs)
+
+        mp.setattr(oracle, "_eigvalsh", counted_eigvalsh)
+        mp.setattr(oracle, "_window_root", recorded_root)
+        mp.setattr(oracle, "low_spectrum", counted_low_spectrum)
+        comp = oracle.compare_dispersion(params, p, m, kappa, q, n_max=n_max, tol=1e-10)
+        return comp, log
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]), eps=st.sampled_from(["constant", "relativistic"]),
+           alpha=st.just(0.0) | st.floats(0.0, 0.3), n_max=st.sampled_from([1, 2]),
+           offset=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+           on_axis=st.booleans(), fraction=st.sampled_from([0.3, 0.5, 0.7, 0.9]))
+    def test_window_matches_dense(self, d, eps, alpha, n_max, offset, on_axis, fraction):
+        params, p, m, q = window_case(d, eps, alpha, offset, on_axis)
+        try:
+            kappa = branches.kappa_from_rule(params, p, "fraction", fraction)
+            with pytest.MonkeyPatch.context() as mp:
+                comp, log = self.compare(mp, params, p, m, kappa, q, n_max)
+        except (DomainError, InputError):
+            assume(False)
+        ham = oracle.build(params, p, m, n_max)
+        dense = np.linalg.eigvalsh(ham.matrix)
+        lo, hi = comp.window
+        inside = dense[(dense >= lo) & (dense < hi)]
+        assert comp.window_count == inside.size
+        if inside.size:
+            nearest = inside[np.argmin(np.abs(inside - comp.solver_xi))]
+            assert abs(comp.nearest_eigenvalue - nearest) <= 1e-12
+        # `_window_root` runs on every one-eigenvalue window, and returns
+        # None where kappa reaches D_min - _STANDOFF
+        assert len(log["roots"]) == int(comp.window_count == 1)
+        if ham.pair_diag.size and kappa >= ham.pair_diag.min() - oracle._STANDOFF:
+            assert log["roots"] in ([], [None])
+        solved = log["roots"] not in ([], [None])
+        assert log["low_spectrum"] == int(comp.window_count > 0 and not solved)
+        if solved:
+            assert log["eigensolves"] == 2
+            assert comp.nearest_eigenvalue == log["roots"][0]
+
+    @pytest.mark.parametrize("d, eps, alpha, n_max, offset, on_axis, fraction, eigensolves", [
+        (3, "constant", 0.1, 2, (0.1, -0.05, 0.2), False, 0.9, 2),
+        (3, "relativistic", 0.1, 2, (0.3, 0.0, 0.0), True, 0.9, 2),
+        (1, "relativistic", 0.2, 2, (0.2, 0.0, 0.0), True, 0.5, 2),
+        (3, "constant", 0.1, 1, (0.2, 0.0, 0.0), True, 0.9, 2),
+        (3, "constant", 0.0, 2, (0.2, 0.0, 0.0), True, 0.5, 4),
+        (3, "relativistic", 0.0, 1, (0.2, 0.0, 0.0), True, 0.5, 3),
+    ], ids=["generic", "axis-relativistic", "d1", "nmax1", "alpha0", "alpha0-nmax1"])
+    def test_paths(self, d, eps, alpha, n_max, offset, on_axis, fraction, eigensolves):
+        # one eigenvalue in each window.  At alpha = 0, S(sigma) is
+        # diagonal and the bracket's lower end kappa + g_j(kappa) rounds to
+        # the root, where S is singular: the solve fails, and `low_spectrum`
+        # takes the eigensolve of h11 and, at n_max = 2, one of S at the
+        # start, where g_j reads 0.  With n_max = 1, S(sigma) = h11 - sigma
+        # and the lower end is the root up to rounding.
+        params, p, m, q = window_case(d, eps, alpha, offset, on_axis)
+        kappa = branches.kappa_from_rule(params, p, "fraction", fraction)
+        with pytest.MonkeyPatch.context() as mp:
+            comp, log = self.compare(mp, params, p, m, kappa, q, n_max)
+        dense = np.linalg.eigvalsh(oracle.build(params, p, m, n_max).matrix)
+        (nearest,) = dense[(dense >= comp.window[0]) & (dense < comp.window[1])]
+        assert comp.window_count == 1 and len(log["roots"]) == 1
+        assert (log["roots"][0] is not None) == (eigensolves == 2)
+        assert log["eigensolves"] == eigensolves
+        assert log["low_spectrum"] == int(eigensolves > 2)
+        assert abs(comp.nearest_eigenvalue - nearest) <= 1e-12
+
+    @pytest.mark.parametrize("change, solved", [
+        (lambda u: u * (1e300 / np.abs(u).max()), True),
+        (lambda u: np.full_like(u, np.nan), False)],
+        ids=["huge", "nan"])
+    def test_solve_out_of_range(self, change, solved):
+        # near its root S(sigma) is nearly singular, so the inverse
+        # iteration's solves grow large: one whose largest entry is 1e300
+        # still normalizes without overflow, and a solve that is not finite, as
+        # a subnormal pivot gives, leaves the eigenvalue to `low_spectrum`
+        params, p, m, q = window_case(3, "constant", 0.1, (0.1, -0.05, 0.2), False)
+        kappa = branches.kappa_from_rule(params, p, "fraction", 0.9)
+        solve = oracle._solve
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_solve", lambda a, b: change(solve(a, b)))
+            comp, log = self.compare(mp, params, p, m, kappa, q, 2)
+        dense = np.linalg.eigvalsh(oracle.build(params, p, m).matrix)
+        (nearest,) = dense[(dense >= comp.window[0]) & (dense < comp.window[1])]
+        assert (log["roots"][0] is not None) == solved
+        assert log["low_spectrum"] == int(not solved)
+        assert abs(comp.nearest_eigenvalue - nearest) <= 1e-12
+
+
 class TestSparse:
     @pytest.mark.parametrize("eps", ["constant", "relativistic"])
     def test_schur_equals_per_sigma_assembly(self, eps):
@@ -456,7 +596,9 @@ class TestSparse:
         ham = oracle.build(params, np.zeros(2), grid_measure(3.0, 5, 2), n_max)
         dense = np.linalg.eigvalsh(ham.matrix)
         for sigma in (-1.0, 0.5, 1.2, 1.6, 2.5, 3.5):
-            assert oracle._count_below(ham, sigma) == np.count_nonzero(dense < sigma)
+            count, spectrum = oracle._count_below(ham, sigma)
+            assert count == np.count_nonzero(dense < sigma)
+            assert np.array_equal(spectrum, np.linalg.eigvalsh(ham.schur(sigma)))
 
     def test_eigensolver_error_is_numeric_error(self, monkeypatch):
         # the ground level alone takes no eigensolve, so three levels
@@ -568,7 +710,7 @@ class TestSparse:
         comp = oracle.compare_dispersion(params, p, m, kappa, q, tol=1e-9)
         ham = oracle.build(params, p, m)
         lo, hi = comp.window
-        n_lo, n_hi = oracle._count_below(ham, lo), oracle._count_below(ham, hi)
+        (n_lo, _), (n_hi, _) = oracle._count_below(ham, lo), oracle._count_below(ham, hi)
         window = oracle.low_spectrum(ham, n_hi, first=n_lo)
         ref = np.sort(eigsh(sparse_matrix(ham), k=n_hi + 2, which="SA",
                             v0=np.ones(ham.dim), tol=0.0)[0])
