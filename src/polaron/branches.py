@@ -17,7 +17,7 @@ from .errors import DomainError, InputError, NumericError
 from .friedrichs import EDGE_MARGIN, FriedrichsSolver
 from .model import ModelParams
 from .quadrature import QuadratureSpec, axis_of
-from .selfenergy import NewtonRow, SelfEnergyTables
+from .selfenergy import SelfEnergyTables
 
 __all__ = [
     "Cap",
@@ -137,9 +137,8 @@ def dispersion_point(params: ModelParams, p, q, kappa: float,
     falls onto the unique root from any start where g <= 0.  At the free
     energy e1 = |p - q|^2 / 2 + eps(q), g(e1) = m(e1) <= 0, so e1 < kappa
     makes q a member without evaluating g at kappa, and Newton starts at
-    min(e1, kappa).  g and g'(xi) = m'(xi) - 1 are read through the
-    point's own row `selfenergy.NewtonRow`, built on 1-D arrays with no
-    table and pinned to its row of a `SelfEnergyTables` bit for bit: g is
+    min(e1, kappa).  g and g'(xi) = m'(xi) - 1 are read from the point's
+    own one-point `SelfEnergyTables`, its row of a table bit for bit: g is
     one pass of quotients and one row sum, and g' divides g's quotients
     once more, only at an iterate that Newton steps from.
     """
@@ -150,10 +149,10 @@ def dispersion_point(params: ModelParams, p, q, kappa: float,
 def _dispersion_solve(params, p, q, kappa, quad, tol):
     """`dispersion_point` for a caller that has checked the cap at p."""
     q = params._check_vec(q, "q")
-    # the row refuses a cap too near its two-boson edge
-    row = NewtonRow(params, p, quad, q, kappa)
+    row = SelfEnergyTables(params, p, quad, q)
+    row.check(kappa)  # Newton may start below kappa and never evaluate there
     root, g_root, calls = roots.monotone_newton(row.g, row.slope,
-                                                min(row.e1, kappa), tol)
+                                                min(float(row.e1), kappa), tol)
     resid = abs(g_root)
     if root == kappa and g_root >= 0.0:
         return BranchPoint(q=q, xi=None, iterations=calls, residual=resid,
@@ -173,11 +172,11 @@ def _unit(v, name):
 
 def _cap_gap(params, p, kappa, quad, unit):
     """r -> a_p(kappa; r u) - kappa along the unit ray u, counted, each from
-    the point's own `NewtonRow` (its row of a table, bit for bit): smooth,
-    and negative exactly inside the one-boson domain."""
+    the point's own one-point `SelfEnergyTables`: smooth, and negative
+    exactly inside the one-boson domain."""
     @roots.Counted
     def gap(r):
-        return NewtonRow(params, p, quad, r * unit, kappa).g(kappa)
+        return SelfEnergyTables(params, p, quad, r * unit).g(kappa)
     return gap
 
 
@@ -246,8 +245,9 @@ def _ground_determinant(params, p, neumann_order, quad, tol, lam1):
     """(F, hi) at p: F(xi) = Delta_xi(xi), counted, read from the tables at
     p, and hi = lam1 - max(tol, EDGE_MARGIN), the top of its search range.
     F is None when hi is not below the continuum edge of the operator at hi.
-    F(hi) reuses that operator; the edge does not read the kernel matrix,
-    which each operator builds on its first determinant of order >= 1."""
+    F(hi) is taken from that operator at once and kept as F's first value,
+    so the operator and its kernel matrix (built on its first determinant
+    of order >= 1; the edge does not read it) go before any other xi."""
     tables = SelfEnergyTables(params, p, quad)
     e0 = 0.5 * float(p @ p)
 
@@ -258,8 +258,9 @@ def _ground_determinant(params, p, neumann_order, quad, tol, lam1):
     top = operator(hi)
     if hi >= top.edge()[0]:
         return None, hi
-    return roots.Counted(
-        lambda xi: (top if xi == hi else operator(xi)).delta(xi, neumann_order)), hi
+    f = roots.Counted(lambda xi: operator(xi).delta(xi, neumann_order))
+    f.values[hi] = top.delta(hi, neumann_order)
+    return f, hi
 
 
 def ground_state(params: ModelParams, p, lam1: float, neumann_order: int,

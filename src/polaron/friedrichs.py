@@ -16,7 +16,7 @@ from . import quadrature as quad_mod
 from . import roots
 from .errors import DomainError, NumericError
 from .quadrature import QuadratureSpec
-from .selfenergy import NewtonRow, SelfEnergyTables
+from .selfenergy import SelfEnergyTables
 
 __all__ = [
     "FriedrichsSolver",
@@ -75,14 +75,14 @@ class FriedrichsSolver:
     def from_tables(cls, tables: SelfEnergyTables, xi: float,
                     e0: float) -> "FriedrichsSolver":
         """The reduced operator at trial energy xi, read from the tables.
-        On the p axis, a is read from the point's own `NewtonRow` (its row
-        of a table, bit for bit) and v from the coupling; the kernel
-        matrix is the tables' `d_matrix(xi)`."""
+        On the p axis, a is read from the point's own one-point tables on
+        the same nodes and v from the coupling; the kernel matrix is the
+        tables' `d_matrix(xi)`."""
         params, p, ns = tables.params, tables.p, tables.ns
         axis = quad_mod.axis_of(p)
         return cls(e0, params.alpha, ns, tables.v_out, tables.a_values(xi),
                    lambda: tables.d_matrix(xi),
-                   lambda t: NewtonRow(params, p, ns, t * axis, xi).a(xi),
+                   lambda t: float(SelfEnergyTables(params, p, ns, t * axis).a_values(xi)),
                    lambda t: float(params.coupling.evaluate(p - t * axis, t * axis)),
                    axis)
 

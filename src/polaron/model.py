@@ -155,8 +155,10 @@ class EpsilonSpec:
         """epsilon evaluated on momentum vectors of shape (..., d); a
         constant epsilon needs no norms."""
         q = np.asarray(q, dtype=float)
-        if self.kind == "constant":
-            return np.full(q.shape[:-1], self.eps0, dtype=float)
+        if self.kind == "constant":  # np.full's bits, at less cost per call
+            eps = np.empty(q.shape[:-1])
+            eps.fill(self.eps0)
+            return eps
         return self.radial(np.sqrt(np.add.reduce(q * q, axis=-1)))
 
 

@@ -37,7 +37,9 @@ x = M(sigma)^-1 c, so monotone Newton falls from s0 onto the ground energy:
 one complement and one linear solve per sigma, no eigensolve
 (`_secular_ground`).
 
-A dispersion window [lo, kappa) with kappa below D_min goes without
+At n_max = 1, S(sigma) = h11 - sigma, so the inertia count at kappa
+gives every eigenvalue j of a dispersion window [lo, kappa) as kappa +
+g_j(kappa).  At n_max = 2 a window with kappa below D_min goes without
 eigensolves beyond its two inertia counts where they put exactly one
 eigenvalue j of H in it.  The count at kappa reads the spectrum of
 S(kappa), so g_j(kappa) < 0 is known, and the slope bound brackets the
@@ -351,16 +353,17 @@ def _count_below(ham: TruncatedHamiltonian, sigma: float) -> tuple[int, np.ndarr
 
 def _window_root(ham: TruncatedHamiltonian, j: int, lo: float, kappa: float,
                  spectrum: np.ndarray) -> float | None:
-    """Eigenvalue j of the matrix, the one eigenvalue in [lo, kappa) by the
-    inertia counts, from the spectrum of S(kappa) and no eigensolve; None
-    where the search does not certify it.  With kappa < D_min - _STANDOFF,
-    g_j(kappa) = spectrum[j] < 0 and the slope bound brackets the root by
-    [max(lo, kappa + g_j(kappa)), kappa].  Newton on g_j starts at the
-    bracket's lower end with v = (1, ..., 1).  Each sigma takes one `schur`
-    and one linear solve, v <- S(sigma)^-1 v normalized (inverse
-    iteration); rho = v^T S(sigma) v stands for g_j(sigma) and
-    -1 - |(D - sigma)^-1 B^T v|^2, the Hellmann-Feynman slope of
-    `_secular_ground` with v for x, for its slope.  The search stops where
+    """Eigenvalue j of the n_max = 2 matrix, the one eigenvalue in
+    [lo, kappa) by the inertia counts, from the spectrum of S(kappa) and no
+    eigensolve; None where the search does not certify it.  With
+    kappa < D_min - _STANDOFF, g_j(kappa) = spectrum[j] < 0 and the slope
+    bound brackets the root by [max(lo, kappa + g_j(kappa)), kappa].
+    Newton on g_j starts at the bracket's lower end with v = (1, ..., 1).
+    Each sigma takes one `schur` and one linear solve,
+    v <- S(sigma)^-1 v normalized (inverse iteration); rho = v^T S(sigma) v
+    stands for g_j(sigma) and -1 - |(D - sigma)^-1 B^T v|^2, the
+    Hellmann-Feynman slope of `_secular_ground` with v for x, for its
+    slope.  The search stops where
     the residual r = |S(sigma) v| is within XTOL + RTOL |sigma|, and so is
     the step, as |rho| <= r and the slope is at most -1.  Then S(sigma) has
     an eigenvalue within r of 0, and by the slope bound the matrix has one
@@ -368,7 +371,7 @@ def _window_root(ham: TruncatedHamiltonian, j: int, lo: float, kappa: float,
     is eigenvalue j.  kappa at or above D_min - _STANDOFF, a solve that
     fails or is not finite, an iterate outside the bracket, a residual
     interval outside the window and _WINDOW_STEPS steps give None."""
-    if ham.pair_diag.size and kappa >= float(ham.pair_diag.min()) - _STANDOFF:
+    if kappa >= float(ham.pair_diag.min()) - _STANDOFF:
         return None
     lower = max(lo, kappa + float(spectrum[j]))
     ra, rb = ham.pair_rows.T
@@ -469,10 +472,12 @@ def compare_dispersion(params: ModelParams, p, measure: DiscreteMeasure,
     [lambda1 estimate - tol, kappa).  Only the eigenvalues inside it are
     computed: the matrix inertia at each end of the window gives their
     indices n_lo, ..., n_hi - 1, and each is a root of the Schur
-    complement's eigenvalues.  One eigenvalue alone, below D_min -
-    _STANDOFF, comes from `_window_root`'s Newton, started from the
-    spectrum of the count at kappa, with no eigensolve; several, or one
-    that `_window_root` does not certify, come from `low_spectrum`."""
+    complement's eigenvalues.  At n_max = 1, S(kappa) = h11 - kappa, so the
+    spectrum of the count at kappa gives them all as kappa + g_j(kappa).
+    Otherwise one eigenvalue alone, below D_min - _STANDOFF, comes from
+    `_window_root`'s Newton, started from that spectrum, with no
+    eigensolve; several, or one that `_window_root` does not certify, come
+    from `low_spectrum`."""
     p = params._check_vec(p, "p")
     q = params._check_vec(q, "q")
     dists = np.linalg.norm(measure.points - q[None, :], axis=-1)
@@ -490,8 +495,11 @@ def compare_dispersion(params: ModelParams, p, measure: DiscreteMeasure,
         return DispersionComparison(q=q, solver_xi=bp.xi, nearest_eigenvalue=None,
                                     gap=None, window=window, window_count=0,
                                     matched=False)
-    root = _window_root(ham, n_lo, *window, top) if n_hi == n_lo + 1 else None
-    inside = low_spectrum(ham, n_hi, first=n_lo) if root is None else np.array([root])
+    if ham.n_max == 1:  # H = h11: eigenvalue j is kappa + g_j(kappa)
+        inside = kappa + top[n_lo:n_hi]
+    else:
+        root = _window_root(ham, n_lo, *window, top) if n_hi == n_lo + 1 else None
+        inside = low_spectrum(ham, n_hi, first=n_lo) if root is None else np.array([root])
     nearest = float(inside[np.argmin(np.abs(inside - bp.xi))])
     return DispersionComparison(q=q, solver_xi=bp.xi, nearest_eigenvalue=nearest,
                                 gap=abs(nearest - bp.xi), window=window,

@@ -27,16 +27,16 @@ __all__ = [
     "SelfEnergyPoint",
     "ContractionReport",
     "SelfEnergyTables",
-    "NewtonRow",
     "m2",
     "b2_leading",
     "contraction_bounds",
 ]
 
 DENOM_MARGIN = 1e-6  # minimum allowed distance of xi to the two-boson edge
-# (rows, Nf) arrays at a ground solve's peak: e2, num_d, the kernel matrix at
-# hi, and d_matrix's e2 - xi and quotient (numpy reuses -num_d's buffer) at
-# another xi; a p-modulated coupling adds num_m
+# (rows, Nf) arrays a ground solve may hold: e2, the per-xi pass's den and
+# terms, num_d and the kernel matrix at the current xi (d_matrix drops den and
+# terms, so it holds four at its peak: e2, num_d, the kernel and e2 - xi); a
+# p-modulated coupling adds num_m
 _PAIR_ARRAYS = 5
 _TERMS_BOUND = 4     # models whose node terms one node system keeps
 _EPS_FIELDS = operator.attrgetter(*EpsilonSpec.__dataclass_fields__)
@@ -80,12 +80,12 @@ def m2(params: ModelParams, p, xi: float, q, quad: QuadratureSpec,
     q = params._check_vec(q, "q")
     if kappa is not None and xi > kappa:
         raise DomainError(f"xi={xi} exceeds the cap kappa={kappa}")
-    value = float(SelfEnergyTables(params, p, quad, q[None, :]).m_values(xi)[0])
+    value = float(SelfEnergyTables(params, p, quad, q).m_values(xi))
     err = 0.0
     if not quad.is_discrete:
         fine = replace(quad, n_radial=2 * quad.n_radial,
                        angular_degree=2 * quad.angular_degree + 1)
-        fine_value = float(SelfEnergyTables(params, p, fine, q[None, :]).m_values(xi)[0])
+        fine_value = float(SelfEnergyTables(params, p, fine, q).m_values(xi))
         err = abs(fine_value - value)
         value = fine_value
     return SelfEnergyPoint(p=p, q=q, xi=float(xi), m=value, quad_error=err)
@@ -179,51 +179,44 @@ def _node_terms(params, ns):
 
 def _sq_dist(kq, k_sq, ns):
     """|k - q'|^2 = |k|^2 - 2 k.q' + |q'|^2 on every pair, from the
-    products kq = k.q' of shape (..., Nf), in a new array."""
+    products kq = k.q' of shape (..., Nf) and |k|^2 of shape (...), in a
+    new array."""
     s = np.multiply(kq, -2.0)
-    s += k_sq
+    np.add(s.T, k_sq, out=s.T)
     s += ns.full_sq
     return s
 
 
-def _pairs(params, ns, k, k_sq, e1):
-    """(e2, num_m, c(q')) for k = p - q of shape (..., d), with |k|^2 and
-    e1 = |k|^2 / 2 + eps(q) given so that they broadcast against (..., Nf).
-
-    e2 = |k - q'|^2 / 2 + eps(q) + eps(q') = (e1 - k.q') + h(q'), where
-    h(q') = |q'|^2 / 2 + eps(q') and k.q' is summed coordinate by coordinate
-    over the (d, Nf) copy of the nodes by unoptimized einsum, NumPy's own
-    loop, not BLAS.  num_m = w|c(p - q - q'; q')|^2 and c(q') are the node
-    terms of a separable coupling (`_node_terms`); a p-modulated coupling
-    reads its numerators from `_sq_dist`, and c(q') is None.  Each entry
-    comes from its own q and q' alone, so the row at q has the same bits
-    whether k is one point (d,) or one row of a table (N, d).
-    """
-    h, c, num = _node_terms(params, ns)
-    kq = _einsum("...j,jn->...n", k, ns.full_points_t)
-    if num is None:
-        c_pq = params.coupling.from_sq(_sq_dist(kq, k_sq, ns), ns.full_sq)
-        num = c_pq * c_pq * ns.full_weights
-    e2 = np.subtract(e1, kq, out=kq)
-    e2 += h
-    return e2, num, c
-
-
 class SelfEnergyTables:
     """Self-energy, effective energy and leading kernel at a set of
-    evaluation points, from the pair arrays of `_pairs`.
+    evaluation points, or at one point.
 
-    e2 and the numerators do not depend on xi, so sweeping xi (dispersion
-    and ground-branch solves) costs one elementwise division per sweep
-    point.  Without `points` the evaluation set is the rule's own; for d=3
+    Without `points` the evaluation set is the rule's own; for d=3
     continuum rules it is reduced to the azimuthal half-plane of the p
-    axis.  Given points, shape (N, d), are evaluated on the unrotated
-    rule (a dispersion solve and the Friedrichs operator's axis build
-    `NewtonRow`, one row, instead).
-    `quad` may also be the node system `ns` of another table, whose nodes
-    are then shared.  A table whose pair arrays at a ground solve's peak
-    (`_PAIR_ARRAYS`) would exceed BYTE_BUDGET is refused with
-    ResourceError before the first of them is built.
+    axis.  Given points, shape (N, d), or one point q, shape (d,), are
+    evaluated on the unrotated rule; one point's arrays drop the leading
+    axis (e1 is a scalar, e2 has shape (Nf,)).  `quad` may also be the node
+    system `ns` of another table, whose nodes are then shared.  A table
+    whose pair arrays at a ground solve's peak (`_PAIR_ARRAYS`) would
+    exceed BYTE_BUDGET is refused with ResourceError before the first of
+    them is built.
+
+    With k = p - q and e1 = |k|^2 / 2 + eps(q), the pair energies are
+    e2 = (e1 - k.q') + h(q'), h(q') = |q'|^2 / 2 + eps(q'), with k.q'
+    summed coordinate by coordinate over the (d, Nf) copy of the nodes by
+    unoptimized einsum, NumPy's own loop, not BLAS.  The numerators
+    num_m = w|c(p - q - q'; q')|^2 and c(q') are the node terms of a
+    separable coupling (`_node_terms`); a p-modulated coupling reads them
+    from `_sq_dist`.  Each entry comes from its own q and q' alone and each
+    row is summed alone, so one point equals its row of any table holding
+    q on the same nodes, bit for bit.
+
+    Every a(xi) comes from one pass in two buffers the shape of e2,
+    den = e2 - xi and terms = w|c|^2 / den, summed over each row;
+    `d_matrix` drops them and the next pass allocates them again.  g and
+    slope serve a monotone Newton search at one point: slope(xi) is taken
+    at most once after g(xi), at the same xi, and divides g's terms by den
+    once more, in place.
     """
 
     def __init__(self, params: ModelParams, p,
@@ -238,24 +231,37 @@ class SelfEnergyTables:
         self.ns = ns
         self.points = points = ns.out_points if points is None \
             else np.asarray(points, dtype=float)
-        pairs = points.shape[0] * ns.full_points.shape[0]
+        pairs = points.size // params.d * ns.full_sq.size
         need = 8 * pairs * (_PAIR_ARRAYS + (params.coupling.kind != "separable"))
         if need > BYTE_BUDGET:
             raise ResourceError(f"self-energy tables of {pairs} pairs need {need} B, "
                                 f"over the budget of {BYTE_BUDGET} B")
 
         self._k = k = np.subtract(p, points)
-        self._k_sq = k_sq = _einsum("ij,ij->i", k, k)[:, None]
-        self.e1 = e1 = 0.5 * k_sq[:, 0] + params.eps(points)
-        self.e2, self.num_m, self._c_full = _pairs(params, ns, k, k_sq, e1[:, None])
-        self.min_e2 = float(np.minimum.reduce(self.e2, axis=None))
+        self._k_sq = k_sq = _einsum("...j,...j->...", k, k)
+        # [()] takes one point's eps as a scalar, not a 0-d array
+        self.e1 = e1 = 0.5 * k_sq + params.eps(points)[()]
+        h, self._c_full, self.num_m = _node_terms(params, ns)
+        kq = _einsum("...j,jn->...n", k, ns.full_points_t)
+        if self._c_full is None:
+            c_pq = params.coupling.from_sq(_sq_dist(kq, k_sq, ns), ns.full_sq)
+            self.num_m = c_pq * c_pq * ns.full_weights
+        # e1 - k.q' + h(q'), e1 subtracted along the transpose's last axis
+        kq_t = kq.T
+        np.subtract(e1, kq_t, out=kq_t)
+        kq += h
+        self.e2 = kq
+        self.min_e2 = float(np.minimum.reduce(kq, None))
+        self._scale = -(params.alpha**2)
+        self._den = np.empty(kq.shape)
+        self._terms = np.empty(kq.shape)
 
     @cached_property
     def num_d(self) -> np.ndarray:
         """Kernel numerators c(p-q-q'; q') c(p-q-q'; q), built on first use:
         the outer product c(q) c(q') for a separable coupling."""
         c = self.params.coupling
-        q_sq = np.sum(self.points * self.points, axis=-1)[:, None]
+        q_sq = np.sum(self.points * self.points, axis=-1)[..., None]
         if self._c_full is not None:
             return np.multiply(self._c_full, c.from_sq(0.0, q_sq))
         s = _sq_dist(_einsum("...j,jn->...n", self._k, self.ns.full_points_t),
@@ -268,71 +274,44 @@ class SelfEnergyTables:
         return self.params.coupling.evaluate(self.p[None, :] - self.points,
                                              self.points)
 
-    def m_values(self, xi: float) -> np.ndarray:
-        """Self-energy at every evaluation point."""
-        _check_below_edge(xi, self.min_e2)
-        return -(self.params.alpha**2) * (self.num_m / (self.e2 - xi)).sum(axis=1)
+    def check(self, xi: float):
+        """Refuse xi within DENOM_MARGIN of the two-boson edge min_e2,
+        against the cap min_e2 - DENOM_MARGIN as callers form it:
+        min_e2 - xi may round below the margin at xi equal to that cap."""
+        if xi > self.min_e2 - DENOM_MARGIN:
+            raise DomainError(
+                f"xi={xi} within {DENOM_MARGIN:.1g} of the two-boson edge "
+                f"{self.min_e2:.6g} on this grid"
+            )
 
-    def a_values(self, xi: float) -> np.ndarray:
+    def m_values(self, xi: float):
+        """Self-energy m(xi) = -alpha^2 sum w|c|^2 / (e2 - xi) at every
+        evaluation point: the pass that fills den and terms."""
+        if xi > self.min_e2 - DENOM_MARGIN:  # `check`'s test, inline on the Newton path
+            self.check(xi)
+        self._den = den = np.subtract(self.e2, xi, out=self._den)
+        self._terms = terms = np.divide(self.num_m, den, out=self._terms)
+        return self._scale * np.add.reduce(terms, -1)
+
+    def a_values(self, xi: float):
+        """Effective one-boson energy a(xi) = e1 + m(xi)."""
         return self.e1 + self.m_values(xi)
 
-    def d_matrix(self, xi: float) -> np.ndarray:
-        """Leading kernel between evaluation points and integration nodes."""
-        _check_below_edge(xi, self.min_e2)
-        return -self.num_d / (self.e2 - xi)
-
-
-def _check_below_edge(xi, min_e2):
-    # against the cap min_e2 - DENOM_MARGIN as callers form it:
-    # min_e2 - xi may round below the margin at xi equal to that cap
-    if xi > min_e2 - DENOM_MARGIN:
-        raise DomainError(
-            f"xi={xi} within {DENOM_MARGIN:.1g} of the two-boson edge "
-            f"{min_e2:.6g} on this grid"
-        )
-
-
-class NewtonRow:
-    """a(xi) = e1 + m(xi) and g(xi) = a(xi) - xi at one point q, and the
-    slope g'(xi) = m'(xi) - 1 = -alpha^2 sum w|c|^2 / (e2 - xi)^2 - 1, for
-    a monotone Newton search from a start at or below `cap`, whose iterates
-    only fall, or for a at one xi <= cap: the cap is checked against the
-    two-boson edge once, here.
-
-    The row keeps k = p - q, |k|^2 and e1 as scalars and takes e2 and num_m
-    from `_pairs` on 1-D arrays, so e1, e2, min_e2, num_m and
-    a(xi) = float(a_values(xi)[i]) equal row i of any table holding q on
-    the same nodes, bit for bit: the same elementwise quotients
-    w|c|^2 / (e2 - xi) and the same pairwise row sum, in buffers of the
-    row's length.  slope(xi) is taken at most once after g(xi), at the same
-    xi: it divides g's quotients once more, in place."""
-
-    __slots__ = ("e1", "e2", "min_e2", "num_m", "_scale", "_den", "_terms")
-
-    def __init__(self, params: ModelParams, p,
-                 quad: QuadratureSpec | quad_mod.NodeSystem, q, cap: float):
-        p = params._check_vec(p, "p")
-        q = np.asarray(q, dtype=float)
-        ns = quad if isinstance(quad, quad_mod.NodeSystem) \
-            else quad_mod.node_system(quad, params.d)
-        k = np.subtract(p, q)
-        k_sq = _einsum("i,i->", k, k)
-        self.e1 = e1 = 0.5 * float(k_sq) + float(params.eps(q))
-        self.e2, self.num_m, _ = _pairs(params, ns, k, k_sq, e1)
-        self.min_e2 = float(np.minimum.reduce(self.e2))
-        _check_below_edge(cap, self.min_e2)
-        self._scale = -(params.alpha**2)
-        self._den = np.empty_like(self.e2)
-        self._terms = np.empty_like(self.e2)
-
-    def a(self, xi: float) -> float:
-        np.subtract(self.e2, xi, out=self._den)
-        np.divide(self.num_m, self._den, out=self._terms)
-        return self.e1 + self._scale * float(np.add.reduce(self._terms))
-
     def g(self, xi: float) -> float:
-        return self.a(xi) - xi
+        """g(xi) = a(xi) - xi at one point, decreasing and concave."""
+        return float(self.e1 + self.m_values(xi)) - xi
 
     def slope(self, xi: float) -> float:
+        """g'(xi) = m'(xi) - 1 = -alpha^2 sum w|c|^2 / (e2 - xi)^2 - 1 at one
+        point, right after g(xi) at the same xi."""
         terms = np.divide(self._terms, self._den, out=self._terms)
-        return self._scale * float(np.add.reduce(terms)) - 1.0
+        return self._scale * float(np.add.reduce(terms, -1)) - 1.0
+
+    def d_matrix(self, xi: float) -> np.ndarray:
+        """Leading kernel -num_d / (e2 - xi) between evaluation points and
+        integration nodes, in a new array.  It drops the pass's buffers,
+        which the next pass allocates again, so that they are not held
+        beside num_d and the kernel."""
+        self.check(xi)
+        self._den = self._terms = None
+        return -self.num_d / (self.e2 - xi)

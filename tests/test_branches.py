@@ -196,16 +196,16 @@ class TestDispersionProperties:
         q = p - np.array(k[:d])
         kappa = br.kappa_from_rule(params, p, "fraction", fraction)
         seen, e1 = [], []
-        g = se.NewtonRow.g
+        g = se.SelfEnergyTables.g
 
         def recorded(self, xi):
             value = g(self, xi)
             seen.append((xi, value))
-            e1.append(self.e1)
+            e1.append(float(self.e1))
             return value
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(se.NewtonRow, "g", recorded)
+            mp.setattr(se.SelfEnergyTables, "g", recorded)
             bp = br.dispersion_point(params, p, q, kappa, QUAD, 1e-10)
         assume(bp.status != "none")
         assert bp.status == "converged"
@@ -299,8 +299,9 @@ def reference_solve(params, p, q, kappa, quad, tol):
 
 
 class TestRowBits:
-    """The dispersion solve on the point's own Newton row gives what the
-    same Newton search gives on the table's m_values, bit for bit."""
+    """The dispersion solve on the point's own one-point table gives what
+    the same Newton search gives on a one-row table's m_values, bit for
+    bit."""
 
     @settings(max_examples=120, deadline=None)
     @given(d=st.sampled_from([1, 2, 3]),
@@ -339,8 +340,9 @@ class TestRowBits:
            k=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
            below=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4))
     def test_g_is_a_minus_xi(self, d, eps_kind, modulated, rule, p, k, below):
-        # g(xi) == float(a_values(xi)[0]) - xi at each xi at or below the
-        # cap, in any order, and the slope after it is the table's
+        # on the one-point table, g(xi) == float(a_values(xi)[0]) - xi of
+        # the one-row table at each xi at or below the cap, in any order,
+        # and the slope after it is the table's
         # -alpha^2 sum w|c|^2 / (e2 - xi)^2 - 1; g again gives its value
         params = row_model(d, eps_kind, modulated)
         quad = ROW_RULES[rule](d)
@@ -348,7 +350,8 @@ class TestRowBits:
         q = p - np.array(k[:d])
         tables = se.SelfEnergyTables(params, p, quad, q[None, :])
         cap = tables.min_e2 - se.DENOM_MARGIN
-        row = se.NewtonRow(params, p, quad, q, cap)
+        row = se.SelfEnergyTables(params, p, quad, q)
+        row.check(cap)
         assert row.e1 == float(tables.e1[0])
         for xi in (cap - b for b in below):
             g = row.g(xi)
@@ -367,9 +370,9 @@ class TestRowBits:
            tol=st.sampled_from([1e-10, 0.0]))
     def test_row_is_its_table_row(self, d, eps_kind, modulated, rule, p, ks, i,
                                   below, tol):
-        # the row built on its own equals row i of a table over several
-        # points: e1, e2, min_e2, the numerators, g and the slope, and a
-        # Newton search on each gives the same iterates
+        # the one-point table equals row i of a table over several points:
+        # e1, e2, min_e2, the numerators, g and the slope, and a Newton
+        # search on each gives the same iterates
         params = row_model(d, eps_kind, modulated)
         quad = ROW_RULES[rule](d)
         p = np.array(p[:d])
@@ -377,8 +380,9 @@ class TestRowBits:
         i %= len(qs)
         tables = se.SelfEnergyTables(params, p, quad, qs)
         cap = tables.min_e2 - se.DENOM_MARGIN
-        row = se.NewtonRow(params, p, quad, qs[i], cap)
-        assert row.e1.hex() == float(tables.e1[i]).hex()
+        row = se.SelfEnergyTables(params, p, quad, qs[i])
+        assert row.e1.shape == () and row.e2.shape == tables.e2.shape[1:]
+        assert float(row.e1).hex() == float(tables.e1[i]).hex()
         assert row.e2.tobytes() == tables.e2[i].tobytes()
         assert row.min_e2.hex() == float(np.minimum.reduce(tables.e2[i])).hex()
         num_m = np.broadcast_to(tables.num_m, tables.e2.shape)[i]  # shared if separable
@@ -390,7 +394,7 @@ class TestRowBits:
         def table_g(x):
             return float(tables.a_values(x)[i]) - x
 
-        start = min(row.e1, cap)
+        start = min(float(row.e1), cap)
         solved = roots.monotone_newton(row.g, row.slope, start, tol)
         reference = roots.monotone_newton(
             table_g, lambda x: reference_slope(tables, x, i), start, tol)
@@ -401,8 +405,11 @@ class TestRowBits:
         params = row_model(1, "constant", False)
         p, q = np.array([0.3]), np.array([0.1])
         tables = se.SelfEnergyTables(params, p, QUAD, q[None, :])
+        row = se.SelfEnergyTables(params, p, QUAD, q)
         with pytest.raises(DomainError, match="two-boson edge"):
-            se.NewtonRow(params, p, QUAD, q, tables.min_e2)
+            row.check(tables.min_e2)
+        with pytest.raises(DomainError, match="two-boson edge"):
+            br._dispersion_solve(params, p, q, tables.min_e2, QUAD, 1e-10)
 
 
 class TestNewtonStart:
@@ -416,15 +423,16 @@ class TestNewtonStart:
     def test_member_iff_gap_at_kappa_negative(self, d, p, k, alpha, fraction,
                                               relativistic):
         # starting below kappa must not change membership: q is in the
-        # domain iff a_p(kappa; q) - kappa < 0 on its one-row table
+        # domain iff g(kappa) = a_p(kappa; q) - kappa < 0 on its one-point
+        # table
         eps = EpsilonSpec.relativistic(1.0, 0.5) if relativistic else None
         params = make_params(d=d, alpha=alpha, eps=eps)
         p = np.array(p[:d])
         q = p - np.array(k[:d])
         kappa = br.kappa_from_rule(params, p, "fraction", fraction)
         bp = br.dispersion_point(params, p, q, kappa, QUAD, 1e-10)
-        row = se.SelfEnergyTables(params, p, QUAD, q[None, :])
-        assert (bp.status != "none") == (row.a_values(kappa)[0] - kappa < 0)
+        row = se.SelfEnergyTables(params, p, QUAD, q)
+        assert (bp.status != "none") == (row.g(kappa) < 0)
 
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("relativistic", [False, True])
@@ -435,7 +443,7 @@ class TestNewtonStart:
         p = np.array([0.3, -0.2, 0.1][:d])
         q = np.array([-0.1, 0.2, 0.4][:d])
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
-        e1 = float(se.SelfEnergyTables(params, p, QUAD, q[None, :]).e1[0])
+        e1 = float(se.SelfEnergyTables(params, p, QUAD, q).e1)
         assert e1 < kappa
         bp = br.dispersion_point(params, p, q, kappa, QUAD, 1e-10)
         assert bp.status == "converged"
@@ -447,9 +455,9 @@ class TestNewtonStart:
         # checked against the row's two-boson edge
         params = make_params()
         p = q = np.zeros(3)
-        row = se.SelfEnergyTables(params, p, QUAD, q[None, :])
+        row = se.SelfEnergyTables(params, p, QUAD, q)
         kappa = row.min_e2 - 0.5 * se.DENOM_MARGIN
-        assert float(row.e1[0]) < kappa
+        assert float(row.e1) < kappa
         with pytest.raises(DomainError):
             br._dispersion_solve(params, p, q, kappa, QUAD, 1e-10)
 
@@ -806,18 +814,18 @@ def ground_solve(d, p, quad=QUAD):
 
 
 def cap_gap_rays(solve):
-    """Each Newton row's point (r u) on the cap-gap rays of one solve, and
-    the calls of their counted ray functions."""
+    """Each one-point table's point (r u) on the cap-gap rays of one solve,
+    and the calls of their counted ray functions."""
     def run(monkeypatch):
         params = make_params()
         p = np.array([0.3, 0.2, 0.0])
         kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
-        seen = record_calls(monkeypatch, se.NewtonRow, "__init__",
-                            lambda self, params, p, quad, q, cap: tuple(np.ravel(q)))
+        seen = record_calls(monkeypatch, se.SelfEnergyTables, "__init__",
+                            lambda self, params, p, quad, q: tuple(np.ravel(q)))
         gaps = keep_counted(monkeypatch, "_cap_gap.<locals>.gap")
         solve(params, p, kappa)
-        # the probe q = 0 is solved on its own row; the ray rows are at r u
-        # with r > 0
+        # the probe q = 0 is solved on its own point; the ray points are at
+        # r u with r > 0
         return [q for q in seen if any(q)], sum(g.calls for g in gaps)
     return run
 
@@ -890,12 +898,12 @@ class TestIterations:
     def test_count_every_evaluation(self, monkeypatch):
         # iterations = evaluations of the solved scalar function; in a
         # dispersion solve each is one evaluation of g on the point's
-        # Newton row (NewtonRow.g), the membership test at kappa
+        # one-point table (SelfEnergyTables.g), the membership test at kappa
         # included, and no xi is evaluated twice; in a ground solve one
         # determinant F(xi) = Delta_xi(xi), with the bracketing and the
         # final residual
         calls = {"g": [], "delta": 0}
-        g, delta = se.NewtonRow.g, FriedrichsSolver.delta
+        g, delta = se.SelfEnergyTables.g, FriedrichsSolver.delta
 
         def counted_g(self, xi):
             calls["g"].append(xi)
@@ -905,7 +913,7 @@ class TestIterations:
             calls["delta"] += 1
             return delta(self, z, order)
 
-        monkeypatch.setattr(se.NewtonRow, "g", counted_g)
+        monkeypatch.setattr(se.SelfEnergyTables, "g", counted_g)
         monkeypatch.setattr(FriedrichsSolver, "delta", counted_delta)
         params = make_params(d=1)
         p = np.array([0.3])

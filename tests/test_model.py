@@ -19,7 +19,7 @@ from polaron import (
     validate_model,
 )
 from polaron.model import collinear_minimizer
-from polaron.selfenergy import NewtonRow
+from polaron.selfenergy import SelfEnergyTables
 
 
 def make_params(d=3, alpha=0.1, eps=None, coupling=None, c0=0.5):
@@ -96,7 +96,7 @@ class TestEpsilon:
         for arr, i, value in ((eps.values, 1, 1.25), (eps.knots, 2, 2.5)):
             # build the interpolator and the node terms before the change
             eps.radial(r)
-            NewtonRow(params, p, quad, q, 0.0)
+            SelfEnergyTables(params, p, quad, q)
             arr[i] = value
             fresh = EpsilonSpec.tabulated(eps.knots.copy(), eps.values.copy())
             assert eps.radial(r).tobytes() == fresh.radial(r).tobytes()
@@ -104,8 +104,8 @@ class TestEpsilon:
                 assert eps.radial_slope(x).hex() == fresh.radial_slope(x).hex()
             fresh_params = replace(params, eps=fresh)
             assert threshold(params, 1, p).hex() == threshold(fresh_params, 1, p).hex()
-            row = NewtonRow(params, p, quad, q, 0.0)
-            assert row.e2.tobytes() == NewtonRow(fresh_params, p, quad, q, 0.0).e2.tobytes()
+            row = SelfEnergyTables(params, p, quad, q)
+            assert row.e2.tobytes() == SelfEnergyTables(fresh_params, p, quad, q).e2.tobytes()
 
     @pytest.mark.parametrize("name, i, value, message", [
         ("knots", 2, 0.5, "strictly increasing"), ("values", 1, math.nan, "finite")])

@@ -455,11 +455,12 @@ def window_case(d, eps, alpha, offset, on_axis):
 
 class TestWindowRoot:
     """`compare_dispersion`'s eigenvalues in its window [lambda1 - tol,
-    kappa).  Where the inertia counts put one there and kappa lies below
-    D_min - _STANDOFF, `_window_root` solves it with no eigensolve beyond
-    the two counts; otherwise, or where it certifies no root, it comes
-    from `low_spectrum`.  Which path ran is read from counters patched
-    onto `_eigvalsh`, `_window_root` and `low_spectrum`."""
+    kappa).  At n_max = 1 the count at kappa gives them all.  At n_max = 2,
+    where the inertia counts put one there and kappa lies below D_min -
+    _STANDOFF, `_window_root` solves it with no eigensolve beyond the two
+    counts; otherwise, or where it certifies no root, it comes from
+    `low_spectrum`.  Which path ran is read from counters patched onto
+    `_eigvalsh`, `_window_root` and `low_spectrum`."""
 
     @staticmethod
     def compare(mp, params, p, m, kappa, q, n_max):
@@ -508,15 +509,18 @@ class TestWindowRoot:
         if inside.size:
             nearest = inside[np.argmin(np.abs(inside - comp.solver_xi))]
             assert abs(comp.nearest_eigenvalue - nearest) <= 1e-12
-        # `_window_root` runs on every one-eigenvalue window, and returns
-        # None where kappa reaches D_min - _STANDOFF
-        assert len(log["roots"]) == int(comp.window_count == 1)
+        # at n_max = 2 `_window_root` runs on every one-eigenvalue window,
+        # and returns None where kappa reaches D_min - _STANDOFF; at
+        # n_max = 1 the two counts give every window
+        assert len(log["roots"]) == int(comp.window_count == 1 and n_max == 2)
         if ham.pair_diag.size and kappa >= ham.pair_diag.min() - oracle._STANDOFF:
             assert log["roots"] in ([], [None])
         solved = log["roots"] not in ([], [None])
-        assert log["low_spectrum"] == int(comp.window_count > 0 and not solved)
-        if solved:
+        assert log["low_spectrum"] == int(comp.window_count > 0 and n_max == 2
+                                          and not solved)
+        if solved or n_max == 1:
             assert log["eigensolves"] == 2
+        if solved:
             assert comp.nearest_eigenvalue == log["roots"][0]
 
     @pytest.mark.parametrize("d, eps, alpha, n_max, offset, on_axis, fraction, eigensolves", [
@@ -525,25 +529,50 @@ class TestWindowRoot:
         (1, "relativistic", 0.2, 2, (0.2, 0.0, 0.0), True, 0.5, 2),
         (3, "constant", 0.1, 1, (0.2, 0.0, 0.0), True, 0.9, 2),
         (3, "constant", 0.0, 2, (0.2, 0.0, 0.0), True, 0.5, 4),
-        (3, "relativistic", 0.0, 1, (0.2, 0.0, 0.0), True, 0.5, 3),
+        (3, "relativistic", 0.0, 1, (0.2, 0.0, 0.0), True, 0.5, 2),
     ], ids=["generic", "axis-relativistic", "d1", "nmax1", "alpha0", "alpha0-nmax1"])
     def test_paths(self, d, eps, alpha, n_max, offset, on_axis, fraction, eigensolves):
         # one eigenvalue in each window.  At alpha = 0, S(sigma) is
         # diagonal and the bracket's lower end kappa + g_j(kappa) rounds to
-        # the root, where S is singular: the solve fails, and `low_spectrum`
-        # takes the eigensolve of h11 and, at n_max = 2, one of S at the
-        # start, where g_j reads 0.  With n_max = 1, S(sigma) = h11 - sigma
-        # and the lower end is the root up to rounding.
+        # the root, where S is singular: at n_max = 2 the solve fails, and
+        # `low_spectrum` takes the eigensolve of h11 and one of S at the
+        # start, where g_j reads 0.  With n_max = 1, S(kappa) = h11 - kappa
+        # and the count at kappa gives the eigenvalue: no root search runs.
         params, p, m, q = window_case(d, eps, alpha, offset, on_axis)
         kappa = branches.kappa_from_rule(params, p, "fraction", fraction)
         with pytest.MonkeyPatch.context() as mp:
             comp, log = self.compare(mp, params, p, m, kappa, q, n_max)
         dense = np.linalg.eigvalsh(oracle.build(params, p, m, n_max).matrix)
         (nearest,) = dense[(dense >= comp.window[0]) & (dense < comp.window[1])]
-        assert comp.window_count == 1 and len(log["roots"]) == 1
-        assert (log["roots"][0] is not None) == (eigensolves == 2)
+        assert comp.window_count == 1 and len(log["roots"]) == int(n_max == 2)
+        assert (log["roots"] not in ([], [None])) == (n_max == 2 and eigensolves == 2)
         assert log["eigensolves"] == eigensolves
         assert log["low_spectrum"] == int(eigensolves > 2)
+        assert abs(comp.nearest_eigenvalue - nearest) <= 1e-12
+
+    @pytest.mark.parametrize("d, eps, alpha, p, q", [
+        (3, "constant", 0.084, (-1.5, 1.2, 1.2), (-4 / 3, 4 / 3, 4 / 3)),
+        (3, "constant", 0.1, (0.2, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        (1, "relativistic", 0.2, (0.2,), (0.0,)),
+        (2, "relativistic", 0.0, (0.1, -0.2), (-0.5, -0.5)),
+    ], ids=["rounding-floor", "d3", "d1", "alpha0-d2-four"])
+    def test_nmax1_window_from_the_count(self, d, eps, alpha, p, q):
+        # at n_max = 1, H = h11 and S(kappa) = h11 - kappa: the count at
+        # kappa gives each window eigenvalue as kappa + g_j(kappa), with no
+        # root search and no fallback, four of them in the last window.  In
+        # the first case a Newton search's residual floor exceeds its
+        # tolerance, so an eigensolve of h11 gave the eigenvalue before
+        params, m = small_params(d, eps, alpha), grid_measure(*SMALL_LATTICES[d], d)
+        p, q = np.array(p), np.array(q)
+        kappa = branches.kappa_from_rule(params, p, "fraction", 0.5)
+        with pytest.MonkeyPatch.context() as mp:
+            comp, log = self.compare(mp, params, p, m, kappa, q, 1)
+        assert comp.window_count >= 1
+        assert log == {"eigensolves": 2, "roots": [], "low_spectrum": 0}
+        dense = np.linalg.eigvalsh(oracle.build(params, p, m, 1).matrix)
+        inside = dense[(dense >= comp.window[0]) & (dense < comp.window[1])]
+        assert comp.window_count == inside.size
+        nearest = inside[np.argmin(np.abs(inside - comp.solver_xi))]
         assert abs(comp.nearest_eigenvalue - nearest) <= 1e-12
 
     @pytest.mark.parametrize("change, solved", [

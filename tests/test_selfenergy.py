@@ -396,6 +396,28 @@ class TestSquaredNorms:
         assert build_peak <= 5 * tab.e2.nbytes
         assert num_d_peak <= 2 * tab.e2.nbytes
 
+    def test_bounded_memory_of_a_ground_solve(self):
+        # a ground solve holds one kernel matrix at a time: the operator at
+        # hi goes once F(hi) is known, and d_matrix drops the per-xi pass's
+        # two buffers, so the peak holds e2, num_d, the kernel and e2 - xi,
+        # under the _PAIR_ARRAYS = 5 arrays the budget counts
+        params = replace(make_params(), eps=EpsilonSpec.relativistic(1.0, 0.0))
+        quad = QuadratureSpec.continuum(48, 15, r_max=6.0)
+        p = np.array([0.0, 0.3, 0.4])
+        kappa = br.kappa_from_rule(params, p, "fraction", 0.9)
+        lam1 = br.lambda1(params, p, kappa, quad)
+        e2_bytes = se.SelfEnergyTables(params, p, quad).e2.nbytes  # caches the nodes
+        tracemalloc.start()
+        try:
+            bp = br.ground_state(params, p, lam1, 1, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bp.status == "converged"
+        assert e2_bytes == 384 * 6144 * 8
+        assert peak <= se._PAIR_ARRAYS * e2_bytes
+        assert peak <= 4.5 * e2_bytes
+
 
 class TestNodeTerms:
     """h(q') = |q'|^2 / 2 + eps(q'), c(q') and w|c(q')|^2 are kept on the
