@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -31,16 +32,19 @@ def _fmt(x) -> str:
 
 
 def _write_outputs(out_dir: Path, command: str, columns, rows, record):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / f"{command}.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
     # serialized whole and written in one call: json.dump writes each token
     text = json.dumps(record, indent=1, default=_fmt, sort_keys=True)
-    with open(out_dir / f"{command}.json", "w") as fh:
-        fh.write(text + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / f"{command}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([_fmt(row.get(c)) for c in columns])
+        with open(out_dir / f"{command}.json", "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write the outputs to {out_dir}: {exc}") from exc
 
 
 def _cap_columns(cfg: RunConfig, p, mode=None, value=None) -> dict:
@@ -272,7 +276,10 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use: it keeps
+    no state between `parse_args` calls."""
     parser = argparse.ArgumentParser(
         prog="polaron",
         description="Lower spectral branches of the fixed-momentum "
@@ -287,7 +294,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--tol", default=None,
                         help="override the [run] tolerance")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

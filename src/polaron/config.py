@@ -149,17 +149,21 @@ def _coupling_from(raw) -> CouplingSpec:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise InputError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read the config {path}: {exc}") from exc
     # no interpolation: a '%' in a value, as in a file name, is literal
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read(path)
+        cp.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise InputError(f"cannot parse the config {path}: {exc}") from exc
-    # each section read once, as plain strings: the lookups below and the
-    # record's "config" field
-    raw = {name: dict(cp[name]) for name in cp.sections()}
+    # each section read once, raw, as plain strings: the lookups below and
+    # the record's "config" field
+    raw = {name: dict(cp.items(name, raw=True)) for name in cp.sections()}
     _check_schema(raw)
     for name in ("model", "epsilon", "coupling"):
         if name not in raw:

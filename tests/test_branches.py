@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1009,3 +1010,43 @@ class TestGamma:
                               second_pair=(p + shift, q + shift))
         assert res.residual is not None
         assert res.residual <= 1e-7
+
+
+class TestFactorizationAlpha4:
+    """The one-boson level at p = k + q is the polaron at k plus a free boson
+    of momentum q, up to O(alpha^4): gamma(k) = xi_p(q) - eps(q) solves the
+    second-order polaron equation at k, and the ground branch xi0(k) adds
+    the one-boson dressing of a and the kernel D, both O(alpha^4).  So the
+    gap gamma - xi0 falls by 2^4 = 16 per halving of alpha."""
+
+    # the ratio at a ladder's first halving deviates from 16 by at most
+    # 0.36 (d = 3, relativistic, order 0), at the second by at most 0.09;
+    # the deviation is O(alpha^2), so it falls about 4x per halving
+    RATIO_TOL = 0.5
+    LADDERS = {"relativistic": (0.1, 0.05, 0.025), "constant": (0.05, 0.025, 0.0125)}
+
+    @staticmethod
+    def gap(params, kmag, order):
+        axis = np.zeros(params.d)
+        axis[-1] = 1.0
+        q, k = 0.3 * axis, kmag * axis
+        p = k + q
+        bp = br.dispersion_point(params, p, q, br.cap(params, p).kappa, QUAD, 1e-12)
+        lam1 = br.lambda1(params, k, br.cap(params, k).kappa, QUAD, 1e-12)
+        ground = br.ground_state(params, k, lam1, order, QUAD, 1e-12)
+        assert (bp.status, ground.status) == ("converged", "converged")
+        return bp.xi - float(params.eps(q)) - ground.xi
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("kmag", [0.0, 0.4])
+    @pytest.mark.parametrize("modulated", [False, True], ids=["separable", "p-modulated"])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("eps_kind", ["relativistic", "constant"])
+    def test_gap_falls_by_sixteen_per_halving(self, eps_kind, d, modulated, kmag, order):
+        base = row_model(d, eps_kind, modulated)
+        gaps = [self.gap(replace(base, alpha=a), kmag, order)
+                for a in self.LADDERS[eps_kind]]
+        assert all(g > 0.0 for g in gaps)       # the ground branch is the lower
+        ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
+        assert all(abs(r - 16.0) <= self.RATIO_TOL for r in ratios)
+        assert abs(ratios[1] - 16.0) <= abs(ratios[0] - 16.0) / 3.0

@@ -383,6 +383,66 @@ class TestImports:
         assert loaded == []
 
 
+class TestParserReuse:
+    def test_one_parser_per_process(self, config_path, tmp_path, monkeypatch):
+        import argparse
+
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._parser.cache_clear()
+        try:
+            assert run("thresholds", config_path, tmp_path / "a") == 0
+            assert run("alpha0", config_path, tmp_path / "b") == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_calls_in_one_interpreter_match_fresh_processes(self, config_path, tmp_path):
+        # one interpreter runs thresholds, an unknown command (exit 2),
+        # --tol nan (exit 2), alpha0 and dispersion-scan through the one
+        # parser; each command's files equal a fresh process's bytes
+        commands = ("thresholds", "alpha0", "dispersion-scan")
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+
+        def argv(command, out, *extra):
+            return [command, "--config", config_path, "--out", str(out), *extra]
+
+        argvs = [argv("thresholds", shared), argv("nope", shared),
+                 argv("alpha0", shared, "--tol", "nan"), argv("alpha0", shared),
+                 argv("dispersion-scan", shared)]
+        script = (
+            "import json, sys\n"
+            "from polaron.cli import main\n"
+            "codes = []\n"
+            "def call(argv):\n"
+            "    try:\n"
+            "        codes.append(main(argv))\n"
+            "    except SystemExit as exc:\n"
+            "        codes.append(exc.code)\n"
+            f"for argv in {argvs!r}:\n"
+            "    call(argv)\n"
+            "print(json.dumps(codes))\n"
+        )
+        src = str(Path(polaron.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert json.loads(res.stdout.splitlines()[-1]) == [0, 2, 2, 0, 0]
+        for command in commands:
+            subprocess.run([sys.executable, "-m", "polaron.cli", *argv(command, fresh)],
+                           env=env, capture_output=True, check=True)
+        names = sorted(f"{c}{s}" for c in commands for s in (".csv", ".json"))
+        assert sorted(f.name for f in shared.iterdir()) == names
+        for name in names:
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+
+
 class TestConfigDefaults:
     @pytest.mark.parametrize("form", ["absent", "empty"])
     def test_optional_sections(self, tmp_path, form):
@@ -398,6 +458,32 @@ class TestConfigDefaults:
         assert (cfg.quad.n_radial, cfg.quad.angular_degree) == (64, 17)
         assert cfg.quad.r_max == max(cfg.params.coupling.decay_radius(), 4.0)
         assert (cfg.measure.half_width, cfg.measure.points_per_axis) == (3.0, 5)
+
+    @pytest.mark.parametrize("default", ["", "[DEFAULT]\n"], ids=["plain", "default"])
+    def test_raw_sections_are_the_section_proxies(self, tmp_path, default):
+        # sections are read raw; without interpolation the values are the
+        # strings a section proxy returns ('%' included), and the keys the same
+        import configparser
+
+        path = tmp_path / "run.ini"
+        path.write_text(default + CONFIG.replace(
+            "kind = constant\neps0 = 1.0",
+            f"kind = tabulated\ntable-path = {tmp_path / 'eps%b.csv'}"))
+        (tmp_path / "eps%b.csv").write_text("0.0,1.0\n4.0,1.5\n")
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read(path)
+        assert load_config(path).raw == {n: dict(cp[n]) for n in cp.sections()}
+
+    def test_raw_section_with_defaults(self):
+        # a non-empty [DEFAULT] puts its keys in every section, so no config
+        # that holds one passes the schema; the raw read still gives each
+        # section the proxy's strings, '%' literal
+        import configparser
+
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string("[DEFAULT]\nwidth = 2%\ntol = 1e-9\n" + CONFIG)
+        for name in cp.sections():
+            assert dict(cp.items(name, raw=True)) == dict(cp[name])
 
 
 class TestErrors:
@@ -424,6 +510,37 @@ class TestErrors:
         assert rc == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "InputError"
+
+    @pytest.mark.parametrize("form", ["not-utf-8", "directory"])
+    def test_unreadable_config(self, tmp_path, capsys, form):
+        # a file that is not UTF-8 and a directory are read errors: not a
+        # traceback, and not a config with no sections
+        path = tmp_path / "run.ini"
+        if form == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(CONFIG.replace("kind = constant", "kind = const\xe9").encode("latin-1"))
+        out = tmp_path / "o"
+        rc = main(["thresholds", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InputError"
+        assert record["message"].startswith(f"cannot read the config {path}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("form", ["file", "under-a-file"])
+    def test_unusable_out(self, config_path, tmp_path, capsys, form):
+        # an --out that cannot be a directory is an input error naming it,
+        # not a traceback from creating the directory
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker if form == "file" else blocker / "o"
+        rc = main(["thresholds", "--config", config_path, "--out", str(out)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InputError"
+        assert record["message"].startswith(f"cannot write the outputs to {out}: ")
+        assert blocker.read_text() == ""
 
     def test_bad_section(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
